@@ -60,7 +60,6 @@ from .retrieval import (
     RetrievalConfig,
     RetrievalPipeline,
     RetrievalResult,
-    dense_rank,
     oracle_context,
     pack_context,
     rrf_fuse,

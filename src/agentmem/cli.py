@@ -8,18 +8,21 @@ Output is line-delimited JSON unless --pretty is given. Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+import tempfile
 import uuid
+from dataclasses import replace
 from pathlib import Path
 
 from . import attribution as attribution_mod
 from . import evaluation, learning
-from .clients import HttpExtractor, HttpReader
+from .clients import HttpEmbedder, HttpExtractor, HttpReader
 from .config import EngineConfig
 from .consolidation import HeuristicExtractor, run_consolidation_pass
 from .errors import AgentMemError, ServiceError, ValidationError
-from .retrieval import RetrievalPipeline
+from .retrieval import MODE_BM25, MODES, HashedBowEmbedder, RetrievalPipeline, parse_stage1_k1
 from .scoring import Variant
 from .store import EpisodicEntry, MemoryStore, parse_timestamp, utc_now
 
@@ -46,21 +49,17 @@ def _load_config(args) -> EngineConfig:
 
 
 def _retrieval_cfg(cfg: EngineConfig, args) -> None:
-    """Fold retrieval flags into the config in place."""
-    from dataclasses import replace
-
+    """Fold the retrieval and ranking-mode flags into the config in place."""
     overrides = {}
-    if getattr(args, "k", None) is not None:
+    if args.k is not None:
         overrides["stage2_k"] = args.k
-    if getattr(args, "k1", None) is not None:
-        overrides["stage1_k1"] = (
-            None if str(args.k1).lower() in ("inf", "none", "unbounded") else int(args.k1)
-        )
-    if getattr(args, "budget", None) is not None:
+    if args.k1 is not None:
+        overrides["stage1_k1"] = parse_stage1_k1(args.k1)
+    if args.budget is not None:
         overrides["token_budget"] = args.budget
-    if getattr(args, "variant", None):
+    if args.variant:
         overrides["variant"] = Variant(args.variant)
-    if getattr(args, "ranking", None):
+    if args.ranking:
         overrides["mode"] = args.ranking
     if overrides:
         cfg.retrieval = replace(cfg.retrieval, **overrides)
@@ -136,13 +135,9 @@ def cmd_append(args) -> int:
 
 def _embedder(cfg: EngineConfig):
     if cfg.embedder.url:
-        from .clients import HttpEmbedder
-
         return HttpEmbedder(
             cfg.embedder.url, dimension=cfg.embedder_dimension, timeout=cfg.embedder.timeout
         )
-    from .retrieval import HashedBowEmbedder
-
     return HashedBowEmbedder()
 
 
@@ -150,7 +145,7 @@ def cmd_retrieve(args) -> int:
     cfg = _load_config(args)
     _retrieval_cfg(cfg, args)
     store = MemoryStore(cfg.workspace)
-    embedder = _embedder(cfg) if cfg.retrieval.mode != "bm25" else None
+    embedder = _embedder(cfg) if cfg.retrieval.mode != MODE_BM25 else None
     pipeline = RetrievalPipeline.from_store(
         store,
         cfg.retrieval,
@@ -171,8 +166,6 @@ def cmd_retrieve(args) -> int:
         }
         if args.explain:
             record["breakdown"] = ranked.breakdown.as_dict()
-            if ranked.dense_similarity is not None:
-                record["dense_similarity"] = ranked.dense_similarity
             if ranked.fused_score is not None:
                 record["fused_score"] = ranked.fused_score
         _emit(args, record)
@@ -187,7 +180,7 @@ def cmd_retrieve(args) -> int:
             "fallback_unscoped": result.fallback_unscoped,
             "packed_token_count": result.packed_token_count,
             "latency_micros": result.latency_micros,
-            "config": {"retrieval": cfg.to_dict()["retrieval"]},
+            "config": {"retrieval": cfg.retrieval.to_dict()},
         },
     )
     return EXIT_OK
@@ -228,7 +221,7 @@ def cmd_eval(args) -> int:
         decay=cfg.decay,
         tiers=cfg.tiers,
         extractor=extractor,
-        embedder=_embedder(cfg) if cfg.retrieval.mode != "bm25" else None,
+        embedder=_embedder(cfg) if cfg.retrieval.mode != MODE_BM25 else None,
         attribute_on_eval=args.attribute,
         attribution_cfg=cfg.attribution,
         config_echo={"seed": cfg.seed},
@@ -245,7 +238,6 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _load_config(args)
-    _retrieval_cfg(cfg, args)
     dataset = evaluation.load_dataset(args.dataset)
     reader = _reader(cfg, args.reader)
     extractor = _extractor(cfg, args.extractor)
@@ -258,9 +250,7 @@ def cmd_ablate(args) -> int:
         if args.grid_budget:
             axes["budget"] = args.grid_budget
         if args.grid_k1:
-            axes["k1"] = [
-                None if str(v).lower() in ("inf", "none") else int(v) for v in args.grid_k1
-            ]
+            axes["k1"] = [parse_stage1_k1(v) for v in args.grid_k1]
         if args.grid_variant:
             axes["variant"] = args.grid_variant
         if not axes:
@@ -279,13 +269,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    import contextlib
-    import tempfile
-
     cfg = _load_config(args)
     _retrieval_cfg(cfg, args)
-    from dataclasses import replace
-
     train_cfg = cfg.train
     if args.epochs is not None:
         train_cfg = replace(train_cfg, epochs=args.epochs)
@@ -373,8 +358,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name: str, help_text: str):
-        return sub.add_parser(name, help=help_text, parents=[common])
+    def add_parser(name: str, help_text: str, *parents: argparse.ArgumentParser):
+        return sub.add_parser(name, help=help_text, parents=[common, *parents])
+
+    # Retrieval overrides shared by retrieve, eval and train (read by _retrieval_cfg);
+    # each command adds its own ranking-mode flag.
+    retrieval_flags = argparse.ArgumentParser(add_help=False)
+    retrieval_flags.add_argument("--k", type=int)
+    retrieval_flags.add_argument("--k1")
+    retrieval_flags.add_argument("--budget", type=int)
+    retrieval_flags.add_argument("--variant", choices=[v.value for v in Variant])
 
     p = add_parser("append", "append one episodic entry")
     p.add_argument("--project", required=True)
@@ -386,15 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outcome", choices=sorted(attribution_mod.OUTCOME_REWARDS))
     p.set_defaults(func=cmd_append)
 
-    p = add_parser("retrieve", "query the memory")
+    p = add_parser("retrieve", "query the memory", retrieval_flags)
     p.add_argument("--project", required=True)
     p.add_argument("--query", required=True)
     p.add_argument("--agent", default=None, help="agent view; omit for orchestrator")
-    p.add_argument("--k", type=int)
-    p.add_argument("--k1")
-    p.add_argument("--budget", type=int)
-    p.add_argument("--mode", dest="ranking", choices=["bm25", "dense", "hybrid_rrf"])
-    p.add_argument("--variant", choices=[v.value for v in Variant])
+    p.add_argument("--mode", dest="ranking", choices=MODES)
     p.add_argument("--explain", action="store_true")
     p.set_defaults(func=cmd_retrieve)
 
@@ -403,17 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extractor", default="heuristic", choices=["heuristic", "http"])
     p.set_defaults(func=cmd_consolidate)
 
-    p = add_parser("eval", "run the QA benchmark")
+    p = add_parser("eval", "run the QA benchmark", retrieval_flags)
     p.add_argument("--dataset", required=True)
     p.add_argument("--mode", default="retrieval", choices=list(evaluation.EVAL_MODES))
     p.add_argument("--reader", default="oracle", choices=["oracle", "echo", "http"])
     p.add_argument("--extractor", default="heuristic", choices=["heuristic", "none", "http"])
     p.add_argument("--attribute", action="store_true", help="apply attribution on correct answers")
-    p.add_argument("--k", type=int)
-    p.add_argument("--k1")
-    p.add_argument("--budget", type=int)
-    p.add_argument("--variant", choices=[v.value for v in Variant])
-    p.add_argument("--ranking", choices=["bm25", "dense", "hybrid_rrf"])
+    p.add_argument("--ranking", choices=MODES)
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
 
@@ -429,18 +414,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_ablate)
 
-    p = add_parser("train", "train retrieval weights")
+    p = add_parser("train", "train retrieval weights", retrieval_flags)
     p.add_argument("--dataset", required=True)
     p.add_argument("--reader", default="oracle", choices=["oracle", "echo", "http"])
     p.add_argument("--extractor", default="heuristic", choices=["heuristic", "none", "http"])
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--question-count", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--k1")
-    p.add_argument("--budget", type=int)
-    p.add_argument("--variant", choices=[v.value for v in Variant])
-    p.add_argument("--ranking", choices=["bm25", "dense", "hybrid_rrf"])
+    p.add_argument("--ranking", choices=MODES)
     p.add_argument("--out")
     p.set_defaults(func=cmd_train)
 

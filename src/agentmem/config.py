@@ -15,7 +15,7 @@ import yaml
 from .attribution import AttributionConfig
 from .errors import ValidationError
 from .learning import TrainConfig
-from .retrieval import RetrievalConfig
+from .retrieval import RetrievalConfig, parse_stage1_k1
 from .scoring import DecayConfig, TierConfig, Variant, WeightVector
 
 
@@ -107,15 +107,7 @@ class EngineConfig:
         return {
             "workspace": str(self.workspace),
             "seed": self.seed,
-            "retrieval": {
-                "stage1_k1": self.retrieval.stage1_k1,
-                "stage2_k": self.retrieval.stage2_k,
-                "token_budget": self.retrieval.token_budget,
-                "weights": self.retrieval.weights.as_list(),
-                "variant": self.retrieval.variant.value,
-                "mode": self.retrieval.mode,
-                "rrf_k": self.retrieval.rrf_k,
-            },
+            "retrieval": self.retrieval.to_dict(),
             "decay": {
                 "lambda_per_day": self.decay.lambda_per_day,
                 "bypass_threshold": self.decay.bypass_threshold,
@@ -163,14 +155,11 @@ def _weights(raw) -> WeightVector | None:
 
 
 def _retrieval(raw: dict) -> RetrievalConfig:
-    k1 = raw.get("stage1_k1", 5)
-    if isinstance(k1, str):
-        k1 = None if k1.lower() in ("inf", "none", "unbounded") else int(k1)
     weights = raw.get("weights")
     if weights is not None and not isinstance(weights, WeightVector):
         weights = _weights(weights)
     return RetrievalConfig(
-        stage1_k1=k1,
+        stage1_k1=parse_stage1_k1(raw.get("stage1_k1", 5)),
         stage2_k=int(raw.get("stage2_k", 4)),
         token_budget=int(raw.get("token_budget", 300)),
         weights=weights or WeightVector.default(),

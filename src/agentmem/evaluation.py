@@ -15,7 +15,7 @@ import string
 import tempfile
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Protocol
@@ -24,11 +24,13 @@ from . import attribution as attribution_mod
 from .consolidation import Extractor, HeuristicExtractor, run_consolidation_pass
 from .errors import ValidationError
 from .retrieval import (
+    MODE_BM25,
     Embedder,
     HashedBowEmbedder,
     RetrievalConfig,
     RetrievalPipeline,
     oracle_context,
+    parse_stage1_k1,
 )
 from .scoring import DecayConfig, TierConfig, Variant
 from .store import EpisodicEntry, MemoryStore, parse_timestamp
@@ -337,10 +339,6 @@ def ingest_question(store: MemoryStore, question: BenchmarkQuestion) -> None:
     store.append_entries(entries)
 
 
-def _evaluation_now(question: BenchmarkQuestion) -> datetime | None:
-    return question.question_date
-
-
 def run_benchmark(
     dataset: Sequence[BenchmarkQuestion],
     cfg: RetrievalConfig,
@@ -385,7 +383,7 @@ def run_benchmark(
             )
     report_config = {
         "mode": mode,
-        "retrieval": _config_dict(cfg),
+        "retrieval": cfg.to_dict(),
         "reader": getattr(reader, "name", type(reader).__name__),
         "extractor": getattr(extractor, "name", type(extractor).__name__)
         if extractor is not None
@@ -396,18 +394,6 @@ def run_benchmark(
     if config_echo:
         report_config.update(config_echo)
     return _aggregate(results, report_config)
-
-
-def _config_dict(cfg: RetrievalConfig) -> dict:
-    return {
-        "stage1_k1": cfg.stage1_k1,
-        "stage2_k": cfg.stage2_k,
-        "token_budget": cfg.token_budget,
-        "weights": cfg.weights.as_list(),
-        "variant": cfg.variant.value,
-        "mode": cfg.mode,
-        "rrf_k": cfg.rrf_k,
-    }
 
 
 def _evaluate_question(
@@ -437,7 +423,7 @@ def _evaluate_question(
         context = oracle_context(gold_sessions, gold_facts)
         trace["gold_session_ids"] = gold_ids
     else:
-        if embedder is None and cfg.mode != "bm25":
+        if embedder is None and cfg.mode != MODE_BM25:
             embedder = HashedBowEmbedder()
         pipeline = RetrievalPipeline.from_store(
             store,
@@ -446,7 +432,7 @@ def _evaluate_question(
             decay=decay,
             tiers=tiers,
             embedder=embedder,
-            now=_evaluation_now(question),
+            now=question.question_date,
         )
         result = pipeline.retrieve(question.question)
         context = result.packed_context
@@ -527,8 +513,6 @@ REMOVABLE = ("decay", "cw", "tier", "scoping")
 def apply_cell(cfg: RetrievalConfig, overrides: dict) -> RetrievalConfig:
     """Produce the cell's config: signal removal zeroes a weight and
     renormalises; removing scoping disables stage 1."""
-    from dataclasses import replace
-
     out = cfg
     removal = overrides.get("remove")
     if removal:
@@ -543,8 +527,7 @@ def apply_cell(cfg: RetrievalConfig, overrides: dict) -> RetrievalConfig:
     if "budget" in overrides:
         out = replace(out, token_budget=int(overrides["budget"]))
     if "k1" in overrides:
-        k1 = overrides["k1"]
-        out = replace(out, stage1_k1=None if k1 in (None, "inf") else int(k1))
+        out = replace(out, stage1_k1=parse_stage1_k1(overrides["k1"]))
     if "variant" in overrides:
         out = replace(out, variant=Variant(overrides["variant"]))
     if "mode" in overrides:

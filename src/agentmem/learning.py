@@ -20,7 +20,6 @@ from .errors import ValidationError
 from .evaluation import BenchmarkQuestion, Reader, soft_em
 from .scoring import WeightVector
 
-FREE_COMPONENTS = ("w_bm25", "w_decay", "w_cw", "w_tier")
 DEFAULT_SIGMA = 0.15
 
 

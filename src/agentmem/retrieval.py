@@ -1,12 +1,14 @@
-"""Two-stage scoped retrieval with optional dense and hybrid ranking.
+"""Two-stage scoped retrieval with lexical, dense and hybrid ranking.
 
 Stage 1 ranks semantic facts lexically and gathers the top distinct session
-ids. Stage 2 scores episodic entries inside those sessions with the full
+ids. Stage 2 scores episodic entries inside those sessions with the
 composite formula and returns the top k, greedily packed into a token budget.
 
-Dense and hybrid modes re-rank the same scoped candidates: dense by cosine
-similarity from an embedder, hybrid by reciprocal-rank fusion of the
-composite and dense orderings.
+Every mode ranks through the same composite. In dense and hybrid modes each
+candidate's embedding cosine to the query fills the phi_sem slot; dense mode
+ranks under the weight vector (1, 0, 0, 0, 0), so its score is the cosine,
+and hybrid mode fuses the order under the configured weights with the dense
+order by reciprocal rank.
 """
 
 from __future__ import annotations
@@ -36,6 +38,25 @@ MODE_BM25 = "bm25"
 MODE_DENSE = "dense"
 MODE_HYBRID = "hybrid_rrf"
 MODES = (MODE_BM25, MODE_DENSE, MODE_HYBRID)
+# Dense mode's ranking: the composite reduces exactly to phi_sem.
+DENSE_WEIGHTS = WeightVector(1.0, 0.0, 0.0, 0.0, 0.0)
+_UNBOUNDED_K1 = ("inf", "none", "unbounded")
+
+
+def parse_stage1_k1(value) -> int | None:
+    """Read a stage-1 session cap from a flag, config file or grid cell.
+
+    None or one of "inf", "none", "unbounded" (any case) means no cap; an
+    integer or integer string is the cap. Anything else is a ValidationError.
+    """
+    text = str(value).strip().lower()  # None reads as "none"
+    if text in _UNBOUNDED_K1:
+        return None
+    if type(value) is int or (isinstance(value, str) and text.isdecimal()):
+        return int(text)
+    raise ValidationError(
+        f"stage1_k1 must be an integer or one of {_UNBOUNDED_K1}, got {value!r}"
+    )
 
 
 @dataclass(frozen=True)
@@ -64,6 +85,19 @@ class RetrievalConfig:
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}")
         object.__setattr__(self, "variant", Variant(self.variant))
+
+    def to_dict(self) -> dict:
+        """JSON-safe echo of every field, as recorded with runs and results."""
+        return {
+            "stage1_k1": self.stage1_k1,
+            "stage2_k": self.stage2_k,
+            "token_budget": self.token_budget,
+            "weights": self.weights.as_list(),
+            "variant": self.variant.value,
+            "mode": self.mode,
+            "rrf_k": self.rrf_k,
+            "include_timestamps": self.include_timestamps,
+        }
 
 
 class Embedder(Protocol):
@@ -108,15 +142,12 @@ class HashedBowEmbedder:
 class RankedEntry:
     entry: EpisodicEntry
     breakdown: ScoreBreakdown
-    dense_similarity: float | None = None
     fused_score: float | None = None
 
     @property
     def score(self) -> float:
         if self.fused_score is not None:
             return self.fused_score
-        if self.dense_similarity is not None:
-            return self.dense_similarity
         return self.breakdown.composite
 
 
@@ -184,11 +215,15 @@ def build_candidates(
     query_tokens: Sequence[str],
     entries: Sequence[EpisodicEntry],
     now: datetime,
+    similarities: Sequence[float] | None = None,
 ) -> list[Candidate]:
-    """Attach raw BM25 (pool statistics), age, CW, and tier to each entry."""
+    """Attach raw BM25 (pool statistics), age, CW, tier and dense similarity
+    (0 when ``similarities`` is None) to each entry."""
     index = lexical.build_index([(e.id, e.content) for e in entries])
+    if similarities is None:
+        similarities = [0.0] * len(entries)
     candidates = []
-    for entry in entries:
+    for entry, similarity in zip(entries, similarities, strict=True):
         age = (now - entry.timestamp).total_seconds() / 86400.0
         candidates.append(
             Candidate(
@@ -199,6 +234,7 @@ def build_candidates(
                 age_days=max(0.0, age),
                 cw=entry.cognitive_weight,
                 tier=scoring.SEMANTIC if entry.promoted else scoring.EPISODIC,
+                similarity=similarity,
             )
         )
     return candidates
@@ -214,44 +250,46 @@ def stage2_retrieve(
     semantic_scope: frozenset[str] | set[str] = frozenset(),
     now: datetime | None = None,
     k: int | None = 0,
+    similarities: Sequence[float] | None = None,
 ) -> list[RankedEntry]:
-    """Composite-score the scoped entries and return them best-first.
+    """Rank the scoped entries best-first in ``cfg.mode``.
 
-    Callers must have excluded system entries already. ``k=0`` means "use
-    cfg.stage2_k"; ``k=None`` returns the full ranking.
+    bm25 ranks by the composite under ``cfg.weights``, dense by the composite
+    under ``DENSE_WEIGHTS``, and hybrid_rrf fuses those two orders. Dense and
+    hybrid need ``similarities``, one per entry. Callers must have excluded
+    system entries already. ``k=0`` means "use cfg.stage2_k"; ``k=None``
+    returns the full ranking.
     """
+    if cfg.mode != MODE_BM25 and similarities is None:
+        raise ValidationError(f"mode {cfg.mode!r} requires dense similarities")
     decay = decay or DecayConfig()
     tiers = tiers or TierConfig()
     if now is None:
         now = max((e.timestamp for e in entries), default=datetime.now(timezone.utc))
-    candidates = build_candidates(query_tokens, entries, now)
-    breakdowns = scoring.score_pool(
-        candidates, cfg.weights, tiers, decay, semantic_scope, cfg.variant
-    )
-    order = scoring.rank_order(candidates, breakdowns)
-    ranked = [RankedEntry(entries[i], breakdowns[i]) for i in order]
+    candidates = build_candidates(query_tokens, entries, now, similarities)
+
+    def ranking(weights: WeightVector) -> tuple[list[ScoreBreakdown], list[int]]:
+        breakdowns = scoring.score_pool(
+            candidates, weights, tiers, decay, semantic_scope, cfg.variant
+        )
+        return breakdowns, scoring.rank_order(candidates, breakdowns)
+
+    breakdowns, order = ranking(DENSE_WEIGHTS if cfg.mode == MODE_DENSE else cfg.weights)
+    if cfg.mode == MODE_HYBRID:
+        _, dense_order = ranking(DENSE_WEIGHTS)
+        by_id = {c.id: i for i, c in enumerate(candidates)}
+        fused = rrf_fuse(
+            [candidates[i].id for i in order], [candidates[i].id for i in dense_order], cfg.rrf_k
+        )
+        ranked = [
+            RankedEntry(entries[by_id[cid]], breakdowns[by_id[cid]], fused_score=score)
+            for cid, score in fused
+        ]
+    else:
+        ranked = [RankedEntry(entries[i], breakdowns[i]) for i in order]
     if k == 0:
         k = cfg.stage2_k
     return ranked if k is None else ranked[:k]
-
-
-def dense_rank(
-    query: str, entries: Sequence[EpisodicEntry], embedder: Embedder
-) -> list[tuple[EpisodicEntry, float]]:
-    """Entries sorted by cosine similarity to the query, descending.
-
-    Embedder failures propagate to the caller; there is no lexical fallback.
-    """
-    if not entries:
-        return []
-    vectors = embedder.embed([query] + [e.content for e in entries])
-    query_vec = np.asarray(vectors[0])
-    sims = [float(np.dot(query_vec, np.asarray(v))) for v in vectors[1:]]
-    order = sorted(
-        range(len(entries)),
-        key=lambda i: (-sims[i], -entries[i].timestamp.timestamp(), entries[i].id),
-    )
-    return [(entries[i], sims[i]) for i in order]
 
 
 def rrf_fuse(
@@ -382,7 +420,8 @@ class RetrievalPipeline:
         latency["stage1"] = (time.perf_counter_ns() - t0) // 1000
 
         t1 = time.perf_counter_ns()
-        full_ranking = stage2_retrieve(
+        similarities = None if cfg.mode == MODE_BM25 else self._similarities(query, pool)
+        ranked = stage2_retrieve(
             query_tokens,
             pool,
             cfg,
@@ -390,34 +429,8 @@ class RetrievalPipeline:
             tiers=self.tiers,
             semantic_scope=semantic_scope,
             now=self.now,
-            k=None,
+            similarities=similarities,
         )
-        by_id = {r.entry.id: r for r in full_ranking}
-        composite_ids = [r.entry.id for r in full_ranking]
-
-        if cfg.mode == MODE_BM25:
-            ranked = full_ranking
-        elif cfg.mode == MODE_DENSE:
-            embedder = self._require_embedder()
-            ranked = [
-                RankedEntry(entry, by_id[entry.id].breakdown, dense_similarity=sim)
-                for entry, sim in dense_rank(query, pool, embedder)
-            ]
-        else:  # hybrid: fuse the composite and dense orderings
-            embedder = self._require_embedder()
-            dense_ranked = dense_rank(query, pool, embedder)
-            dense_sims = {e.id: sim for e, sim in dense_ranked}
-            fused = rrf_fuse(composite_ids, [e.id for e, _ in dense_ranked], cfg.rrf_k)
-            ranked = [
-                RankedEntry(
-                    by_id[cid].entry,
-                    by_id[cid].breakdown,
-                    dense_similarity=dense_sims.get(cid),
-                    fused_score=score,
-                )
-                for cid, score in fused
-            ]
-        ranked = ranked[: cfg.stage2_k]
         latency["stage2"] = (time.perf_counter_ns() - t1) // 1000
 
         t2 = time.perf_counter_ns()
@@ -445,7 +458,16 @@ class RetrievalPipeline:
             latency_micros=latency,
         )
 
-    def _require_embedder(self) -> Embedder:
+    def _similarities(self, query: str, pool: Sequence[EpisodicEntry]) -> list[float]:
+        """Cosine of each pool entry to the query, from one embed call.
+
+        Each is its own dot product, as a matrix product may sum in another
+        order. Embedder failures propagate; there is no lexical fallback.
+        """
         if self.embedder is None:
             raise ValidationError(f"mode {self.cfg.mode!r} requires an embedder")
-        return self.embedder
+        if not pool:
+            return []
+        vectors = self.embedder.embed([query] + [e.content for e in pool])
+        query_vec = np.asarray(vectors[0])
+        return [float(np.dot(query_vec, np.asarray(v))) for v in vectors[1:]]

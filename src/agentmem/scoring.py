@@ -1,16 +1,17 @@
 """Five-signal relevance scoring.
 
-A candidate's composite score is a weighted sum of four signal values (a
-reserved semantic slot, lexical BM25, recency decay, cognitive weight) plus an
-additive tier bonus that acts as a tiebreaker:
+A candidate's composite score is a weighted sum of four signal values (dense
+similarity, lexical BM25, recency decay, cognitive weight) plus an additive
+tier bonus that acts as a tiebreaker:
 
     S = w_sem*phi_sem + w_bm25*phi_bm25 + w_decay*phi_decay + w_cw*phi_cw
         + w_tier*(mu - 1)
 
-The recency signal is bypassed (forced to 1) for strong lexical matches and
-for candidates whose session was selected by semantic scoping. The BM25
-signal may optionally be normalised over the candidate pool; the bypass
-threshold always applies to the raw score.
+phi_sem is the candidate's embedding cosine to the query, supplied by the
+caller (0 when no embedder is in use). The recency signal is bypassed (forced
+to 1) for strong lexical matches and for candidates whose session was selected
+by semantic scoping. The BM25 signal may optionally be normalised over the
+candidate pool; the bypass threshold always applies to the raw score.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ PROCEDURAL = "procedural"
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Scoring weights; nonnegative, summing to 1. The semantic slot is
-    reserved for a future dense-similarity signal and defaults to 0."""
+    """Scoring weights; nonnegative, summing to 1. The semantic (dense
+    similarity) weight defaults to 0, so the default ranking is lexical."""
 
     w_sem: float = 0.0
     w_bm25: float = 0.35
@@ -55,7 +56,7 @@ class WeightVector:
 
     @classmethod
     def equal_fusion(cls) -> "WeightVector":
-        """Equal weight on the four live signals; semantic slot stays 0."""
+        """Equal weight on the four non-semantic signals; w_sem stays 0."""
         return cls(0.0, 0.25, 0.25, 0.25, 0.25)
 
     def as_list(self) -> list[float]:
@@ -133,6 +134,7 @@ class Candidate:
     age_days: float
     cw: float
     tier: str = EPISODIC
+    similarity: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -248,14 +250,14 @@ def composite_score(
     phi_cw = cw_signal(candidate.cw)
     tier_bonus = weights.w_tier * (tier_cfg.multiplier(candidate.tier) - 1.0)
     composite = (
-        weights.w_sem * 0.0
+        weights.w_sem * candidate.similarity
         + weights.w_bm25 * bm25_signal
         + weights.w_decay * phi_decay
         + weights.w_cw * phi_cw
         + tier_bonus
     )
     return ScoreBreakdown(
-        phi_sem=0.0,
+        phi_sem=candidate.similarity,
         phi_bm25_raw=candidate.raw_bm25,
         phi_bm25=bm25_signal,
         phi_decay=phi_decay,

@@ -89,6 +89,24 @@ def test_retrieve_explain_shows_bypass(tmp_path, capsys):
     assert breakdown["phi_decay"] == 1.0
 
 
+def test_retrieve_dense_explain_reports_phi_sem(tmp_path, capsys):
+    ws = str(tmp_path / "ws")
+    for session, content in (("s1", "blue bicycle"), ("s2", "quantum chromodynamics")):
+        run_cli(
+            capsys, "--workspace", ws, "append",
+            "--project", "p", "--session", session, "--agent", "a", "--content", content,
+        )
+    code, records = run_cli(
+        capsys, "--workspace", ws, "retrieve",
+        "--project", "p", "--query", "blue bicycle", "--mode", "dense", "--explain",
+    )
+    assert code == 0
+    top = records[0]
+    assert top["id"] and "dense_similarity" not in top
+    assert top["score"] == top["breakdown"]["phi_sem"] == top["breakdown"]["composite"]
+    assert top["score"] == pytest.approx(1.0)
+
+
 def test_retrieve_k1_inf_reports_full_ratio(tmp_path, capsys):
     ws = str(tmp_path / "ws")
     for i, session in enumerate(("s1", "s2", "s3")):
@@ -157,6 +175,23 @@ def test_eval_writes_output_file(tmp_path, capsys):
     assert code == 0
     lines = out.read_text().splitlines()
     assert any('"record": "config"' in line for line in lines)
+
+
+@pytest.mark.parametrize("command", [
+    ["retrieve", "--project", "p", "--query", "hello", "--k1", "abc"],
+    ["ablate", "--dataset", str(SYNTHETIC20), "--k1", "abc"],
+    ["eval", "--dataset", str(SYNTHETIC20), "--k1", "2.5"],
+])
+def test_bad_k1_is_data_error(tmp_path, capsys, command):
+    assert main(["--workspace", str(tmp_path / "ws"), *command]) == 3
+
+
+def test_ablate_k1_unbounded_disables_scoping(capsys):
+    code, records = run_cli(
+        capsys, "ablate", "--dataset", str(SYNTHETIC20), "--k1", "unbounded", "--k1", "2",
+    )
+    assert code == 0
+    assert [r["overrides"] for r in records] == [{"k1": None}, {"k1": 2}]
 
 
 def test_eval_missing_dataset_is_data_error(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from agentmem.config import EngineConfig
 from agentmem.errors import ValidationError
+from agentmem.retrieval import RetrievalConfig
 from agentmem.scoring import Variant
 
 
@@ -62,6 +63,21 @@ def test_unknown_keys_rejected(tmp_path):
     path.write_text("retreival: {stage2_k: 2}\n")
     with pytest.raises(ValidationError):
         EngineConfig.from_file(path)
+
+
+def test_malformed_stage1_k1_rejected(tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_text("retrieval: {stage1_k1: abc}\n")
+    with pytest.raises(ValidationError):
+        EngineConfig.from_file(path)
+
+
+def test_retrieval_echo_records_every_field():
+    cfg = EngineConfig.from_dict({"retrieval": {"include_timestamps": True}})
+    echo = cfg.to_dict()["retrieval"]
+    assert echo == cfg.retrieval.to_dict()
+    assert echo["include_timestamps"] is True
+    assert set(echo) == set(RetrievalConfig.__dataclass_fields__)
 
 
 def test_config_echo_is_json_safe():

@@ -243,6 +243,13 @@ def test_attribution_on_eval_records_updates(synthetic20):
         assert all(-1.0 <= u["cw"] <= 1.0 for u in updates)
 
 
+def test_report_config_echoes_retrieval_config(synthetic20):
+    cfg = RetrievalConfig(include_timestamps=True)
+    report = run_benchmark(synthetic20[:1], cfg, OracleReader(), mode="oracle")
+    assert report.config["retrieval"] == cfg.to_dict()
+    assert report.config["retrieval"]["include_timestamps"] is True
+
+
 def test_report_jsonl_and_table_render(synthetic20):
     report = run_benchmark(synthetic20[:4], RetrievalConfig(), OracleReader(), mode="oracle")
     lines = report.to_jsonl_lines()
@@ -260,6 +267,18 @@ def test_signal_removal_renormalises():
 def test_scoping_removal_disables_stage1():
     cfg = apply_cell(RetrievalConfig(), {"remove": "scoping"})
     assert cfg.stage1_k1 is None
+
+
+@pytest.mark.parametrize("k1, expected", [
+    (None, None), ("inf", None), ("none", None), ("Unbounded", None), (3, 3), ("3", 3),
+])
+def test_k1_cell_accepts_every_spelling(k1, expected):
+    assert apply_cell(RetrievalConfig(), {"k1": k1}).stage1_k1 == expected
+
+
+def test_k1_cell_rejects_garbage():
+    with pytest.raises(ValidationError):
+        apply_cell(RetrievalConfig(), {"k1": "abc"})
 
 
 def test_grid_cartesian_product(synthetic20):

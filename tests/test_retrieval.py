@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agentmem.errors import ValidationError
 from agentmem.lexical import tokenize
@@ -11,9 +14,9 @@ from agentmem.retrieval import (
     HashedBowEmbedder,
     RetrievalConfig,
     RetrievalPipeline,
-    dense_rank,
     oracle_context,
     pack_context,
+    parse_stage1_k1,
     rrf_fuse,
     stage1_scope,
     stage2_retrieve,
@@ -23,6 +26,20 @@ from conftest import make_entry, make_fact
 
 
 # -- stage 1 -----------------------------------------------------------------
+
+@pytest.mark.parametrize("value, expected", [
+    (None, None), ("inf", None), ("NONE", None), ("unbounded", None), (" Inf ", None),
+    (float("inf"), None), (5, 5), ("5", 5), ("0", 0),
+])
+def test_parse_stage1_k1_accepts(value, expected):
+    assert parse_stage1_k1(value) == expected
+
+
+@pytest.mark.parametrize("value", ["abc", "", "2.5", "-1", 2.5, True, [3]])
+def test_parse_stage1_k1_rejects(value):
+    with pytest.raises(ValidationError):
+        parse_stage1_k1(value)
+
 
 def test_stage1_k1_one_returns_single_session():
     facts = [
@@ -95,27 +112,42 @@ def test_hash_embedder_unit_norm():
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-6)
 
 
-def test_dense_rank_identity_first():
-    embedder = HashedBowEmbedder()
+class StubEmbedder:
+    """Looks each text's vector up in a table and counts embed calls."""
+
+    dimension = 8
+
+    def __init__(self, table):
+        self.table = table
+        self.calls = 0
+
+    def embed(self, texts):
+        self.calls += 1
+        return [self.table[t] for t in texts]
+
+
+def _unscoped_pipeline(entries, embedder, mode="dense", **cfg):
+    """Ranks the whole pool and returns it all."""
+    return RetrievalPipeline(
+        RetrievalConfig(mode=mode, stage1_k1=None, stage2_k=len(entries), **cfg),
+        entries=entries,
+        facts=[],
+        embedder=embedder,
+    )
+
+
+def test_dense_mode_identity_first():
     entries = [
         make_entry(entry_id="e1", content="blue bicycle"),
         make_entry(entry_id="e2", content="quantum chromodynamics"),
     ]
-    ranked = dense_rank("blue bicycle", entries, embedder)
-    assert ranked[0][0].id == "e1"
-    assert ranked[0][1] == pytest.approx(1.0, abs=1e-6)
+    ranked = _unscoped_pipeline(entries, HashedBowEmbedder()).retrieve("blue bicycle").ranked
+    assert ranked[0].entry.id == "e1"
+    assert ranked[0].score == pytest.approx(1.0, abs=1e-6)
+    assert ranked[0].breakdown.phi_sem == ranked[0].score
 
 
-def test_dense_rank_matches_brute_force_cosine():
-    class StubEmbedder:
-        dimension = 8
-
-        def __init__(self, table):
-            self.table = table
-
-        def embed(self, texts):
-            return [self.table[t] for t in texts]
-
+def test_dense_mode_matches_brute_force_cosine():
     rng = np.random.default_rng(3)
     entries = [make_entry(entry_id=f"e{i}", content=f"text {i}") for i in range(10)]
     table = {}
@@ -123,12 +155,63 @@ def test_dense_rank_matches_brute_force_cosine():
         vec = rng.normal(size=8)
         table[text] = (vec / np.linalg.norm(vec)).tolist()
     embedder = StubEmbedder(table)
-    ranked = dense_rank("q", entries, embedder)
+    ranked = _unscoped_pipeline(entries, embedder).retrieve("q").ranked
     expected = sorted(
         entries,
         key=lambda e: (-float(np.dot(table["q"], table[e.content])), -e.timestamp.timestamp(), e.id),
     )
-    assert [e.id for e, _ in ranked] == [e.id for e in expected]
+    assert [r.entry.id for r in ranked] == [e.id for e in expected]
+    assert embedder.calls == 1
+
+
+def _reference_rankings(entries, query, embedder, cfg):
+    """Dense and hybrid rankings recomputed from their definitions: cosine by
+    per-vector dot product, ties to the newer entry then the smaller id, and
+    reciprocal-rank fusion with the bm25-mode composite order."""
+    vectors = embedder.embed([query] + [e.content for e in entries])
+    sims = {e.id: float(np.dot(vectors[0], v)) for e, v in zip(entries, vectors[1:])}
+    dense = sorted(entries, key=lambda e: (-sims[e.id], -e.timestamp.timestamp(), e.id))
+    composite = stage2_retrieve(tokenize(query), entries, replace(cfg, mode="bm25"), k=None)
+    fused: dict[str, float] = {}
+    for ranking in ([r.entry.id for r in composite], [e.id for e in dense]):
+        for position, entry_id in enumerate(ranking, start=1):
+            fused[entry_id] = fused.get(entry_id, 0.0) + 1.0 / (cfg.rrf_k + position)
+    hybrid = sorted(fused.items(), key=lambda pair: (-pair[1], pair[0]))
+    return [(e.id, sims[e.id]) for e in dense], hybrid
+
+
+POOL_WORDS = ["report", "deadline", "friday", "soup", "lunch", "bike", "blue"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pool=st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(POOL_WORDS), max_size=5).map(" ".join),
+            st.sampled_from(["s1", "s2", "s3"]),
+            st.integers(0, 3),
+            st.sampled_from([-0.5, 0.0, 0.5]),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    query=st.lists(st.sampled_from(POOL_WORDS), min_size=1, max_size=3).map(" ".join),
+    variant=st.sampled_from(list(Variant)),
+)
+def test_dense_and_hybrid_match_reference_on_random_pools(pool, query, variant):
+    entries = [
+        make_entry(entry_id=f"e{i}", content=content, session_id=sid, days_ago=days,
+                   cognitive_weight=cw, promoted=promoted)
+        for i, (content, sid, days, cw, promoted) in enumerate(pool)
+    ]
+    dense_pipeline = _unscoped_pipeline(entries, HashedBowEmbedder(), variant=variant)
+    dense, hybrid = _reference_rankings(entries, query, HashedBowEmbedder(), dense_pipeline.cfg)
+    ranked = dense_pipeline.retrieve(query).ranked
+    assert [(r.entry.id, r.score) for r in ranked] == dense
+    assert [(r.entry.id, r.breakdown.phi_sem) for r in ranked] == dense
+    hybrid_pipeline = _unscoped_pipeline(entries, HashedBowEmbedder(), "hybrid_rrf", variant=variant)
+    assert [(r.entry.id, r.score) for r in hybrid_pipeline.retrieve(query).ranked] == hybrid
 
 
 def test_rrf_top_of_both_lists():
@@ -333,7 +416,8 @@ def test_pipeline_dense_mode_records_similarity(store):
     )
     result = pipeline.retrieve("quarterly report deadline")
     assert result.mode == "dense"
-    assert all(r.dense_similarity is not None for r in result.ranked)
+    assert all(r.score == r.breakdown.phi_sem == r.breakdown.composite for r in result.ranked)
+    assert result.ranked[0].breakdown.phi_sem > 0.0
 
 
 def test_pipeline_hybrid_mode_fuses(store):
@@ -349,12 +433,34 @@ def test_pipeline_hybrid_mode_fuses(store):
     assert set(result.latency_micros) == {"stage1", "stage2", "pack"}
 
 
+def test_pipeline_bm25_mode_never_embeds(store):
+    class RaisingEmbedder:
+        dimension = 8
+
+        def embed(self, texts):
+            raise AssertionError("bm25 mode must not embed")
+
+    _pipeline_store(store)
+    for k1 in (5, None):
+        pipeline = RetrievalPipeline.from_store(
+            store,
+            RetrievalConfig(stage1_k1=k1),
+            project="proj",
+            embedder=RaisingEmbedder(),
+        )
+        result = pipeline.retrieve("quarterly report deadline")
+        assert result.ranked
+        assert all(r.breakdown.phi_sem == 0.0 for r in result.ranked)
+
+
 def test_pipeline_dense_requires_embedder(store):
     pipeline = RetrievalPipeline.from_store(
         _pipeline_store(store), RetrievalConfig(mode="dense"), project="proj"
     )
     with pytest.raises(ValidationError):
         pipeline.retrieve("anything")
+    with pytest.raises(ValidationError):
+        stage2_retrieve(tokenize("anything"), pipeline.entries, pipeline.cfg)
 
 
 def test_equal_fusion_variant_swaps_weights(store):
