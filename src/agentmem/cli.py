@@ -282,6 +282,7 @@ def cmd_train(args) -> int:
     dataset = evaluation.load_dataset(args.dataset)
     reader = _reader(cfg, args.reader)
     extractor = _extractor(cfg, args.extractor)
+    embedder = _embedder(cfg) if cfg.retrieval.mode != MODE_BM25 else None
 
     # Materialise each question's corpus once; episodes only re-rank snapshots.
     with contextlib.ExitStack() as stack:
@@ -306,6 +307,7 @@ def cmd_train(args) -> int:
                     facts=facts,
                     decay=cfg.decay,
                     tiers=cfg.tiers,
+                    embedder=embedder,
                     now=question.question_date,
                 )
                 return pipeline.retrieve(question.question).packed_context
@@ -363,11 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Retrieval overrides shared by retrieve, eval and train (read by _retrieval_cfg);
     # each command adds its own ranking-mode flag.
+    variants = [v.value for v in Variant]
     retrieval_flags = argparse.ArgumentParser(add_help=False)
     retrieval_flags.add_argument("--k", type=int)
     retrieval_flags.add_argument("--k1")
     retrieval_flags.add_argument("--budget", type=int)
-    retrieval_flags.add_argument("--variant", choices=[v.value for v in Variant])
+    retrieval_flags.add_argument("--variant", choices=variants)
 
     p = add_parser("append", "append one episodic entry")
     p.add_argument("--project", required=True)
@@ -408,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", dest="grid_k", type=int, action="append")
     p.add_argument("--budget", dest="grid_budget", type=int, action="append")
     p.add_argument("--k1", dest="grid_k1", action="append")
-    p.add_argument("--variant", dest="grid_variant", action="append")
+    p.add_argument("--variant", dest="grid_variant", action="append", choices=variants)
     p.add_argument("--reader", default="oracle", choices=["oracle", "echo", "http"])
     p.add_argument("--extractor", default="heuristic", choices=["heuristic", "none", "http"])
     p.add_argument("--out")

@@ -42,7 +42,10 @@ class EngineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "EngineConfig":
-        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        try:
+            raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        except yaml.YAMLError as exc:
+            raise ValidationError(f"malformed YAML in {path}: {exc}") from exc
         if raw is None:
             raw = {}
         if not isinstance(raw, dict):
@@ -69,39 +72,42 @@ class EngineConfig:
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
 
-        weights = _weights(raw.get("weights"))
-        retrieval_raw = dict(raw.get("retrieval") or {})
-        if weights is not None:
-            retrieval_raw.setdefault("weights", weights)
-        retrieval = _retrieval(retrieval_raw)
-        decay_raw = raw.get("decay") or {}
-        tiers_raw = raw.get("tiers") or {}
-        consolidation_raw = raw.get("consolidation") or {}
-        return cls(
-            workspace=Path(raw.get("workspace", "workspace")),
-            seed=int(raw.get("seed", 0)),
-            retrieval=retrieval,
-            decay=DecayConfig(
-                lambda_per_day=float(decay_raw.get("lambda_per_day", 0.05)),
-                bypass_threshold=float(decay_raw.get("bypass_threshold", 2.0)),
-            ),
-            tiers=TierConfig(
-                episodic=float(tiers_raw.get("episodic", 1.0)),
-                semantic=float(tiers_raw.get("semantic", 1.2)),
-                procedural=float(tiers_raw.get("procedural", 1.4)),
-            ),
-            attribution=AttributionConfig(
-                alpha=float((raw.get("attribution") or {}).get("alpha", 0.1))
-            ),
-            train=_train(raw.get("train") or {}),
-            consolidation_interval_seconds=float(
-                consolidation_raw.get("interval_seconds", 300.0)
-            ),
-            reader=_endpoint(raw.get("reader")),
-            embedder=_endpoint(raw.get("embedder")),
-            embedder_dimension=int((raw.get("embedder") or {}).get("dimension", 384)),
-            extractor=_endpoint(raw.get("extractor")),
-        )
+        try:  # every bad value or non-mapping section below becomes a ValidationError
+            weights = _weights(raw.get("weights"))
+            retrieval_raw = dict(raw.get("retrieval") or {})
+            if weights is not None:
+                retrieval_raw.setdefault("weights", weights)
+            retrieval = _retrieval(retrieval_raw)
+            decay_raw = raw.get("decay") or {}
+            tiers_raw = raw.get("tiers") or {}
+            consolidation_raw = raw.get("consolidation") or {}
+            return cls(
+                workspace=Path(raw.get("workspace", "workspace")),
+                seed=int(raw.get("seed", 0)),
+                retrieval=retrieval,
+                decay=DecayConfig(
+                    lambda_per_day=float(decay_raw.get("lambda_per_day", 0.05)),
+                    bypass_threshold=float(decay_raw.get("bypass_threshold", 2.0)),
+                ),
+                tiers=TierConfig(
+                    episodic=float(tiers_raw.get("episodic", 1.0)),
+                    semantic=float(tiers_raw.get("semantic", 1.2)),
+                    procedural=float(tiers_raw.get("procedural", 1.4)),
+                ),
+                attribution=AttributionConfig(
+                    alpha=float((raw.get("attribution") or {}).get("alpha", 0.1))
+                ),
+                train=_train(raw.get("train") or {}),
+                consolidation_interval_seconds=float(
+                    consolidation_raw.get("interval_seconds", 300.0)
+                ),
+                reader=_endpoint(raw.get("reader")),
+                embedder=_endpoint(raw.get("embedder")),
+                embedder_dimension=int((raw.get("embedder") or {}).get("dimension", 384)),
+                extractor=_endpoint(raw.get("extractor")),
+            )
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValidationError(f"invalid config value: {exc}") from exc
 
     def to_dict(self) -> dict:
         return {

@@ -137,30 +137,24 @@ def run_consolidation_pass(
             report.failures.append((session_id, str(exc)))
             continue
         source_ids = frozenset(e.id for e in entries)
-        known = store.fact_ids()
-        first_fact_id = ""
-        for draft in drafts:
-            fid = fact_id_for(session_id, draft)
-            if not first_fact_id:
-                first_fact_id = fid
-            if fid in known:
-                continue
-            store.append_fact(
-                SemanticFact(
-                    id=fid,
-                    subject=draft.subject,
-                    relation=draft.relation,
-                    value=draft.value,
-                    session_ids=frozenset({session_id}),
-                    source_entry_ids=source_ids,
-                    created_at=utc_now(),
-                )
+        facts = [
+            SemanticFact(
+                id=fact_id_for(session_id, draft),
+                subject=draft.subject,
+                relation=draft.relation,
+                value=draft.value,
+                session_ids=frozenset({session_id}),
+                source_entry_ids=source_ids,
+                created_at=utc_now(),
             )
-            known.add(fid)
-            report.facts_emitted += 1
-        for entry in pending:
-            store.promote(entry.id, first_fact_id)
-            report.entries_promoted += 1
+            for draft in drafts
+        ]
+        # Facts before promotions: a crash in between leaves the session
+        # unpromoted, and the next pass re-extracts it with the same fact ids.
+        report.facts_emitted += store.append_facts(facts)
+        first_fact_id = facts[0].id if facts else ""
+        store.promote_many((entry.id, first_fact_id) for entry in pending)
+        report.entries_promoted += len(pending)
 
     report.duration_seconds = time.perf_counter() - started
     return report

@@ -12,6 +12,11 @@ content, tokens, promoted, cognitive_weight. Files are never rewritten;
 mutable state (cognitive weight, promotion) lives in the sidecar ledgers and
 is replayed onto entries at load time.
 
+One streaming reader splits every file on ``\\n`` only; a line that is not
+UTF-8 JSON or lacks a required field is skipped and counted, never fatal.
+Each write is one append per file. An append that finds a torn last line (a
+crash mid-append) ends it first, so only the fragment is lost.
+
 One store instance serialises its writers through a lock; readers get fresh
 value snapshots and never touch the files' contents.
 """
@@ -19,8 +24,9 @@ value snapshots and never touch the files' contents.
 from __future__ import annotations
 
 import json
+import os
 import threading
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -28,18 +34,6 @@ from pathlib import Path
 from .errors import NotFoundError, StorageError, ValidationError
 
 SYSTEM_PREFIX = "[system]"
-
-ENTRY_FIELDS = (
-    "id",
-    "timestamp",
-    "session_id",
-    "agent_id",
-    "project",
-    "content",
-    "tokens",
-    "promoted",
-    "cognitive_weight",
-)
 
 
 def utc_now() -> datetime:
@@ -226,6 +220,22 @@ def _clip(value: float) -> float:
     return max(-1.0, min(1.0, value))
 
 
+# What a bad line raises (JSONDecodeError and UnicodeDecodeError are ValueErrors).
+_BAD_LINE = (KeyError, TypeError, ValueError, ValidationError)
+
+
+def _record_id(record: dict) -> str:
+    return str(record["id"])
+
+
+def _ledger_entry_id(record: dict) -> str:
+    return str(record["entry_id"])
+
+
+def _cw_delta(record: dict) -> tuple[str, float]:
+    return str(record["entry_id"]), float(record["delta"])
+
+
 class MemoryStore:
     """Filesystem-backed store rooted at a workspace directory.
 
@@ -270,13 +280,42 @@ class MemoryStore:
 
     @staticmethod
     def _append_lines(path: Path, lines: Iterable[str]) -> None:
+        """Append ``lines`` in one write, first ending a torn last line."""
+        data = "".join(line + "\n" for line in lines).encode("utf-8")
+        if not data:
+            return
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            with path.open("a", encoding="utf-8") as handle:
-                for line in lines:
-                    handle.write(line + "\n")
+            with path.open("a+b") as handle:
+                if handle.seek(0, os.SEEK_END):
+                    handle.seek(-1, os.SEEK_END)
+                    if handle.read(1) != b"\n":
+                        data = b"\n" + data
+                handle.write(data)
         except OSError as exc:
             raise StorageError(f"cannot append to {path}: {exc}") from exc
+
+    @staticmethod
+    def _read_jsonl(paths: Iterable[Path], parse: Callable[[dict], object]) -> tuple[list, int]:
+        """``parse`` each non-blank line of ``paths`` in order; return the values
+        and the number of skipped lines. A missing file reads as empty."""
+        values = []
+        skipped = 0
+        for path in paths:
+            try:
+                with path.open("rb") as handle:
+                    for line in handle:
+                        if not line.strip():
+                            continue
+                        try:
+                            values.append(parse(json.loads(line.decode("utf-8"))))
+                        except _BAD_LINE:
+                            skipped += 1
+            except FileNotFoundError:
+                continue
+            except OSError as exc:
+                raise StorageError(f"cannot read {path}: {exc}") from exc
+        return values, skipped
 
     # -- episodic tier ----------------------------------------------------
 
@@ -317,59 +356,43 @@ class MemoryStore:
         cw = self._cw_view()
         promoted = self._promoted_view()
         session_filter = frozenset(sessions) if sessions is not None else None
-        entries: list[EpisodicEntry] = []
-        skipped = 0
-        for path in sorted(self.episodic_dir.glob("*.jsonl")):
-            try:
-                text = path.read_text(encoding="utf-8")
-            except OSError as exc:
-                raise StorageError(f"cannot read {path}: {exc}") from exc
-            for line in text.splitlines():
-                if not line.strip():
-                    continue
-                try:
-                    entry = EpisodicEntry.from_dict(json.loads(line))
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError, ValidationError):
-                    skipped += 1
-                    continue
-                if entry.project != project:
-                    continue
-                if session_filter is not None and entry.session_id not in session_filter:
-                    continue
-                if agent_view is not None and entry.agent_id != agent_view:
-                    continue
-                entry.cognitive_weight = cw.get(entry.id, entry.cognitive_weight)
-                entry.promoted = entry.promoted or entry.id in promoted
-                entries.append(entry)
+        parsed, skipped = self._read_jsonl(self._episodic_paths(), EpisodicEntry.from_dict)
+        entries = [
+            entry
+            for entry in parsed
+            if entry.project == project
+            and (session_filter is None or entry.session_id in session_filter)
+            and (agent_view is None or entry.agent_id == agent_view)
+        ]
+        for entry in entries:
+            entry.cognitive_weight = cw.get(entry.id, entry.cognitive_weight)
+            entry.promoted = entry.promoted or entry.id in promoted
         return LoadedEntries(entries=entries, skipped=skipped)
+
+    def _episodic_paths(self) -> list[Path]:
+        return sorted(self.episodic_dir.glob("*.jsonl"))
 
     # -- semantic tier ----------------------------------------------------
 
     def append_fact(self, fact: SemanticFact) -> str:
-        """Append a project-shared fact; duplicate ids are an idempotent no-op."""
-        with self._lock:
-            known = self._fact_ids_view()
-            if fact.id in known:
-                return fact.id
-            self._append_lines(self.facts_path, [fact.to_line()])
-            known.add(fact.id)
+        self.append_facts([fact])
         return fact.id
 
-    def fact_ids(self) -> set[str]:
+    def append_facts(self, facts: Iterable[SemanticFact]) -> int:
+        """Append project-shared facts in one write; return how many were new.
+        A fact whose id is stored or earlier in the batch is an idempotent no-op."""
         with self._lock:
-            return set(self._fact_ids_view())
+            known = self._fact_ids_view()
+            fresh: dict[str, SemanticFact] = {}
+            for fact in facts:
+                if fact.id not in known:
+                    fresh.setdefault(fact.id, fact)
+            self._append_lines(self.facts_path, [f.to_line() for f in fresh.values()])
+            known.update(fresh)
+        return len(fresh)
 
     def load_facts(self) -> LoadedFacts:
-        facts: list[SemanticFact] = []
-        skipped = 0
-        if self.facts_path.exists():
-            for line in self.facts_path.read_text(encoding="utf-8").splitlines():
-                if not line.strip():
-                    continue
-                try:
-                    facts.append(SemanticFact.from_dict(json.loads(line)))
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError, ValidationError):
-                    skipped += 1
+        facts, skipped = self._read_jsonl([self.facts_path], SemanticFact.from_dict)
         return LoadedFacts(facts=facts, skipped=skipped)
 
     # -- sidecar ledgers ----------------------------------------------------
@@ -389,15 +412,23 @@ class MemoryStore:
         return new_value
 
     def promote(self, entry_id: str, fact_id: str) -> None:
-        """Mark an entry promoted by appending to the promotions ledger."""
+        self.promote_many([(entry_id, fact_id)])
+
+    def promote_many(self, pairs: Iterable[tuple[str, str]]) -> None:
+        """Mark entries promoted with one append to the promotions ledger. An
+        unknown entry id raises ``NotFoundError`` before anything is written."""
+        pairs = list(pairs)
         with self._lock:
-            if entry_id not in self._entry_ids_view():
-                raise NotFoundError(f"unknown entry_id: {entry_id!r}")
-            record = PromotionRecord(
-                entry_id=entry_id, fact_id=fact_id, promoted_at=utc_now()
+            known = self._entry_ids_view()
+            for entry_id, _ in pairs:
+                if entry_id not in known:
+                    raise NotFoundError(f"unknown entry_id: {entry_id!r}")
+            now = utc_now()
+            self._append_lines(
+                self.promotions_path,
+                [PromotionRecord(entry_id, fact_id, now).to_line() for entry_id, fact_id in pairs],
             )
-            self._append_lines(self.promotions_path, [record.to_line()])
-            self._promoted_view().add(entry_id)
+            self._promoted_view().update(entry_id for entry_id, _ in pairs)
 
     def promoted_entry_ids(self) -> set[str]:
         return set(self._promoted_view())
@@ -407,58 +438,22 @@ class MemoryStore:
     def _cw_view(self) -> dict[str, float]:
         if self._cw is None:
             cw: dict[str, float] = {}
-            if self.cw_ledger_path.exists():
-                for line in self.cw_ledger_path.read_text(encoding="utf-8").splitlines():
-                    if not line.strip():
-                        continue
-                    try:
-                        record = json.loads(line)
-                        entry_id = str(record["entry_id"])
-                        delta = float(record["delta"])
-                    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                        continue
-                    cw[entry_id] = _clip(cw.get(entry_id, 0.0) + delta)
+            for entry_id, delta in self._read_jsonl([self.cw_ledger_path], _cw_delta)[0]:
+                cw[entry_id] = _clip(cw.get(entry_id, 0.0) + delta)
             self._cw = cw
         return self._cw
 
     def _promoted_view(self) -> set[str]:
         if self._promoted is None:
-            promoted: set[str] = set()
-            if self.promotions_path.exists():
-                for line in self.promotions_path.read_text(encoding="utf-8").splitlines():
-                    if not line.strip():
-                        continue
-                    try:
-                        promoted.add(str(json.loads(line)["entry_id"]))
-                    except (json.JSONDecodeError, KeyError, TypeError):
-                        continue
-            self._promoted = promoted
+            self._promoted = set(self._read_jsonl([self.promotions_path], _ledger_entry_id)[0])
         return self._promoted
 
     def _entry_ids_view(self) -> set[str]:
         if self._entry_ids is None:
-            ids: set[str] = set()
-            for path in sorted(self.episodic_dir.glob("*.jsonl")):
-                for line in path.read_text(encoding="utf-8").splitlines():
-                    if not line.strip():
-                        continue
-                    try:
-                        ids.add(str(json.loads(line)["id"]))
-                    except (json.JSONDecodeError, KeyError, TypeError):
-                        continue
-            self._entry_ids = ids
+            self._entry_ids = set(self._read_jsonl(self._episodic_paths(), _record_id)[0])
         return self._entry_ids
 
     def _fact_ids_view(self) -> set[str]:
         if self._fact_ids is None:
-            ids: set[str] = set()
-            if self.facts_path.exists():
-                for line in self.facts_path.read_text(encoding="utf-8").splitlines():
-                    if not line.strip():
-                        continue
-                    try:
-                        ids.add(str(json.loads(line)["id"]))
-                    except (json.JSONDecodeError, KeyError, TypeError):
-                        continue
-            self._fact_ids = ids
+            self._fact_ids = set(self._read_jsonl([self.facts_path], _record_id)[0])
         return self._fact_ids

@@ -213,6 +213,33 @@ def test_train_seed_is_reproducible(tmp_path, capsys):
     assert sum(first[-1]["weights"]) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("ranking", ["dense", "hybrid_rrf"])
+def test_train_embedding_modes_have_no_failures(capsys, ranking):
+    code, records = run_cli(
+        capsys, "train", "--dataset", str(SYNTHETIC20), "--ranking", ranking,
+        "--epochs", "1", "--batch-size", "2", "--question-count", "2",
+    )
+    assert code == 0
+    batches = [r for r in records if "batch" in r]
+    assert batches and all(r["failures"] == 0 for r in batches)
+
+
+def test_ablate_unknown_variant_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ablate", "--dataset", str(SYNTHETIC20), "--variant", "bogus"])
+    assert exc.value.code == 2
+
+
+def test_bad_config_value_is_data_error(tmp_path, capsys):
+    config = tmp_path / "engine.yaml"
+    config.write_text("retrieval: {stage2_k: abc}\n")
+    code = main([
+        "--config", str(config), "--workspace", str(tmp_path / "ws"), "retrieve",
+        "--project", "p", "--query", "hello",
+    ])
+    assert code == 3
+
+
 def test_dead_embedder_endpoint_is_service_error(tmp_path, capsys):
     ws = str(tmp_path / "ws")
     run_cli(

@@ -72,6 +72,24 @@ def test_malformed_stage1_k1_rejected(tmp_path):
         EngineConfig.from_file(path)
 
 
+@pytest.mark.parametrize("text", [
+    "retrieval: {stage2_k: abc}\n",
+    "retrieval: {variant: bogus}\n",
+    "retrieval: [1, 2]\n",
+    "train: {epochs: many}\n",
+    "seed: abc\n",
+    "decay: {lambda_per_day: [1]}\n",
+    "tiers: [1]\n",
+    "weights: [a, b, c, d, e]\n",
+    "retrieval: {stage2_k: [\n",
+])
+def test_malformed_values_rejected(tmp_path, text):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    with pytest.raises(ValidationError):
+        EngineConfig.from_file(path)
+
+
 def test_retrieval_echo_records_every_field():
     cfg = EngineConfig.from_dict({"retrieval": {"include_timestamps": True}})
     echo = cfg.to_dict()["retrieval"]

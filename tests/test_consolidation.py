@@ -10,6 +10,7 @@ from agentmem.consolidation import (
     schedule,
 )
 from agentmem.retrieval import RetrievalConfig, RetrievalPipeline
+from agentmem.store import MemoryStore
 from conftest import make_entry
 
 
@@ -115,6 +116,30 @@ def test_pass_never_touches_episodic_files(store):
     before = [p.read_bytes() for p in episodic]
     run_consolidation_pass(store, HeuristicExtractor(), "proj")
     assert [p.read_bytes() for p in episodic] == before
+
+
+def test_pass_appends_at_most_twice_per_session(store, monkeypatch):
+    sessions = [f"s{i}" for i in range(4)]
+    store.append_entries(
+        [
+            make_entry(entry_id=f"{sid}-{j}", session_id=sid, content=f"key{j}: value {sid} {j}")
+            for sid in sessions
+            for j in range(5)
+        ]
+    )
+    calls = []
+    original = MemoryStore._append_lines
+
+    def counting(path, lines):
+        calls.append(path)
+        original(path, lines)
+
+    monkeypatch.setattr(MemoryStore, "_append_lines", staticmethod(counting))
+    report = run_consolidation_pass(store, HeuristicExtractor(), "proj")
+    assert report.facts_emitted == 20
+    assert report.entries_promoted == 20
+    assert len(calls) <= 2 * len(sessions)
+    assert len(store.load_facts().facts) == 20
 
 
 def test_pipeline_snapshot_isolated_from_pass(store):

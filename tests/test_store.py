@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agentmem import store as store_mod
 from agentmem.errors import NotFoundError, ValidationError
-from agentmem.store import MemoryStore, SemanticFact
+from agentmem.store import EpisodicEntry, MemoryStore, SemanticFact
 from conftest import make_entry, make_fact
 
 
@@ -110,6 +111,70 @@ def test_corrupt_lines_skipped_and_counted(store):
     assert result.skipped == 2
 
 
+def test_torn_tail_is_ended_before_the_next_append(store):
+    store.append_entry(make_entry(entry_id="a"))
+    (path,) = store.episodic_dir.glob("*.jsonl")
+    with path.open("a") as handle:
+        handle.write('{"id": "torn", "timest')  # a crash mid-append: no newline
+    store.append_entry(make_entry(entry_id="b"))
+    result = MemoryStore(store.root).load_entries("proj")
+    assert [e.id for e in result.entries] == ["a", "b"]
+    assert result.skipped == 1
+
+
+def test_tail_torn_inside_a_character_is_skipped(store):
+    store.append_entry(make_entry(entry_id="a"))
+    (path,) = store.episodic_dir.glob("*.jsonl")
+    with path.open("ab") as handle:
+        handle.write('{"id": "torn", "content": "caf\u00e9'.encode("utf-8")[:-1])
+    store.append_entry(make_entry(entry_id="b"))
+    result = MemoryStore(store.root).load_entries("proj")
+    assert [e.id for e in result.entries] == ["a", "b"]
+    assert result.skipped == 1
+
+
+def test_unicode_line_separators_round_trip(store):
+    text = "alpha\x85beta\u2028gamma\x1cdelta"
+    entry = make_entry(entry_id="e1", content=text)
+    store.append_entry(entry)
+    store.append_fact(make_fact(fact_id="f1", value=text))
+    fresh = MemoryStore(store.root)
+    loaded = fresh.load_entries("proj")
+    assert [e.content for e in loaded.entries] == [text]
+    assert loaded.skipped == 0
+    facts = fresh.load_facts()
+    assert [f.value for f in facts.facts] == [text]
+    assert facts.skipped == 0
+    assert fresh.apply_cw_delta("e1", 0.1, 1.0) == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize(
+    "path_of, parse, skipped",
+    [
+        (lambda s: next(s.episodic_dir.glob("*.jsonl")), EpisodicEntry.from_dict, (3, 0)),
+        (lambda s: s.facts_path, SemanticFact.from_dict, (0, 3)),
+        (lambda s: s.cw_ledger_path, store_mod._cw_delta, (0, 0)),
+        (lambda s: s.promotions_path, store_mod._ledger_entry_id, (0, 0)),
+    ],
+    ids=["episodic", "facts", "cw_ledger", "promotions"],
+)
+def test_bad_lines_are_skipped_and_counted_in_every_file(store, path_of, parse, skipped):
+    store.append_entry(make_entry(entry_id="e1"))
+    store.append_fact(make_fact(fact_id="f1"))
+    store.apply_cw_delta("e1", 0.5, 1.0)
+    store.promote("e1", "f1")
+    path = path_of(store)
+    with path.open("a") as handle:
+        handle.write('{not json\n[1, 2]\n{"no_key": 1}\n')
+    values, bad = MemoryStore._read_jsonl([path], parse)
+    assert (len(values), bad) == (1, 3)
+    fresh = MemoryStore(store.root)
+    entries, facts = fresh.load_entries("proj"), fresh.load_facts()
+    assert [(e.id, e.cognitive_weight, e.promoted) for e in entries] == [("e1", 0.5, True)]
+    assert [f.id for f in facts] == ["f1"]
+    assert (entries.skipped, facts.skipped) == skipped
+
+
 def test_loads_never_mutate_files(store):
     store.append_entry(make_entry(entry_id="e1"))
     store.apply_cw_delta("e1", 0.2, 1.0)
@@ -200,6 +265,21 @@ def test_duplicate_fact_is_noop(store):
     assert len(store.load_facts().facts) == 1
 
 
+def test_append_facts_dedupes_within_batch_and_against_file(store):
+    assert store.append_facts([make_fact(fact_id="f1"), make_fact(fact_id="f2")]) == 2
+    batch = [
+        make_fact(fact_id="f2"),
+        make_fact(fact_id="f3"),
+        make_fact(fact_id="f3", value="second copy"),
+        make_fact(fact_id="f4"),
+    ]
+    assert store.append_facts(batch) == 2
+    assert store.append_facts([]) == 0
+    facts = MemoryStore(store.root).load_facts().facts
+    assert [f.id for f in facts] == ["f1", "f2", "f3", "f4"]
+    assert facts[2].value == "engineer"
+
+
 # -- promotions ------------------------------------------------------------------
 
 def test_promotion_is_ledger_derived(store):
@@ -207,6 +287,23 @@ def test_promotion_is_ledger_derived(store):
     store.promote("e1", "f1")
     assert store.load_entries("proj").entries[0].promoted is True
     assert MemoryStore(store.root).load_entries("proj").entries[0].promoted is True
+
+
+def test_promote_many_marks_every_entry(store):
+    store.append_entries([make_entry(entry_id="e1"), make_entry(entry_id="e2")])
+    store.promote_many([("e1", "f1"), ("e2", "f1")])
+    assert MemoryStore(store.root).promoted_entry_ids() == {"e1", "e2"}
+    assert len(store.promotions_path.read_text().splitlines()) == 2
+
+
+def test_promote_many_with_an_unknown_id_writes_nothing(store):
+    store.append_entries([make_entry(entry_id="e1"), make_entry(entry_id="e2")])
+    store.promote("e1", "f0")
+    before = store.promotions_path.read_bytes()
+    with pytest.raises(NotFoundError):
+        store.promote_many([("e2", "f1"), ("ghost", "f1")])
+    assert store.promotions_path.read_bytes() == before
+    assert store.promoted_entry_ids() == {"e1"}
 
 
 def test_timestamp_parsing_rejects_garbage():
