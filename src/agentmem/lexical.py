@@ -1,4 +1,14 @@
-"""Tokenisation and raw Okapi BM25 scoring over small in-memory corpora.
+"""Tokenisation and raw Okapi BM25 scoring over an inverted index.
+
+``Bm25Index`` holds postings, ``term -> {doc_id: term frequency}``, plus each
+document's token length; a term's document frequency is the size of its
+postings. ``rank`` walks only the postings of the query terms, so its cost
+grows with the matched postings, not with the corpus. It returns only the
+documents that share a query term, best first: each of them scores > 0,
+and every other document scores exactly 0. ``pool_scores`` scores a pool of
+already-counted documents under that pool's own statistics, so a caller
+that caches each document's counts never tokenises it twice.
+``bm25_score`` is the per-document reference both are tested against.
 
 Scores are left unnormalised on purpose: downstream scoring applies its own
 normalisation variants, and the decay-bypass rule thresholds the raw value.
@@ -8,8 +18,8 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections import Counter, defaultdict
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import NotFoundError, ValidationError
@@ -29,16 +39,20 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+def term_counts(text: str) -> tuple[Counter, int]:
+    """A document's term frequencies and token length."""
+    tokens = tokenize(text)
+    return Counter(tokens), len(tokens)
+
+
 @dataclass(frozen=True)
 class Bm25Index:
     """Immutable per-corpus statistics; safe to score from many threads."""
 
-    doc_ids: tuple[str, ...]
     doc_count: int
     avg_doc_len: float
     doc_len: dict[str, int]
-    term_freqs: dict[str, Counter]
-    doc_freq: dict[str, int]
+    postings: dict[str, dict[str, int]]
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
 
@@ -47,38 +61,29 @@ def build_index(
     docs: Sequence[tuple[str, str]], k1: float = DEFAULT_K1, b: float = DEFAULT_B
 ) -> Bm25Index:
     """Index (doc_id, text) pairs. Duplicate ids are rejected."""
-    doc_ids: list[str] = []
     doc_len: dict[str, int] = {}
-    term_freqs: dict[str, Counter] = {}
-    doc_freq: Counter = Counter()
+    postings: defaultdict[str, dict[str, int]] = defaultdict(dict)
     for doc_id, text in docs:
-        if doc_id in term_freqs:
+        if doc_id in doc_len:
             raise ValidationError(f"duplicate doc_id: {doc_id!r}")
-        tokens = tokenize(text)
-        doc_ids.append(doc_id)
-        doc_len[doc_id] = len(tokens)
-        tf = Counter(tokens)
-        term_freqs[doc_id] = tf
-        for term in tf:
-            doc_freq[term] += 1
-    n = len(doc_ids)
+        counts, length = term_counts(text)
+        doc_len[doc_id] = length
+        for term, f in counts.items():
+            postings[term][doc_id] = f
+    n = len(doc_len)
     avg = sum(doc_len.values()) / n if n else 0.0
     return Bm25Index(
-        doc_ids=tuple(doc_ids),
-        doc_count=n,
-        avg_doc_len=avg,
-        doc_len=doc_len,
-        term_freqs=term_freqs,
-        doc_freq=dict(doc_freq),
-        k1=k1,
-        b=b,
+        doc_count=n, avg_doc_len=avg, doc_len=doc_len, postings=dict(postings), k1=k1, b=b
     )
+
+
+def _idf(doc_count: int, df: int) -> float:
+    return math.log(1.0 + (doc_count - df + 0.5) / (df + 0.5))
 
 
 def idf(index: Bm25Index, term: str) -> float:
     """Nonnegative IDF: ln(1 + (N - df + 0.5) / (df + 0.5))."""
-    df = index.doc_freq.get(term, 0)
-    return math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5))
+    return _idf(index.doc_count, len(index.postings.get(term, ())))
 
 
 def bm25_score(index: Bm25Index, query_tokens: Iterable[str], doc_id: str) -> float:
@@ -86,27 +91,78 @@ def bm25_score(index: Bm25Index, query_tokens: Iterable[str], doc_id: str) -> fl
 
     Repeated query terms count once; terms absent from the doc contribute 0.
     """
-    tf = index.term_freqs.get(doc_id)
-    if tf is None:
+    dl = index.doc_len.get(doc_id)
+    if dl is None:
         raise NotFoundError(f"doc_id not in index: {doc_id!r}")
-    dl = index.doc_len[doc_id]
     length_norm = index.k1 * (
         1.0 - index.b + (index.b * dl / index.avg_doc_len if index.avg_doc_len > 0 else 0.0)
     )
     score = 0.0
     for term in dict.fromkeys(query_tokens):
-        f = tf.get(term, 0)
+        f = index.postings.get(term, {}).get(doc_id, 0)
         if f == 0:
             continue
         score += idf(index, term) * f * (index.k1 + 1.0) / (f + length_norm)
     return score
 
 
+def _accumulate(
+    weighted_postings: Iterable[tuple[float, Mapping]],
+    doc_len: Mapping | Sequence[int],
+    avg_doc_len: float,
+    k1: float,
+    b: float,
+) -> dict:
+    """Sum each (idf, postings) term's contribution into its documents' scores.
+
+    Terms come in query order, so every document's sum runs in the order
+    ``bm25_score`` uses and the floats are identical to it.
+    """
+    scores: dict = {}
+    for weight, postings in weighted_postings:
+        for doc, f in postings.items():
+            length_norm = k1 * (
+                1.0 - b + (b * doc_len[doc] / avg_doc_len if avg_doc_len > 0 else 0.0)
+            )
+            scores[doc] = scores.get(doc, 0.0) + weight * f * (k1 + 1.0) / (f + length_norm)
+    return scores
+
+
 def rank(
     index: Bm25Index, query_tokens: Iterable[str], limit: int | None = None
 ) -> list[tuple[str, float]]:
-    """All documents scored and sorted by (score desc, doc_id asc)."""
-    terms = list(dict.fromkeys(query_tokens))
-    scored = [(doc_id, bm25_score(index, terms, doc_id)) for doc_id in index.doc_ids]
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored if limit is None else scored[:limit]
+    """Documents sharing a query term, sorted by (score desc, doc_id asc).
+
+    Every returned score is > 0; a document left out scores exactly 0.
+    """
+    weighted = []
+    for term in dict.fromkeys(query_tokens):
+        postings = index.postings.get(term)
+        if postings:
+            weighted.append((idf(index, term), postings))
+    scores = _accumulate(weighted, index.doc_len, index.avg_doc_len, index.k1, index.b)
+    ranked = sorted(scores.items(), key=lambda pair: (-pair[1], pair[0]))
+    return ranked if limit is None else ranked[:limit]
+
+
+def pool_scores(
+    query_tokens: Iterable[str],
+    docs: Sequence[tuple[Mapping[str, int], int]],
+    k1: float = DEFAULT_K1,
+    b: float = DEFAULT_B,
+) -> list[float]:
+    """Raw BM25 of each (term counts, token length) document, in order.
+
+    N, the average length and every df come from ``docs`` alone, so each
+    score equals ``bm25_score`` over ``build_index`` of the same texts.
+    """
+    n = len(docs)
+    lengths = [length for _, length in docs]
+    avg = sum(lengths) / n if n else 0.0
+    weighted = []
+    for term in dict.fromkeys(query_tokens):
+        postings = {i: counts[term] for i, (counts, _) in enumerate(docs) if term in counts}
+        if postings:
+            weighted.append((_idf(n, len(postings)), postings))
+    scores = _accumulate(weighted, lengths, avg, k1, b)
+    return [scores.get(i, 0.0) for i in range(n)]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
@@ -174,34 +175,41 @@ class RetrievalResult:
         return self.sessions_searched / self.total_sessions
 
 
-def build_fact_index(facts: Sequence[SemanticFact]) -> lexical.Bm25Index:
+@dataclass(frozen=True)
+class FactIndex:
+    """Stage 1's view of a fact set: BM25 postings and the facts by id."""
+
+    bm25: lexical.Bm25Index
+    by_id: dict[str, SemanticFact]
+
+
+def build_fact_index(facts: Sequence[SemanticFact]) -> FactIndex:
     """Facts are searchable by the subject+relation+value concatenation."""
-    return lexical.build_index([(f.id, f.search_text()) for f in facts])
+    return FactIndex(
+        lexical.build_index([(f.id, f.search_text()) for f in facts]), {f.id: f for f in facts}
+    )
 
 
 def stage1_scope(
     query_tokens: Sequence[str],
     facts: Sequence[SemanticFact],
     k1: int | None,
-    index: lexical.Bm25Index | None = None,
+    index: FactIndex | None = None,
 ) -> list[str]:
     """Walk facts in lexical-rank order, gathering distinct session ids.
 
     A multi-session fact contributes all its sessions at its rank. Only
-    positive-scoring facts count as relevant; with k1=None every session
-    backed by a positive-scoring fact is returned.
+    positive-scoring facts count as relevant, and ``lexical.rank`` returns
+    only those; with k1=None every session backed by one is returned.
     """
     if not facts:
         return []
     if index is None:
         index = build_fact_index(facts)
-    by_id = {f.id: f for f in facts}
     scoped: list[str] = []
     seen: set[str] = set()
-    for fact_id, score in lexical.rank(index, query_tokens):
-        if score <= 0.0:
-            break
-        for session_id in sorted(by_id[fact_id].session_ids):
+    for fact_id, _ in lexical.rank(index.bm25, query_tokens):
+        for session_id in sorted(index.by_id[fact_id].session_ids):
             if session_id in seen:
                 continue
             seen.add(session_id)
@@ -216,21 +224,33 @@ def build_candidates(
     entries: Sequence[EpisodicEntry],
     now: datetime,
     similarities: Sequence[float] | None = None,
+    term_stats: Sequence[tuple[Counter, int]] | None = None,
 ) -> list[Candidate]:
     """Attach raw BM25 (pool statistics), age, CW, tier and dense similarity
-    (0 when ``similarities`` is None) to each entry."""
-    index = lexical.build_index([(e.id, e.content) for e in entries])
+    (0 when ``similarities`` is None) to each entry.
+
+    ``term_stats`` holds each entry's ``lexical.term_counts``; when it is
+    None they are counted here. Entry ids must be unique within the pool.
+    """
+    seen: set[str] = set()
+    for entry in entries:
+        if entry.id in seen:
+            raise ValidationError(f"duplicate doc_id: {entry.id!r}")
+        seen.add(entry.id)
+    if term_stats is None:
+        term_stats = [lexical.term_counts(e.content) for e in entries]
+    raw_scores = lexical.pool_scores(query_tokens, term_stats)
     if similarities is None:
         similarities = [0.0] * len(entries)
     candidates = []
-    for entry, similarity in zip(entries, similarities, strict=True):
+    for entry, raw_bm25, similarity in zip(entries, raw_scores, similarities, strict=True):
         age = (now - entry.timestamp).total_seconds() / 86400.0
         candidates.append(
             Candidate(
                 id=entry.id,
                 session_id=entry.session_id,
                 timestamp=entry.timestamp,
-                raw_bm25=lexical.bm25_score(index, query_tokens, entry.id),
+                raw_bm25=raw_bm25,
                 age_days=max(0.0, age),
                 cw=entry.cognitive_weight,
                 tier=scoring.SEMANTIC if entry.promoted else scoring.EPISODIC,
@@ -251,14 +271,16 @@ def stage2_retrieve(
     now: datetime | None = None,
     k: int | None = 0,
     similarities: Sequence[float] | None = None,
+    term_stats: Sequence[tuple[Counter, int]] | None = None,
 ) -> list[RankedEntry]:
     """Rank the scoped entries best-first in ``cfg.mode``.
 
     bm25 ranks by the composite under ``cfg.weights``, dense by the composite
     under ``DENSE_WEIGHTS``, and hybrid_rrf fuses those two orders. Dense and
-    hybrid need ``similarities``, one per entry. Callers must have excluded
-    system entries already. ``k=0`` means "use cfg.stage2_k"; ``k=None``
-    returns the full ranking.
+    hybrid need ``similarities``, one per entry; ``term_stats`` may carry each
+    entry's ``lexical.term_counts``, counted once by the caller. Callers must
+    have excluded system entries already. ``k=0`` means "use cfg.stage2_k";
+    ``k=None`` returns the full ranking.
     """
     if cfg.mode != MODE_BM25 and similarities is None:
         raise ValidationError(f"mode {cfg.mode!r} requires dense similarities")
@@ -266,7 +288,7 @@ def stage2_retrieve(
     tiers = tiers or TierConfig()
     if now is None:
         now = max((e.timestamp for e in entries), default=datetime.now(timezone.utc))
-    candidates = build_candidates(query_tokens, entries, now, similarities)
+    candidates = build_candidates(query_tokens, entries, now, similarities, term_stats)
 
     def ranking(weights: WeightVector) -> tuple[list[ScoreBreakdown], list[int]]:
         breakdowns = scoring.score_pool(
@@ -349,7 +371,8 @@ class RetrievalPipeline:
 
     Construction snapshots the entry and fact sets, so retrieval concurrent
     with a consolidation pass sees either the pre-pass or post-pass tier,
-    never a torn state.
+    never a torn state. It indexes the facts and each session's entries;
+    an entry's term counts are taken the first time it enters a pool.
     """
 
     def __init__(
@@ -375,6 +398,12 @@ class RetrievalPipeline:
             (e.timestamp for e in self.entries), default=datetime.now(timezone.utc)
         )
         self._fact_index = build_fact_index(self.facts) if self.facts else None
+        # Session id -> positions of its entries in self.entries, ascending.
+        self._session_positions: dict[str, list[int]] = {}
+        for i, entry in enumerate(self.entries):
+            self._session_positions.setdefault(entry.session_id, []).append(i)
+        # lexical.term_counts per position (two entries may share an id).
+        self._term_stats: list[tuple[Counter, int] | None] = [None] * len(self.entries)
 
     @classmethod
     def from_store(
@@ -393,30 +422,25 @@ class RetrievalPipeline:
     def retrieve(self, query: str) -> RetrievalResult:
         cfg = self.cfg
         query_tokens = lexical.tokenize(query)
-        total_sessions = len({e.session_id for e in self.entries})
+        total_sessions = len(self._session_positions)
         latency: dict[str, int] = {}
 
         t0 = time.perf_counter_ns()
         scoping_disabled = cfg.stage1_k1 is None
-        fallback_unscoped = False
-        if scoping_disabled:
-            scoped: list[str] = []
-            semantic_scope: frozenset[str] = frozenset()
-            pool = self.entries
-        elif not self.facts:
-            fallback_unscoped = True
-            scoped = []
-            semantic_scope = frozenset()
-            pool = self.entries
-        else:
+        scoped: list[str] = []
+        if not scoping_disabled and self.facts:
             scoped = stage1_scope(query_tokens, self.facts, cfg.stage1_k1, self._fact_index)
-            if not scoped:
-                fallback_unscoped = True
-                semantic_scope = frozenset()
-                pool = self.entries
-            else:
-                semantic_scope = frozenset(scoped)
-                pool = [e for e in self.entries if e.session_id in semantic_scope]
+        fallback_unscoped = not scoping_disabled and not scoped
+        semantic_scope = frozenset(scoped)
+        if scoped:
+            # Snapshot order: pool-relative variants sum in pool order.
+            positions = sorted(i for s in scoped for i in self._session_positions.get(s, ()))
+            pool = [self.entries[i] for i in positions]
+            searched = sum(s in self._session_positions for s in scoped)
+        else:
+            positions = range(len(self.entries))
+            pool = self.entries
+            searched = total_sessions
         latency["stage1"] = (time.perf_counter_ns() - t0) // 1000
 
         t1 = time.perf_counter_ns()
@@ -430,6 +454,7 @@ class RetrievalPipeline:
             semantic_scope=semantic_scope,
             now=self.now,
             similarities=similarities,
+            term_stats=self._pool_term_stats(positions),
         )
         latency["stage2"] = (time.perf_counter_ns() - t1) // 1000
 
@@ -439,15 +464,12 @@ class RetrievalPipeline:
         )
         latency["pack"] = (time.perf_counter_ns() - t2) // 1000
 
-        searched = total_sessions if (scoping_disabled or fallback_unscoped) else len(
-            {e.session_id for e in pool}
-        )
         return RetrievalResult(
             query=query,
             mode=cfg.mode,
             variant=cfg.variant,
             ranked=ranked,
-            scoped_session_ids=list(scoped),
+            scoped_session_ids=scoped,
             total_sessions=total_sessions,
             sessions_searched=searched,
             scoping_disabled=scoping_disabled,
@@ -457,6 +479,16 @@ class RetrievalPipeline:
             packed_token_count=sum(e.tokens for e in used),
             latency_micros=latency,
         )
+
+    def _pool_term_stats(self, positions: Sequence[int]) -> list[tuple[Counter, int]]:
+        """Term counts of the entries at ``positions``, each counted once per
+        snapshot. Two threads may count one entry at once; both store equal
+        values."""
+        stats = self._term_stats
+        for i in positions:
+            if stats[i] is None:
+                stats[i] = lexical.term_counts(self.entries[i].content)
+        return [stats[i] for i in positions]
 
     def _similarities(self, query: str, pool: Sequence[EpisodicEntry]) -> list[float]:
         """Cosine of each pool entry to the query, from one embed call.

@@ -243,12 +243,26 @@ def composite_score(
         if variant not in _ELEMENTWISE:
             raise ValidationError(f"variant {variant.value} needs a pool-normalised bm25_signal")
         bm25_signal = normalise_scores([candidate.raw_bm25], variant)[0]
+    multiplier = tier_cfg.multiplier(candidate.tier)
+    return _combine(candidate, weights, multiplier, decay_cfg, semantic_scope, bm25_signal)
+
+
+def _combine(
+    candidate: Candidate,
+    weights: WeightVector,
+    multiplier: float,
+    decay_cfg: DecayConfig,
+    semantic_scope: frozenset[str] | set[str],
+    bm25_signal: float,
+) -> ScoreBreakdown:
+    """The breakdown of one candidate with its tier multiplier and BM25
+    signal already resolved."""
     bypassed, reason = evaluate_bypass(
         candidate.raw_bm25, candidate.session_id, semantic_scope, decay_cfg
     )
     phi_decay = decay_signal(candidate.age_days, bypassed, decay_cfg)
     phi_cw = cw_signal(candidate.cw)
-    tier_bonus = weights.w_tier * (tier_cfg.multiplier(candidate.tier) - 1.0)
+    tier_bonus = weights.w_tier * (multiplier - 1.0)
     composite = (
         weights.w_sem * candidate.similarity
         + weights.w_bm25 * bm25_signal
@@ -277,12 +291,17 @@ def score_pool(
     semantic_scope: frozenset[str] | set[str],
     variant: Variant = Variant.RAW,
 ) -> list[ScoreBreakdown]:
-    """Score a whole candidate pool, normalising BM25 over the pool."""
+    """Score a whole candidate pool, normalising BM25 over the pool.
+
+    Equal to ``composite_score`` per candidate with its pool-normalised
+    signal; the variant and each tier's multiplier are resolved once.
+    """
     if not candidates:
         return []
     signals = normalise_scores([c.raw_bm25 for c in candidates], variant)
+    multipliers = {tier: tier_cfg.multiplier(tier) for tier in {c.tier for c in candidates}}
     return [
-        composite_score(c, weights, tier_cfg, decay_cfg, semantic_scope, variant, bm25_signal=s)
+        _combine(c, weights, multipliers[c.tier], decay_cfg, semantic_scope, s)
         for c, s in zip(candidates, signals)
     ]
 

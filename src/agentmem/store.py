@@ -23,6 +23,7 @@ value snapshots and never touch the files' contents.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import threading
@@ -356,7 +357,14 @@ class MemoryStore:
         cw = self._cw_view()
         promoted = self._promoted_view()
         session_filter = frozenset(sessions) if sessions is not None else None
-        parsed, skipped = self._read_jsonl(self._episodic_paths(), EpisodicEntry.from_dict)
+        # A cold id cache is filled from this parse, under the writer lock so
+        # no append lands between the read and the fill. A skipped line may
+        # still carry an id, so the cache is filled only when none was skipped.
+        cold = self._entry_ids is None
+        with self._lock if cold else contextlib.nullcontext():
+            parsed, skipped = self._read_jsonl(self._episodic_paths(), EpisodicEntry.from_dict)
+            if not skipped and self._entry_ids is None:
+                self._entry_ids = {entry.id for entry in parsed}
         entries = [
             entry
             for entry in parsed

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import time
 
+from agentmem import store as store_module
 from agentmem.consolidation import (
     FactDraft,
     HeuristicExtractor,
@@ -9,9 +11,10 @@ from agentmem.consolidation import (
     run_consolidation_pass,
     schedule,
 )
+from agentmem.evaluation import BENCH_PROJECT, ingest_question, load_dataset
 from agentmem.retrieval import RetrievalConfig, RetrievalPipeline
 from agentmem.store import MemoryStore
-from conftest import make_entry
+from conftest import SYNTHETIC20, make_entry
 
 
 # -- heuristic extraction ------------------------------------------------------
@@ -140,6 +143,27 @@ def test_pass_appends_at_most_twice_per_session(store, monkeypatch):
     assert report.entries_promoted == 20
     assert len(calls) <= 2 * len(sessions)
     assert len(store.load_facts().facts) == 20
+
+
+def test_pass_parses_each_episodic_line_once(tmp_path, monkeypatch):
+    writer = MemoryStore(tmp_path / "ws")
+    for question in load_dataset(SYNTHETIC20):
+        ingest_question(writer, question)
+    lines = sum(
+        len(path.read_bytes().splitlines()) for path in writer.episodic_dir.glob("*.jsonl")
+    )
+    parses = []
+    original = json.loads
+
+    def counting(text, *args, **kwargs):
+        parses.append(text)
+        return original(text, *args, **kwargs)
+
+    monkeypatch.setattr(store_module.json, "loads", counting)
+    fresh = MemoryStore(tmp_path / "ws")
+    report = run_consolidation_pass(fresh, HeuristicExtractor(), BENCH_PROJECT)
+    assert report.entries_promoted == lines
+    assert len(parses) == lines
 
 
 def test_pipeline_snapshot_isolated_from_pass(store):

@@ -4,11 +4,11 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agentmem.errors import NotFoundError, ValidationError
-from agentmem.lexical import bm25_score, build_index, rank, tokenize
+from agentmem.lexical import bm25_score, build_index, pool_scores, rank, term_counts, tokenize
 
 TWO_DOC_CORPUS = [("d1", "apple banana"), ("d2", "cherry date")]
 
@@ -56,7 +56,7 @@ def test_build_index_empty_corpus_scores_nothing():
 
 def test_build_index_repeated_term():
     idx = build_index([("d1", "a a a")])
-    assert idx.term_freqs["d1"]["a"] == 3
+    assert idx.postings["a"]["d1"] == 3
 
 
 def test_build_index_rejects_duplicate_ids():
@@ -98,7 +98,8 @@ def test_query_terms_deduplicated():
 def test_rank_sorted_desc_then_id():
     idx = build_index([("b", "apple"), ("a", "apple"), ("c", "pear")])
     ranked = rank(idx, ["apple"])
-    assert [doc for doc, _ in ranked] == ["a", "b", "c"]
+    assert [doc for doc, _ in ranked] == ["a", "b"]
+    assert "c" not in dict(ranked)
 
 
 def test_determinism():
@@ -152,3 +153,38 @@ def test_scores_nonnegative(texts, query):
     docs = [(f"d{i}", text) for i, text in enumerate(texts)]
     idx = build_index(docs)
     assert all(score >= 0.0 for _, score in rank(idx, query))
+
+
+CORPUS = st.lists(
+    st.lists(st.sampled_from("abcdefg"), min_size=0, max_size=10).map(" ".join),
+    min_size=0,
+    max_size=12,
+)
+QUERY = st.lists(st.sampled_from("abcdefgz"), min_size=0, max_size=5)
+# Summing these query terms in another order changes d1's score in its last bit.
+ORDER_SENSITIVE = (["b d", "d c b d g c e f", "b f e a c a e a"], ["d", "f", "b"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(texts=CORPUS, query=QUERY)
+@example(*ORDER_SENSITIVE)
+def test_rank_is_the_positive_part_of_the_brute_force_ranking(texts, query):
+    docs = [(f"d{i}", text) for i, text in enumerate(texts)]
+    idx = build_index(docs)
+    every = sorted(
+        ((doc_id, bm25_score(idx, query, doc_id)) for doc_id, _ in docs),
+        key=lambda pair: (-pair[1], pair[0]),
+    )
+    ranked = rank(idx, query)
+    assert ranked == [(doc_id, score) for doc_id, score in every if score > 0.0]
+    assert all(score == 0.0 for _, score in every[len(ranked):])
+
+
+@settings(max_examples=80, deadline=None)
+@given(texts=CORPUS, query=QUERY)
+@example(*ORDER_SENSITIVE)
+def test_pool_scores_equal_bm25_score_over_the_pool(texts, query):
+    docs = [(f"d{i}", text) for i, text in enumerate(texts)]
+    idx = build_index(docs)
+    counted = [term_counts(text) for text in texts]
+    assert pool_scores(query, counted) == [bm25_score(idx, query, doc_id) for doc_id, _ in docs]

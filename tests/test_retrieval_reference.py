@@ -1,0 +1,265 @@
+"""The retrieval fast path against a reference built from the definitions.
+
+Stage 1 walks ``lexical.rank`` over fact postings, and stage 2 scores pools
+from term counts cached per snapshot. The reference scores every fact and
+every pool entry with ``build_index`` + ``bm25_score``, then combines each
+candidate with ``composite_score`` and orders with ``rank_order``. Results
+must be equal with ``==``: ids, scopes and every ``ScoreBreakdown`` field.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from agentmem import consolidation, evaluation
+from agentmem.errors import ValidationError
+from agentmem.lexical import bm25_score, build_index, tokenize
+from agentmem.retrieval import (
+    DENSE_WEIGHTS,
+    MODE_BM25,
+    MODE_DENSE,
+    MODE_HYBRID,
+    MODES,
+    HashedBowEmbedder,
+    RetrievalConfig,
+    RetrievalPipeline,
+    rrf_fuse,
+    stage2_retrieve,
+)
+from agentmem.scoring import (
+    EPISODIC,
+    SEMANTIC,
+    Candidate,
+    Variant,
+    composite_score,
+    normalise_scores,
+    rank_order,
+)
+from agentmem.store import MemoryStore
+from conftest import make_entry, make_fact
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402
+
+
+def reference_scope(query, facts, k1):
+    """Stage 1 with every fact scored by ``bm25_score``."""
+    if not facts:
+        return []
+    index = build_index([(f.id, f.search_text()) for f in facts])
+    tokens = tokenize(query)
+    scored = sorted(
+        ((f.id, bm25_score(index, tokens, f.id)) for f in facts), key=lambda p: (-p[1], p[0])
+    )
+    by_id = {f.id: f for f in facts}
+    scoped: list[str] = []
+    for fact_id, score in scored:
+        if score <= 0.0:
+            break
+        for session_id in sorted(by_id[fact_id].session_ids):
+            if session_id not in scoped:
+                scoped.append(session_id)
+            if k1 is not None and len(scoped) >= k1:
+                return scoped
+    return scoped
+
+
+def reference_ranking(pipeline, query, scoped):
+    """Stage 2 over the scoped pool: [(entry id, breakdown, fused score)]."""
+    cfg = pipeline.cfg
+    scope = frozenset(scoped)
+    pool = [e for e in pipeline.entries if not scope or e.session_id in scope]
+    if not pool:
+        return []
+    tokens = tokenize(query)
+    index = build_index([(e.id, e.content) for e in pool])
+    similarities = [0.0] * len(pool)
+    if cfg.mode != MODE_BM25:
+        vectors = pipeline.embedder.embed([query] + [e.content for e in pool])
+        similarities = [float(np.dot(vectors[0], v)) for v in vectors[1:]]
+    candidates = [
+        Candidate(
+            id=e.id,
+            session_id=e.session_id,
+            timestamp=e.timestamp,
+            raw_bm25=bm25_score(index, tokens, e.id),
+            age_days=max(0.0, (pipeline.now - e.timestamp).total_seconds() / 86400.0),
+            cw=e.cognitive_weight,
+            tier=SEMANTIC if e.promoted else EPISODIC,
+            similarity=sim,
+        )
+        for e, sim in zip(pool, similarities)
+    ]
+    signals = normalise_scores([c.raw_bm25 for c in candidates], cfg.variant)
+
+    def ranking(weights):
+        breakdowns = [
+            composite_score(
+                c, weights, pipeline.tiers, pipeline.decay, scope, cfg.variant, bm25_signal=s
+            )
+            for c, s in zip(candidates, signals)
+        ]
+        return breakdowns, rank_order(candidates, breakdowns)
+
+    breakdowns, order = ranking(DENSE_WEIGHTS if cfg.mode == MODE_DENSE else cfg.weights)
+    if cfg.mode == MODE_HYBRID:
+        _, dense_order = ranking(DENSE_WEIGHTS)
+        at = {c.id: i for i, c in enumerate(candidates)}
+        fused = rrf_fuse(
+            [candidates[i].id for i in order], [candidates[i].id for i in dense_order], cfg.rrf_k
+        )
+        ranked = [(cid, breakdowns[at[cid]], score) for cid, score in fused]
+    else:
+        ranked = [(candidates[i].id, breakdowns[i], None) for i in order]
+    return ranked[: cfg.stage2_k]
+
+
+def check_against_reference(pipeline, query):
+    result = pipeline.retrieve(query)
+    k1 = pipeline.cfg.stage1_k1
+    scoped = [] if k1 is None else reference_scope(query, pipeline.facts, k1)
+    assert result.scoped_session_ids == scoped
+    got = [(r.entry.id, r.breakdown, r.fused_score) for r in result.ranked]
+    assert got == reference_ranking(pipeline, query, scoped)
+    sessions = {e.session_id for e in pipeline.entries}
+    assert result.total_sessions == len(sessions)
+    assert result.fallback_unscoped == (k1 is not None and not scoped)
+    assert result.sessions_searched == (len(sessions & set(scoped)) if scoped else len(sessions))
+    return result
+
+
+WORDS = ["report", "deadline", "friday", "soup", "lunch", "bike", "blue", "the"]
+TEXT = st.lists(st.sampled_from(WORDS), max_size=6).map(" ".join)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pool=st.lists(
+        st.tuples(
+            TEXT,
+            st.sampled_from(["s1", "s2", "s3", "s4"]),
+            st.integers(0, 40),
+            st.sampled_from([-0.5, 0.0, 0.5]),
+            st.booleans(),
+        ),
+        max_size=14,
+    ),
+    facts=st.lists(
+        st.tuples(TEXT, TEXT, st.sets(st.sampled_from(["s1", "s2", "s3", "s4", "s9"]), min_size=1)),
+        max_size=6,
+    ),
+    queries=st.lists(
+        st.lists(st.sampled_from(WORDS + ["nowhere"]), min_size=1, max_size=3).map(" ".join),
+        min_size=1,
+        max_size=3,
+    ),
+    variant=st.sampled_from(list(Variant)),
+    k1=st.sampled_from([None, 1, 3]),
+    mode=st.sampled_from(MODES),
+)
+def test_retrieve_matches_reference_on_random_stores(pool, facts, queries, variant, k1, mode):
+    entries = [
+        make_entry(entry_id=f"e{i}", content=content, session_id=sid, days_ago=days,
+                   cognitive_weight=cw, promoted=promoted)
+        for i, (content, sid, days, cw, promoted) in enumerate(pool)
+    ]
+    entries.append(make_entry(entry_id="sys", content="[system] report", session_id="s1"))
+    fact_list = [
+        make_fact(fact_id=f"f{i}", subject=subject, value=value, session_ids=sessions)
+        for i, (subject, value, sessions) in enumerate(facts)
+    ]
+    cfg = RetrievalConfig(stage1_k1=k1, variant=variant, mode=mode)
+    pipeline = RetrievalPipeline(
+        cfg, entries=entries, facts=fact_list, embedder=HashedBowEmbedder(16)
+    )
+    for _ in range(2):  # the second round reuses the cached term counts
+        for query in queries:
+            check_against_reference(pipeline, query)
+
+
+def test_pool_with_a_shared_id_is_rejected():
+    entries = [
+        make_entry(entry_id="x", content="report due", session_id="s1"),
+        make_entry(entry_id="x", content="lunch soup", session_id="s2"),
+    ]
+    with pytest.raises(ValidationError):
+        stage2_retrieve(tokenize("report"), entries, RetrievalConfig())
+    pipeline = RetrievalPipeline(RetrievalConfig(stage1_k1=None), entries=entries, facts=[])
+    with pytest.raises(ValidationError):
+        pipeline.retrieve("report")
+
+
+def test_entries_sharing_an_id_score_from_their_own_content():
+    entries = [
+        make_entry(entry_id="x", content="the report is due friday", session_id="s1"),
+        make_entry(entry_id="x", content="soup for lunch on friday", session_id="s2"),
+    ]
+    facts = [
+        make_fact(fact_id="f1", subject="report", value="friday", session_ids=("s1",)),
+        make_fact(fact_id="f2", subject="lunch", value="soup", session_ids=("s2",)),
+    ]
+    pipeline = RetrievalPipeline(RetrievalConfig(stage1_k1=1), entries=entries, facts=facts)
+    for _ in range(2):
+        for query, session in (("report", "s1"), ("lunch soup", "s2")):
+            result = check_against_reference(pipeline, query)
+            (top,) = result.ranked
+            assert top.entry.session_id == session
+            assert top.breakdown.phi_bm25_raw > 0.0
+
+
+def test_session_counts_for_scoped_unscoped_and_fallback_queries():
+    entries = [
+        make_entry(entry_id=f"{sid}-{j}", content=f"note {j} about {topic}", session_id=sid)
+        for sid, topic in (("s1", "report"), ("s2", "report"), ("s3", "lunch"))
+        for j in range(2)
+    ] + [make_entry(entry_id="sys", content="[system] report", session_id="s4")]
+    facts = [
+        make_fact(fact_id="f1", subject="report", value="friday", session_ids=("s1", "s4")),
+        make_fact(fact_id="f2", subject="lunch", value="soup", session_ids=("s3",)),
+    ]
+    scoped = RetrievalPipeline(RetrievalConfig(stage1_k1=3), entries=entries, facts=facts)
+    result = scoped.retrieve("report")
+    # s4 holds only a system entry, so it is scoped but not searched.
+    assert (result.scoped_session_ids, result.total_sessions, result.sessions_searched) == (
+        ["s1", "s4"], 3, 1,
+    )
+    fallback = scoped.retrieve("nowhere")
+    assert (fallback.fallback_unscoped, fallback.total_sessions, fallback.sessions_searched) == (
+        True, 3, 3,
+    )
+    unscoped = RetrievalPipeline(RetrievalConfig(stage1_k1=None), entries=entries, facts=facts)
+    result = unscoped.retrieve("report")
+    assert (result.scoping_disabled, result.total_sessions, result.sessions_searched) == (
+        True, 3, 3,
+    )
+
+
+@pytest.fixture(scope="module")
+def benchmark_shaped_store(tmp_path_factory):
+    """The benchmark's smoke-size ``scoped_query`` store, consolidated."""
+    questions = [
+        evaluation.question_from_dict(r) for r in gen.generate("scoped_query", 3, "smoke")
+    ]
+    store = MemoryStore(tmp_path_factory.mktemp("bench") / "ws")
+    for question in questions:
+        evaluation.ingest_question(store, question)
+    consolidation.run_consolidation_pass(
+        store, consolidation.HeuristicExtractor(), evaluation.BENCH_PROJECT
+    )
+    return store, [q.question for q in questions]
+
+
+@pytest.mark.parametrize("k1", [5, None])
+def test_benchmark_shaped_store_matches_reference(benchmark_shaped_store, k1):
+    store, queries = benchmark_shaped_store
+    for variant in Variant:
+        cfg = RetrievalConfig(stage1_k1=k1, variant=variant)
+        pipeline = RetrievalPipeline.from_store(store, cfg, project=evaluation.BENCH_PROJECT)
+        for query in queries + queries:
+            check_against_reference(pipeline, query)

@@ -216,6 +216,41 @@ def test_monotone_variants_preserve_bm25_only_ranking(raws):
     assert all(order == orders[0] for order in orders[1:])
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    pool=st.lists(
+        st.tuples(
+            st.integers(0, 500).map(lambda n: n / 100.0),
+            st.integers(0, 60),
+            st.sampled_from([-1.0, -0.3, 0.0, 0.7]),
+            st.sampled_from(["episodic", "semantic", "procedural"]),
+            st.sampled_from(["s1", "s2"]),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    variant=st.sampled_from(list(Variant)),
+)
+def test_score_pool_equals_composite_score_per_candidate(pool, variant):
+    candidates = [
+        make_candidate(cid=f"c{i}", session=sid, raw=raw, age=age, cw=cw, tier=tier)
+        for i, (raw, age, cw, tier, sid) in enumerate(pool)
+    ]
+    tiers, scope = TierConfig(1.0, 1.3, 1.7), frozenset({"s2"})
+    signals = normalise_scores([c.raw_bm25 for c in candidates], variant)
+    expected = [
+        composite_score(c, WeightVector.default(), tiers, DECAY, scope, variant, bm25_signal=s)
+        for c, s in zip(candidates, signals)
+    ]
+    assert score_pool(candidates, WeightVector.default(), tiers, DECAY, scope, variant) == expected
+
+
+def test_score_pool_rejects_an_unknown_tier():
+    candidates = [make_candidate(cid="c1"), make_candidate(cid="c2", tier="archival")]
+    with pytest.raises(ValidationError):
+        score_pool(candidates, WeightVector.default(), TIERS, DECAY, NO_SCOPE)
+
+
 def test_bypass_dominance_over_any_age():
     for age in (0.0, 30.0, 365.0):
         candidate = make_candidate(raw=5.0, age=age)

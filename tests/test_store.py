@@ -186,6 +186,21 @@ def test_loads_never_mutate_files(store):
     assert [p.read_bytes() for p in paths] == before
 
 
+def test_load_leaves_the_entry_id_cache_equal_to_the_id_parse(store):
+    store.append_entries([make_entry(entry_id="e1"), make_entry(entry_id="x1", project="other")])
+    fresh = MemoryStore(store.root)
+    fresh.load_entries("proj")
+    fresh.apply_cw_delta("x1", 0.1, 1.0)  # ids of every project are known
+    (path,) = store.episodic_dir.glob("*.jsonl")
+    with path.open("a") as handle:
+        handle.write('{"id": "bad-ts", "timestamp": "never"}\n')
+    fresh = MemoryStore(store.root)
+    assert fresh.load_entries("proj").skipped == 1
+    fresh.apply_cw_delta("bad-ts", 0.1, 1.0)  # the id parse still accepts this line
+    with pytest.raises(NotFoundError):
+        fresh.apply_cw_delta("missing", 0.1, 1.0)
+
+
 # -- cognitive weight ledger ---------------------------------------------------
 
 def test_cw_delta_applied(store):
