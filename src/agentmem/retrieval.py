@@ -4,6 +4,13 @@ Stage 1 ranks semantic facts lexically and gathers the top distinct session
 ids. Stage 2 scores episodic entries inside those sessions with the
 composite formula and returns the top k, greedily packed into a token budget.
 
+Stage 2 scores a pool as columns (``scoring.pool_signals``). The inputs no
+query changes, exp(-lambda * age), phi_cw, the tier multiplier and the
+timestamp, are kept per snapshot position, like each entry's term counts,
+and a pool takes them by its positions. Only raw BM25, dense similarity and
+scope membership are computed per query. ``ScoreBreakdown`` and
+``RankedEntry`` are built only for the entries returned.
+
 Every mode ranks through the same composite. In dense and hybrid modes each
 candidate's embedding cosine to the query fills the phi_sem slot; dense mode
 ranks under the weight vector (1, 0, 0, 0, 0), so its score is the cosine,
@@ -26,7 +33,6 @@ import numpy as np
 from . import lexical, scoring
 from .errors import ValidationError
 from .scoring import (
-    Candidate,
     DecayConfig,
     ScoreBreakdown,
     TierConfig,
@@ -219,45 +225,20 @@ def stage1_scope(
     return scoped
 
 
-def build_candidates(
-    query_tokens: Sequence[str],
-    entries: Sequence[EpisodicEntry],
-    now: datetime,
-    similarities: Sequence[float] | None = None,
-    term_stats: Sequence[tuple[Counter, int]] | None = None,
-) -> list[Candidate]:
-    """Attach raw BM25 (pool statistics), age, CW, tier and dense similarity
-    (0 when ``similarities`` is None) to each entry.
-
-    ``term_stats`` holds each entry's ``lexical.term_counts``; when it is
-    None they are counted here. Entry ids must be unique within the pool.
-    """
-    seen: set[str] = set()
-    for entry in entries:
-        if entry.id in seen:
-            raise ValidationError(f"duplicate doc_id: {entry.id!r}")
-        seen.add(entry.id)
-    if term_stats is None:
-        term_stats = [lexical.term_counts(e.content) for e in entries]
-    raw_scores = lexical.pool_scores(query_tokens, term_stats)
-    if similarities is None:
-        similarities = [0.0] * len(entries)
-    candidates = []
-    for entry, raw_bm25, similarity in zip(entries, raw_scores, similarities, strict=True):
-        age = (now - entry.timestamp).total_seconds() / 86400.0
-        candidates.append(
-            Candidate(
-                id=entry.id,
-                session_id=entry.session_id,
-                timestamp=entry.timestamp,
-                raw_bm25=raw_bm25,
-                age_days=max(0.0, age),
-                cw=entry.cognitive_weight,
-                tier=scoring.SEMANTIC if entry.promoted else scoring.EPISODIC,
-                similarity=similarity,
-            )
-        )
-    return candidates
+def _entry_signals(
+    entry: EpisodicEntry, now: datetime, decay: DecayConfig, tiers: TierConfig
+) -> tuple[float, float, float, float]:
+    """An entry's stage-2 inputs that no query changes: exp(-lambda * age),
+    phi_cw, the tier multiplier and the timestamp in POSIX seconds, which is
+    the tie key of ``scoring.rank_order``. A cognitive weight outside
+    [-1, 1] raises ValidationError."""
+    age = max(0.0, (now - entry.timestamp).total_seconds() / 86400.0)
+    return (
+        scoring.decay_signal(age, False, decay),
+        scoring.cw_signal(entry.cognitive_weight),
+        tiers.multiplier(scoring.SEMANTIC if entry.promoted else scoring.EPISODIC),
+        entry.timestamp.timestamp(),
+    )
 
 
 def stage2_retrieve(
@@ -272,46 +253,69 @@ def stage2_retrieve(
     k: int | None = 0,
     similarities: Sequence[float] | None = None,
     term_stats: Sequence[tuple[Counter, int]] | None = None,
+    signals: np.ndarray | None = None,
 ) -> list[RankedEntry]:
     """Rank the scoped entries best-first in ``cfg.mode``.
 
     bm25 ranks by the composite under ``cfg.weights``, dense by the composite
     under ``DENSE_WEIGHTS``, and hybrid_rrf fuses those two orders. Dense and
-    hybrid need ``similarities``, one per entry; ``term_stats`` may carry each
-    entry's ``lexical.term_counts``, counted once by the caller. Callers must
-    have excluded system entries already. ``k=0`` means "use cfg.stage2_k";
-    ``k=None`` returns the full ranking.
+    hybrid need ``similarities``, one per entry. A caller that keeps
+    per-snapshot inputs may pass each entry's ``lexical.term_counts`` as
+    ``term_stats`` and its ``_entry_signals`` row as ``signals`` (taken with
+    the same now, decay and tiers); otherwise both are taken here. Callers must have
+    excluded system entries already, and entry ids must be unique within
+    the pool. ``k=0`` means "use cfg.stage2_k"; ``k=None`` returns the full
+    ranking.
     """
     if cfg.mode != MODE_BM25 and similarities is None:
         raise ValidationError(f"mode {cfg.mode!r} requires dense similarities")
+    if similarities is not None and len(similarities) != len(entries):
+        raise ValidationError("similarities must hold one value per entry")
+    ids = [e.id for e in entries]
+    if len(set(ids)) < len(ids):
+        duplicate = next(i for i, n in Counter(ids).items() if n > 1)
+        raise ValidationError(f"duplicate doc_id: {duplicate!r}")
+    if not entries:
+        return []
     decay = decay or DecayConfig()
     tiers = tiers or TierConfig()
     if now is None:
-        now = max((e.timestamp for e in entries), default=datetime.now(timezone.utc))
-    candidates = build_candidates(query_tokens, entries, now, similarities, term_stats)
-
-    def ranking(weights: WeightVector) -> tuple[list[ScoreBreakdown], list[int]]:
-        breakdowns = scoring.score_pool(
-            candidates, weights, tiers, decay, semantic_scope, cfg.variant
-        )
-        return breakdowns, scoring.rank_order(candidates, breakdowns)
-
-    breakdowns, order = ranking(DENSE_WEIGHTS if cfg.mode == MODE_DENSE else cfg.weights)
-    if cfg.mode == MODE_HYBRID:
-        _, dense_order = ranking(DENSE_WEIGHTS)
-        by_id = {c.id: i for i, c in enumerate(candidates)}
-        fused = rrf_fuse(
-            [candidates[i].id for i in order], [candidates[i].id for i in dense_order], cfg.rrf_k
-        )
-        ranked = [
-            RankedEntry(entries[by_id[cid]], breakdowns[by_id[cid]], fused_score=score)
-            for cid, score in fused
-        ]
+        now = max(e.timestamp for e in entries)
+    if term_stats is None:
+        term_stats = [lexical.term_counts(e.content) for e in entries]
+    if signals is None:
+        signals = np.array([_entry_signals(e, now, decay, tiers) for e in entries])
+    exp_age, phi_cw, multiplier, timestamp = signals.T
+    if semantic_scope:
+        in_scope = np.array([e.session_id in semantic_scope for e in entries])
     else:
-        ranked = [RankedEntry(entries[i], breakdowns[i]) for i in order]
+        in_scope = np.zeros(len(entries), dtype=bool)
+    pool = scoring.pool_signals(
+        lexical.pool_scores(query_tokens, term_stats),
+        np.zeros(len(entries)) if similarities is None else np.array(similarities, dtype=float),
+        in_scope,
+        exp_age,
+        phi_cw,
+        multiplier,
+        decay,
+        cfg.variant,
+    )
     if k == 0:
         k = cfg.stage2_k
-    return ranked if k is None else ranked[:k]
+    weights = DENSE_WEIGHTS if cfg.mode == MODE_DENSE else cfg.weights
+    composite = pool.composite(weights)
+    if cfg.mode != MODE_HYBRID:
+        order = scoring.rank_columns(composite, timestamp, ids, k)
+        return [RankedEntry(entries[i], pool.breakdown(i, weights, composite)) for i in order]
+    orders = [
+        [ids[i] for i in scoring.rank_columns(c, timestamp, ids)]
+        for c in (composite, pool.composite(DENSE_WEIGHTS))
+    ]
+    at = {entry_id: i for i, entry_id in enumerate(ids)}
+    return [
+        RankedEntry(entries[at[cid]], pool.breakdown(at[cid], weights, composite), fused_score=score)
+        for cid, score in rrf_fuse(*orders, cfg.rrf_k)[:k]
+    ]
 
 
 def rrf_fuse(
@@ -402,8 +406,11 @@ class RetrievalPipeline:
         self._session_positions: dict[str, list[int]] = {}
         for i, entry in enumerate(self.entries):
             self._session_positions.setdefault(entry.session_id, []).append(i)
-        # lexical.term_counts per position (two entries may share an id).
+        # Per position (two entries may share an id), filled the first time
+        # the entry enters a pool: its lexical.term_counts and its row of
+        # _entry_signals, which now, decay and tiers fix for the snapshot.
         self._term_stats: list[tuple[Counter, int] | None] = [None] * len(self.entries)
+        self._signals = np.empty((len(self.entries), 4))
 
     @classmethod
     def from_store(
@@ -445,6 +452,7 @@ class RetrievalPipeline:
 
         t1 = time.perf_counter_ns()
         similarities = None if cfg.mode == MODE_BM25 else self._similarities(query, pool)
+        term_stats, signals = self._pool_inputs(positions)
         ranked = stage2_retrieve(
             query_tokens,
             pool,
@@ -454,7 +462,8 @@ class RetrievalPipeline:
             semantic_scope=semantic_scope,
             now=self.now,
             similarities=similarities,
-            term_stats=self._pool_term_stats(positions),
+            term_stats=term_stats,
+            signals=signals,
         )
         latency["stage2"] = (time.perf_counter_ns() - t1) // 1000
 
@@ -480,15 +489,20 @@ class RetrievalPipeline:
             latency_micros=latency,
         )
 
-    def _pool_term_stats(self, positions: Sequence[int]) -> list[tuple[Counter, int]]:
-        """Term counts of the entries at ``positions``, each counted once per
-        snapshot. Two threads may count one entry at once; both store equal
-        values."""
-        stats = self._term_stats
+    def _pool_inputs(
+        self, positions: Sequence[int]
+    ) -> tuple[list[tuple[Counter, int]], np.ndarray]:
+        """Term counts and signal rows of the entries at ``positions``, each
+        taken once per snapshot. An entry whose signals raise is left unfilled,
+        so it raises again in the next pool. Two threads may fill one
+        position at once; both store equal values, the signals first."""
+        stats, signals = self._term_stats, self._signals
         for i in positions:
             if stats[i] is None:
-                stats[i] = lexical.term_counts(self.entries[i].content)
-        return [stats[i] for i in positions]
+                entry = self.entries[i]
+                signals[i] = _entry_signals(entry, self.now, self.decay, self.tiers)
+                stats[i] = lexical.term_counts(entry.content)
+        return [stats[i] for i in positions], signals[positions]
 
     def _similarities(self, query: str, pool: Sequence[EpisodicEntry]) -> list[float]:
         """Cosine of each pool entry to the query, from one embed call.

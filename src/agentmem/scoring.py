@@ -12,6 +12,15 @@ caller (0 when no embedder is in use). The recency signal is bypassed (forced
 to 1) for strong lexical matches and for candidates whose session was selected
 by semantic scoping. The BM25 signal may optionally be normalised over the
 candidate pool; the bypass threshold always applies to the raw score.
+
+``composite_score``, ``score_pool`` and ``rank_order`` are the reference
+definitions: one ``Candidate`` and one ``ScoreBreakdown`` per entry, and a
+sort of the whole pool. Retrieval scores a pool as columns instead:
+``pool_signals`` holds each signal as one array over the pool,
+``PoolSignals.composite`` adds the weighted arrays element-wise in the
+reference's order (so every value is the same float), and ``rank_columns``
+orders only the entries that can reach the top k. Breakdowns are built only
+for the entries returned.
 """
 
 from __future__ import annotations
@@ -21,6 +30,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -208,13 +219,17 @@ def normalise_scores(raw_scores: Sequence[float], variant: Variant) -> list[floa
         return [math.log1p(s) for s in raw_scores]
     if not raw_scores:
         raise ValidationError("pool normalisation requires a nonempty pool")
+    lo, hi = min(raw_scores), max(raw_scores)
     if variant is Variant.MINMAX:
-        lo, hi = min(raw_scores), max(raw_scores)
         if hi == lo:
             return [0.5] * len(raw_scores)
         return [(s - lo) / (hi - lo) for s in raw_scores]
     # zscore and its equal-weight fusion twin share the transform; the fusion
-    # variant additionally swaps in equal weights at pipeline level.
+    # variant additionally swaps in equal weights at pipeline level. A
+    # constant pool is tested by its range: its rounded mean can differ from
+    # its value, which leaves a nonzero deviation.
+    if hi == lo:
+        return [0.0] * len(raw_scores)
     mean = sum(raw_scores) / len(raw_scores)
     var = sum((s - mean) ** 2 for s in raw_scores) / len(raw_scores)
     std = math.sqrt(var)
@@ -318,3 +333,104 @@ def rank_order(
             candidates[i].id,
         ),
     )
+
+
+@dataclass(frozen=True)
+class PoolSignals:
+    """One pool's signals for one query as columns, one value per entry.
+
+    The column form of ``score_pool``: ``composite`` of entry i equals
+    ``composite_score`` of that entry, and ``breakdown(i, ...)`` its
+    ``ScoreBreakdown``, field for field.
+    """
+
+    phi_sem: np.ndarray
+    phi_bm25_raw: np.ndarray
+    phi_bm25: np.ndarray
+    phi_decay: np.ndarray
+    phi_cw: np.ndarray
+    multiplier: np.ndarray
+    bm25_bypass: np.ndarray
+    scope_bypass: np.ndarray
+
+    def composite(self, weights: WeightVector) -> np.ndarray:
+        # Element-wise in _combine's order, each step rounded as in Python;
+        # a matrix product would sum in another order.
+        return (
+            weights.w_sem * self.phi_sem
+            + weights.w_bm25 * self.phi_bm25
+            + weights.w_decay * self.phi_decay
+            + weights.w_cw * self.phi_cw
+            + weights.w_tier * (self.multiplier - 1.0)
+        )
+
+    def breakdown(self, i: int, weights: WeightVector, composite: np.ndarray) -> ScoreBreakdown:
+        """Entry i's breakdown under ``weights``, whose composite column is
+        ``composite``; every field is a Python float or bool."""
+        if self.bm25_bypass[i]:
+            reason = BypassReason.BM25_THRESHOLD
+        elif self.scope_bypass[i]:
+            reason = BypassReason.SEMANTIC_SCOPE
+        else:
+            reason = BypassReason.NONE
+        return ScoreBreakdown(
+            phi_sem=float(self.phi_sem[i]),
+            phi_bm25_raw=float(self.phi_bm25_raw[i]),
+            phi_bm25=float(self.phi_bm25[i]),
+            phi_decay=float(self.phi_decay[i]),
+            phi_cw=float(self.phi_cw[i]),
+            tier_bonus=weights.w_tier * (float(self.multiplier[i]) - 1.0),
+            composite=float(composite[i]),
+            bypass_applied=reason is not BypassReason.NONE,
+            bypass_reason=reason,
+        )
+
+
+def pool_signals(
+    raw_bm25: Sequence[float],
+    similarity: np.ndarray,
+    in_scope: np.ndarray,
+    decay: np.ndarray,
+    phi_cw: np.ndarray,
+    multiplier: np.ndarray,
+    decay_cfg: DecayConfig,
+    variant: Variant = Variant.RAW,
+) -> PoolSignals:
+    """Signal columns of a pool: ``decay`` holds each entry's
+    exp(-lambda * age) before any bypass, ``phi_cw`` its ``cw_signal`` and
+    ``multiplier`` its tier multiplier; ``in_scope`` marks entries of the
+    semantic scope. BM25 is normalised over the pool by ``normalise_scores``.
+    """
+    raw = np.array(raw_bm25, dtype=float)
+    bm25_bypass = raw > decay_cfg.bypass_threshold
+    return PoolSignals(
+        phi_sem=similarity,
+        phi_bm25_raw=raw,
+        phi_bm25=raw if variant is Variant.RAW else np.array(normalise_scores(raw_bm25, variant)),
+        phi_decay=np.where(bm25_bypass | in_scope, 1.0, decay),
+        phi_cw=phi_cw,
+        multiplier=multiplier,
+        bm25_bypass=bm25_bypass,
+        scope_bypass=in_scope & ~bm25_bypass,
+    )
+
+
+def rank_columns(
+    composite: np.ndarray, timestamp: np.ndarray, ids: Sequence[str], k: int | None = None
+) -> list[int]:
+    """The first ``k`` indices of ``rank_order`` (all when k is None), from
+    a composite column, a timestamp column in POSIX seconds and the ids.
+
+    Only entries scoring at least the k-th best composite can place, so only
+    they are ordered: by id in string order, then by a stable sort on
+    (composite desc, timestamp desc).
+    """
+    n = len(composite)
+    if k is not None and k < n:
+        kth = np.partition(composite, n - k)[n - k]
+        idx = np.flatnonzero(composite >= kth).tolist()
+    else:
+        idx = range(n)
+    by_id = np.array(sorted(idx, key=ids.__getitem__), dtype=np.intp)
+    order = by_id[np.lexsort((-timestamp[by_id], -composite[by_id]))]
+    return order[:k].tolist()

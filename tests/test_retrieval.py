@@ -104,6 +104,25 @@ def test_stage2_equal_scores_tie_break_newer_then_id():
     assert [r.entry.id for r in ranked] == ["c", "a", "b"]
 
 
+def test_stage2_rejects_similarities_of_another_length():
+    entries = [make_entry(entry_id="a", content="blue"), make_entry(entry_id="b", content="red")]
+    with pytest.raises(ValidationError):
+        stage2_retrieve(tokenize("blue"), entries, RetrievalConfig(mode="dense"), similarities=[1.0])
+
+
+@pytest.mark.parametrize("variant", [Variant.ZSCORE, Variant.ZSCORE_EQUAL_FUSION])
+def test_zscore_of_a_constant_pool_is_zero(variant):
+    entries = [make_entry(entry_id=f"e{i}", content="report due friday") for i in range(7)]
+    pipeline = RetrievalPipeline(
+        RetrievalConfig(stage1_k1=None, variant=variant), entries=entries, facts=[]
+    )
+    weights = pipeline.cfg.weights
+    for ranked in pipeline.retrieve("report friday").ranked:
+        assert ranked.breakdown.phi_bm25 == 0.0
+        # No bypass: decay 1 at age 0, phi_cw 0.5, no tier bonus.
+        assert ranked.breakdown.composite == weights.w_decay + weights.w_cw * 0.5
+
+
 # -- dense / rrf ---------------------------------------------------------------
 
 def test_hash_embedder_unit_norm():

@@ -5,11 +5,18 @@ from term counts cached per snapshot. The reference scores every fact and
 every pool entry with ``build_index`` + ``bm25_score``, then combines each
 candidate with ``composite_score`` and orders with ``rank_order``. Results
 must be equal with ``==``: ids, scopes and every ``ScoreBreakdown`` field.
+``stage2_retrieve`` is also called on the pool itself for the full order,
+whose breakdown fields must be plain Python floats and bools, and the
+pipeline's top k must equal the benchmark's own stage-2 reference
+(``perfbench/workloads.py``).
 """
 
 from __future__ import annotations
 
+import copy
+import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agentmem import consolidation, evaluation
+from agentmem.cli import main
 from agentmem.errors import ValidationError
 from agentmem.lexical import bm25_score, build_index, tokenize
 from agentmem.retrieval import (
@@ -46,6 +54,7 @@ from conftest import make_entry, make_fact
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402
+import workloads  # noqa: E402
 
 
 def reference_scope(query, facts, k1):
@@ -134,6 +143,45 @@ def check_against_reference(pipeline, query):
     return result
 
 
+def assert_plain_types(breakdown):
+    """The fields ``retrieve --explain`` hands to ``json.dumps``: no numpy scalars."""
+    values = breakdown.as_dict()
+    assert type(values.pop("bypass_applied")) is bool
+    assert type(values.pop("bypass_reason")) is str
+    assert all(type(v) is float for v in values.values()), values
+
+
+def check_full_ranking(pipeline, query):
+    """``stage2_retrieve`` on the reference's pool with k=None, against the
+    reference's full order."""
+    k1 = pipeline.cfg.stage1_k1
+    scoped = [] if k1 is None else reference_scope(query, pipeline.facts, k1)
+    scope = frozenset(scoped)
+    pool = [e for e in pipeline.entries if not scope or e.session_id in scope]
+    similarities = None
+    if pipeline.cfg.mode != MODE_BM25:
+        vectors = pipeline.embedder.embed([query] + [e.content for e in pool])
+        similarities = [float(np.dot(vectors[0], v)) for v in vectors[1:]]
+    ranked = stage2_retrieve(
+        tokenize(query),
+        pool,
+        pipeline.cfg,
+        decay=pipeline.decay,
+        tiers=pipeline.tiers,
+        semantic_scope=scope,
+        now=pipeline.now,
+        k=None,
+        similarities=similarities,
+    )
+    uncut = copy.copy(pipeline)
+    uncut.cfg = replace(pipeline.cfg, stage2_k=max(1, len(pool)))
+    assert [(r.entry.id, r.breakdown, r.fused_score) for r in ranked] == reference_ranking(
+        uncut, query, scoped
+    )
+    for r in ranked:
+        assert_plain_types(r.breakdown)
+
+
 WORDS = ["report", "deadline", "friday", "soup", "lunch", "bike", "blue", "the"]
 TEXT = st.lists(st.sampled_from(WORDS), max_size=6).map(" ".join)
 
@@ -162,8 +210,11 @@ TEXT = st.lists(st.sampled_from(WORDS), max_size=6).map(" ".join)
     variant=st.sampled_from(list(Variant)),
     k1=st.sampled_from([None, 1, 3]),
     mode=st.sampled_from(MODES),
+    stage2_k=st.sampled_from([1, 4, 100]),  # 100 is larger than any pool
 )
-def test_retrieve_matches_reference_on_random_stores(pool, facts, queries, variant, k1, mode):
+def test_retrieve_matches_reference_on_random_stores(
+    pool, facts, queries, variant, k1, mode, stage2_k
+):
     entries = [
         make_entry(entry_id=f"e{i}", content=content, session_id=sid, days_ago=days,
                    cognitive_weight=cw, promoted=promoted)
@@ -174,13 +225,58 @@ def test_retrieve_matches_reference_on_random_stores(pool, facts, queries, varia
         make_fact(fact_id=f"f{i}", subject=subject, value=value, session_ids=sessions)
         for i, (subject, value, sessions) in enumerate(facts)
     ]
-    cfg = RetrievalConfig(stage1_k1=k1, variant=variant, mode=mode)
+    cfg = RetrievalConfig(stage1_k1=k1, variant=variant, mode=mode, stage2_k=stage2_k)
     pipeline = RetrievalPipeline(
         cfg, entries=entries, facts=fact_list, embedder=HashedBowEmbedder(16)
     )
-    for _ in range(2):  # the second round reuses the cached term counts
+    for _ in range(2):  # the second round reuses the cached term counts and signals
         for query in queries:
             check_against_reference(pipeline, query)
+            check_full_ranking(pipeline, query)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_ids_decide_a_tie_at_the_kth_place(mode):
+    """Entries equal in composite and timestamp rank by id in string order,
+    so "e10" comes before "e2"."""
+    ids = ["e3", "e10", "e2", "e1", "e11", "e20"]
+    entries = [make_entry(entry_id=i, content="report due friday") for i in ids]
+    entries.append(make_entry(entry_id="e0", content="soup for lunch", days_ago=2))
+    for k in range(1, len(entries) + 1):
+        cfg = RetrievalConfig(stage1_k1=None, stage2_k=k, mode=mode)
+        pipeline = RetrievalPipeline(cfg, entries=entries, facts=[], embedder=HashedBowEmbedder())
+        result = check_against_reference(pipeline, "friday report")
+        assert [r.entry.id for r in result.ranked] == (sorted(ids) + ["e0"])[:k]
+        check_full_ranking(pipeline, "friday report")
+
+
+def test_out_of_range_cognitive_weight_raises_through_retrieve():
+    entries = [
+        make_entry(entry_id="e1", content="report due friday"),
+        make_entry(entry_id="e2", content="soup for lunch"),
+    ]
+    entries[1].cognitive_weight = 1.5  # set after the entry's own range check
+    pipeline = RetrievalPipeline(RetrievalConfig(stage1_k1=None), entries=entries, facts=[])
+    for _ in range(2):  # the entry's signals are not kept after the failure
+        with pytest.raises(ValidationError):
+            pipeline.retrieve("report")
+    with pytest.raises(ValidationError):
+        stage2_retrieve(tokenize("report"), entries, RetrievalConfig())
+
+
+def test_explain_output_is_json_with_plain_types(tmp_path, capsys):
+    ws = str(tmp_path / "ws")
+    for session, content in (("s1", "zebra xylophone quagga marimba"), ("s2", "weather chat")):
+        main(["--workspace", ws, "append", "--project", "p", "--session", session,
+              "--agent", "a", "--content", content])
+    capsys.readouterr()
+    assert main(["--workspace", ws, "retrieve", "--project", "p",
+                 "--query", "zebra xylophone quagga marimba", "--explain"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    breakdowns = [r["breakdown"] for r in records if "breakdown" in r]
+    assert len(breakdowns) == 2
+    assert breakdowns[0]["bypass_applied"] is True
+    assert all(type(b["bypass_applied"]) is bool for b in breakdowns)
 
 
 def test_pool_with_a_shared_id_is_rejected():
@@ -241,18 +337,26 @@ def test_session_counts_for_scoped_unscoped_and_fallback_queries():
 
 
 @pytest.fixture(scope="module")
-def benchmark_shaped_store(tmp_path_factory):
-    """The benchmark's smoke-size ``scoped_query`` store, consolidated."""
-    questions = [
-        evaluation.question_from_dict(r) for r in gen.generate("scoped_query", 3, "smoke")
-    ]
-    store = MemoryStore(tmp_path_factory.mktemp("bench") / "ws")
-    for question in questions:
-        evaluation.ingest_question(store, question)
-    consolidation.run_consolidation_pass(
-        store, consolidation.HeuristicExtractor(), evaluation.BENCH_PROJECT
-    )
-    return store, [q.question for q in questions]
+def benchmark_stores(tmp_path_factory):
+    """The benchmark's smoke-size query stores by workload, consolidated."""
+    stores = {}
+    for workload in ("scoped_query", "unscoped_query"):
+        questions = [
+            evaluation.question_from_dict(r) for r in gen.generate(workload, 3, "smoke")
+        ]
+        store = MemoryStore(tmp_path_factory.mktemp("bench") / "ws")
+        for question in questions:
+            evaluation.ingest_question(store, question)
+        consolidation.run_consolidation_pass(
+            store, consolidation.HeuristicExtractor(), evaluation.BENCH_PROJECT
+        )
+        stores[workload] = store, [q.question for q in questions]
+    return stores
+
+
+@pytest.fixture(scope="module")
+def benchmark_shaped_store(benchmark_stores):
+    return benchmark_stores["scoped_query"]
 
 
 @pytest.mark.parametrize("k1", [5, None])
@@ -263,3 +367,16 @@ def test_benchmark_shaped_store_matches_reference(benchmark_shaped_store, k1):
         pipeline = RetrievalPipeline.from_store(store, cfg, project=evaluation.BENCH_PROJECT)
         for query in queries + queries:
             check_against_reference(pipeline, query)
+
+
+@pytest.mark.parametrize("workload, k1", [("scoped_query", 5), ("unscoped_query", None)])
+def test_top_k_equals_the_benchmark_reference(benchmark_stores, workload, k1):
+    """The check the benchmark runs on sampled ops, on every query here."""
+    store, queries = benchmark_stores[workload]
+    for variant in Variant:
+        cfg = RetrievalConfig(stage1_k1=k1, variant=variant)
+        pipeline = RetrievalPipeline.from_store(store, cfg, project=evaluation.BENCH_PROJECT)
+        for query in queries:
+            result = pipeline.retrieve(query)
+            got = [(r.entry.id, r.breakdown.composite) for r in result.ranked]
+            assert got == workloads.reference_ranking(pipeline, query, result.scoped_session_ids)

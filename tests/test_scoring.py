@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from datetime import timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,8 @@ from agentmem.scoring import (
     decay_signal,
     evaluate_bypass,
     normalise_scores,
+    pool_signals,
+    rank_columns,
     rank_order,
     score_pool,
 )
@@ -179,6 +183,10 @@ def test_minmax():
 
 def test_zscore_constant_pool():
     assert normalise_scores([2.0, 2.0, 2.0], Variant.ZSCORE) == [0.0, 0.0, 0.0]
+    # The rounded mean of these pools is not 0.1 itself.
+    for n in (3, 7, 10):
+        for variant in (Variant.ZSCORE, Variant.ZSCORE_EQUAL_FUSION):
+            assert normalise_scores([0.1] * n, variant) == [0.0] * n
 
 
 def test_minmax_constant_pool():
@@ -243,6 +251,53 @@ def test_score_pool_equals_composite_score_per_candidate(pool, variant):
         for c, s in zip(candidates, signals)
     ]
     assert score_pool(candidates, WeightVector.default(), tiers, DECAY, scope, variant) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    pool=st.lists(
+        st.tuples(
+            # Few distinct values, so composites tie; 2.0 is the bypass threshold.
+            st.sampled_from([0.0, 0.5, 1.99, 2.0, 2.01, 3.5]),
+            st.integers(0, 60),
+            st.sampled_from([-1.0, -0.3, 0.0, 0.7]),
+            st.sampled_from(["episodic", "semantic", "procedural"]),
+            st.sampled_from(["s1", "s2"]),
+            st.sampled_from([0, 1]),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    variant=st.sampled_from(list(Variant)),
+    k=st.sampled_from([1, 3, None]),
+    weights=st.sampled_from([WeightVector.default(), WeightVector(1.0, 0.0, 0.0, 0.0, 0.0)]),
+)
+def test_pool_columns_equal_score_pool_and_rank_order(pool, variant, k, weights):
+    """The column form against the reference: every breakdown field, and the
+    first k of the order, ids c10 and c11 sorting before c2 on a full tie."""
+    candidates = [
+        make_candidate(cid=f"c{i}", session=sid, raw=raw, age=age, cw=cw, tier=tier, ts_offset=ts)
+        for i, (raw, age, cw, tier, sid, ts) in enumerate(pool)
+    ]
+    tiers, scope = TierConfig(1.0, 1.3, 1.7), frozenset({"s2"})
+    columns = pool_signals(
+        [c.raw_bm25 for c in candidates],
+        np.array([0.1 * (i % 3) for i in range(len(candidates))]),
+        np.array([c.session_id in scope for c in candidates]),
+        np.array([decay_signal(c.age_days, False, DECAY) for c in candidates]),
+        np.array([cw_signal(c.cw) for c in candidates]),
+        np.array([tiers.multiplier(c.tier) for c in candidates]),
+        DECAY,
+        variant,
+    )
+    candidates = [replace(c, similarity=0.1 * (i % 3)) for i, c in enumerate(candidates)]
+    expected = score_pool(candidates, weights, tiers, DECAY, scope, variant)
+    composite = columns.composite(weights)
+    assert [columns.breakdown(i, weights, composite) for i in range(len(pool))] == expected
+    order = rank_order(candidates, expected)
+    timestamps = np.array([c.timestamp.timestamp() for c in candidates])
+    ids = [c.id for c in candidates]
+    assert rank_columns(composite, timestamps, ids, k) == (order if k is None else order[:k])
 
 
 def test_score_pool_rejects_an_unknown_tier():
