@@ -20,15 +20,14 @@ from .store import EpisodicEntry, MemoryStore
 
 QA_CORRECT_REWARD = 1.0
 QA_INCORRECT_REWARD = 0.0
-TOOL_FAILURE_REWARD = -0.5
 
 OUTCOME_REWARDS = {"success": 1.0, "neutral": 0.0, "failure": -0.5}
+REWARD_VALUES = frozenset({QA_CORRECT_REWARD, QA_INCORRECT_REWARD, *OUTCOME_REWARDS.values()})
 
 
 @dataclass(frozen=True)
 class AttributionConfig:
     alpha: float = 0.1
-    reward_values: frozenset[float] = frozenset({-0.5, 0.0, 1.0})
 
     def __post_init__(self) -> None:
         if self.alpha <= 0:
@@ -63,8 +62,8 @@ def compute_attribution(
     With no token overlap anywhere, credit is distributed uniformly so the
     conservation law (sum of deltas = alpha * reward) still holds.
     """
-    if reward not in cfg.reward_values:
-        raise ValidationError(f"reward {reward} not in {sorted(cfg.reward_values)}")
+    if reward not in REWARD_VALUES:
+        raise ValidationError(f"reward {reward} not in {sorted(REWARD_VALUES)}")
     ids = tuple(entry_id for entry_id, _ in entries)
     raw = tuple(jaccard_attribution(answer_text, text) for _, text in entries)
     total = sum(raw)

@@ -134,6 +134,8 @@ def cmd_append(args) -> int:
 
 
 def _embedder(cfg: EngineConfig):
+    if cfg.retrieval.mode == MODE_BM25:
+        return None
     if cfg.embedder.url:
         return HttpEmbedder(
             cfg.embedder.url, dimension=cfg.embedder_dimension, timeout=cfg.embedder.timeout
@@ -145,7 +147,6 @@ def cmd_retrieve(args) -> int:
     cfg = _load_config(args)
     _retrieval_cfg(cfg, args)
     store = MemoryStore(cfg.workspace)
-    embedder = _embedder(cfg) if cfg.retrieval.mode != MODE_BM25 else None
     pipeline = RetrievalPipeline.from_store(
         store,
         cfg.retrieval,
@@ -153,7 +154,7 @@ def cmd_retrieve(args) -> int:
         agent_view=args.agent,
         decay=cfg.decay,
         tiers=cfg.tiers,
-        embedder=embedder,
+        embedder=_embedder(cfg),
     )
     result = pipeline.retrieve(args.query)
     for rank, ranked in enumerate(result.ranked, start=1):
@@ -221,7 +222,7 @@ def cmd_eval(args) -> int:
         decay=cfg.decay,
         tiers=cfg.tiers,
         extractor=extractor,
-        embedder=_embedder(cfg) if cfg.retrieval.mode != MODE_BM25 else None,
+        embedder=_embedder(cfg),
         attribute_on_eval=args.attribute,
         attribution_cfg=cfg.attribution,
         config_echo={"seed": cfg.seed},
@@ -282,7 +283,7 @@ def cmd_train(args) -> int:
     dataset = evaluation.load_dataset(args.dataset)
     reader = _reader(cfg, args.reader)
     extractor = _extractor(cfg, args.extractor)
-    embedder = _embedder(cfg) if cfg.retrieval.mode != MODE_BM25 else None
+    embedder = _embedder(cfg)
 
     # Materialise each question's corpus once; episodes only re-rank snapshots.
     with contextlib.ExitStack() as stack:

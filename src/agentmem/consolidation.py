@@ -20,7 +20,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from .store import MemoryStore, SemanticFact, utc_now
+from .store import MemoryStore, SemanticFact
 
 RELATION_KV = "kv"
 RELATION_IS_A = "is_a"
@@ -136,7 +136,6 @@ def run_consolidation_pass(
         except Exception as exc:  # failure isolated to this session
             report.failures.append((session_id, str(exc)))
             continue
-        source_ids = frozenset(e.id for e in entries)
         facts = [
             SemanticFact(
                 id=fact_id_for(session_id, draft),
@@ -144,8 +143,6 @@ def run_consolidation_pass(
                 relation=draft.relation,
                 value=draft.value,
                 session_ids=frozenset({session_id}),
-                source_entry_ids=source_ids,
-                created_at=utc_now(),
             )
             for draft in drafts
         ]

@@ -230,7 +230,7 @@ def load_dataset(path: str | Path) -> list[BenchmarkQuestion]:
         if stripped.startswith("["):
             records = json.loads(text)
         else:
-            records = [json.loads(line) for line in text.splitlines() if line.strip()]
+            records = [json.loads(line) for line in text.split("\n") if line.strip()]
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed dataset file {path}: {exc}") from exc
     return [question_from_dict(r) for r in records]

@@ -8,12 +8,13 @@ Layout under the workspace root:
     memory/promotions.jsonl            promotion marks (sidecar)
 
 Entry lines carry exactly: id, timestamp, session_id, agent_id, project,
-content, tokens, promoted, cognitive_weight. Files are never rewritten;
-mutable state (cognitive weight, promotion) lives in the sidecar ledgers and
-is replayed onto entries at load time.
+content, tokens, promoted, cognitive_weight. Fact lines carry exactly: id,
+subject, relation, value, session_ids, created_at (provenance is per session;
+an older line's ``source_entry_ids`` key is ignored). Files are never
+rewritten; cognitive weight and promotion live in the replayed sidecar ledgers.
 
 One streaming reader splits every file on ``\\n`` only; a line that is not
-UTF-8 JSON or lacks a required field is skipped and counted, never fatal.
+UTF-8 JSON or lacks or mistypes a required field is skipped and counted.
 Each write is one append per file. An append that finds a torn last line (a
 crash mid-append) ends it first, so only the fragment is lost.
 
@@ -80,6 +81,8 @@ class EpisodicEntry:
             self.tokens = len(self.content.split())
         if not -1.0 <= self.cognitive_weight <= 1.0:
             raise ValidationError(f"cognitive_weight out of range: {self.cognitive_weight}")
+        if not isinstance(self.promoted, bool):
+            raise ValidationError(f"promoted must be a bool: {self.promoted!r}")
         self.system = self.content.startswith(SYSTEM_PREFIX)
 
     def to_line(self) -> str:
@@ -106,7 +109,7 @@ class EpisodicEntry:
             project=str(record["project"]),
             content=str(record["content"]),
             tokens=int(record["tokens"]),
-            promoted=bool(record["promoted"]),
+            promoted=record["promoted"],
             cognitive_weight=float(record["cognitive_weight"]),
         )
 
@@ -120,14 +123,14 @@ class SemanticFact:
     relation: str
     value: str
     session_ids: frozenset[str]
-    source_entry_ids: frozenset[str] = frozenset()
     created_at: datetime = field(default_factory=utc_now)
 
     def __post_init__(self) -> None:
+        if isinstance(self.session_ids, (str, dict)):  # would load as its characters or keys
+            raise ValidationError(f"session_ids must be a collection: {self.session_ids!r}")
         self.session_ids = frozenset(self.session_ids)
-        self.source_entry_ids = frozenset(self.source_entry_ids)
-        if not self.session_ids:
-            raise ValidationError("session_ids must be non-empty")
+        if not self.session_ids or not all(isinstance(s, str) for s in self.session_ids):
+            raise ValidationError(f"session_ids must be non-empty strings: {self.session_ids}")
 
     def search_text(self) -> str:
         return f"{self.subject} {self.relation} {self.value}"
@@ -139,7 +142,6 @@ class SemanticFact:
             "relation": self.relation,
             "value": self.value,
             "session_ids": sorted(self.session_ids),
-            "source_entry_ids": sorted(self.source_entry_ids),
             "created_at": self.created_at.isoformat(),
         }
         return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
@@ -151,8 +153,7 @@ class SemanticFact:
             subject=str(record["subject"]),
             relation=str(record["relation"]),
             value=str(record["value"]),
-            session_ids=frozenset(record["session_ids"]),
-            source_entry_ids=frozenset(record.get("source_entry_ids", ())),
+            session_ids=record["session_ids"],
             created_at=parse_timestamp(record["created_at"]),
         )
 

@@ -36,6 +36,25 @@ def test_append_then_retrieve_round_trip(tmp_path, capsys):
     assert summary["mode"] == "bm25"
 
 
+def test_retrieve_skips_a_fact_line_with_mistyped_session_ids(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    run_cli(
+        capsys, "--workspace", str(ws), "append", "--project", "p", "--session", "s1",
+        "--agent", "a", "--content", "the quarterly report deadline is friday",
+    )
+    good = {"id": "f1", "subject": "quarterly report", "relation": "kv", "value": "friday",
+            "session_ids": ["s1"], "created_at": "2025-03-01T12:00:00+00:00"}
+    bad = dict(good, id="f2", session_ids=[1, "s1"])
+    facts = ws / "memory" / "semantic" / "facts.jsonl"
+    facts.parent.mkdir(parents=True)
+    facts.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    code, records = run_cli(
+        capsys, "--workspace", str(ws), "retrieve", "--project", "p", "--query", "quarterly report",
+    )
+    assert code == 0
+    assert records[-1]["scoped_session_ids"] == ["s1"]
+
+
 def test_append_outcome_failure_writes_negative_deltas(tmp_path, capsys):
     ws = str(tmp_path / "ws")
     run_cli(

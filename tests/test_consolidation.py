@@ -166,6 +166,15 @@ def test_pass_parses_each_episodic_line_once(tmp_path, monkeypatch):
     assert len(parses) == lines
 
 
+def test_pass_writes_fact_lines_without_source_entry_ids(tmp_path):
+    store = MemoryStore(tmp_path / "ws")
+    for question in load_dataset(SYNTHETIC20):
+        ingest_question(store, question)
+    assert run_consolidation_pass(store, HeuristicExtractor(), BENCH_PROJECT).facts_emitted
+    records = [json.loads(line) for line in store.facts_path.read_text().split("\n") if line]
+    assert not [r for r in records if "source_entry_ids" in r]
+
+
 def test_pipeline_snapshot_isolated_from_pass(store):
     store.append_entry(make_entry(entry_id="a1", content="favorite color: blue"))
     before = RetrievalPipeline.from_store(store, RetrievalConfig(), project="proj")

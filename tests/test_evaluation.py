@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -192,6 +193,20 @@ def test_dataset_accepts_json_array(tmp_path):
     )
     questions = load_dataset(path)
     assert questions[0].sessions[0].date.year == 2025
+
+
+def test_jsonl_dataset_keeps_unicode_line_separators_in_text(tmp_path):
+    content = "alpha\u2028beta\x85gamma"
+    record = {
+        "question_id": "x", "question_type": "multi-session", "question": "?", "answer": "a",
+        "haystack_session_ids": ["s1"], "haystack_dates": ["2025-01-01"],
+        "haystack_sessions": [[{"role": "user", "content": content}]],
+        "answer_session_ids": ["s1"],
+    }
+    path = tmp_path / "separators.jsonl"
+    path.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+    (question,) = load_dataset(path)
+    assert question.sessions[0].turns[0].content == content
 
 
 # -- benchmark runner -----------------------------------------------------------------------

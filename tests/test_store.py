@@ -175,6 +175,34 @@ def test_bad_lines_are_skipped_and_counted_in_every_file(store, path_of, parse, 
     assert (entries.skipped, facts.skipped) == skipped
 
 
+@pytest.mark.parametrize(
+    "path_of, key, value",
+    [
+        (lambda s: s.facts_path, "session_ids", "s12"),
+        (lambda s: s.facts_path, "session_ids", [1, "s1"]),
+        (lambda s: s.facts_path, "session_ids", {"s1": 1}),
+        (lambda s: s.facts_path, "session_ids", []),
+        (lambda s: next(s.episodic_dir.glob("*.jsonl")), "promoted", "false"),
+        (lambda s: next(s.episodic_dir.glob("*.jsonl")), "promoted", 0),
+    ],
+    ids=["session_ids-string", "session_ids-int", "session_ids-object", "session_ids-empty",
+         "promoted-string", "promoted-int"],
+)
+def test_mistyped_field_is_a_skipped_line(store, path_of, key, value):
+    store.append_entry(make_entry(entry_id="e1"))
+    store.append_fact(make_fact(fact_id="f1"))
+    path = path_of(store)
+    record = json.loads(path.read_text())
+    record.update({"id": "mistyped", key: value})
+    with path.open("a") as handle:
+        handle.write(json.dumps(record) + "\n")
+    fresh = MemoryStore(store.root)
+    entries, facts = fresh.load_entries("proj"), fresh.load_facts()
+    assert [e.id for e in entries] == ["e1"]
+    assert [f.id for f in facts] == ["f1"]
+    assert entries.skipped + facts.skipped == 1
+
+
 def test_loads_never_mutate_files(store):
     store.append_entry(make_entry(entry_id="e1"))
     store.apply_cw_delta("e1", 0.2, 1.0)
@@ -259,8 +287,28 @@ def test_fact_round_trip(store):
     fact = make_fact(fact_id="f1", session_ids=("s1", "s2"))
     store.append_fact(fact)
     got = store.load_facts().facts[0]
-    assert got.id == "f1"
-    assert got.session_ids == frozenset({"s1", "s2"})
+    assert got == fact
+
+
+def test_fact_line_fields_are_exactly_the_contract(store):
+    store.append_fact(make_fact())
+    record = json.loads(store.facts_path.read_text())
+    assert list(record) == ["id", "subject", "relation", "value", "session_ids", "created_at"]
+
+
+def test_older_fact_lines_with_source_entry_ids_still_load(store):
+    old, new = make_fact(fact_id="f0", session_ids=("s1", "s2")), make_fact(fact_id="f1")
+    store.facts_path.parent.mkdir(parents=True)
+    store.facts_path.write_text(
+        '{"id":"f0","subject":"alice","relation":"is_a","value":"engineer",'
+        '"session_ids":["s1","s2"],"source_entry_ids":["e1","e2","e3"],'
+        '"created_at":"2025-03-01T12:00:00+00:00"}\n'
+    )
+    assert store.load_facts().facts == [old]
+    store.append_fact(new)
+    loaded = MemoryStore(store.root).load_facts()
+    assert loaded.facts == [old, new]
+    assert loaded.skipped == 0
 
 
 def test_fact_requires_sessions():
