@@ -1,10 +1,12 @@
 """Promotion of episodic sessions into semantic facts.
 
-A consolidation pass walks every session that still has unpromoted entries,
-hands the session transcript to an extractor, appends the resulting facts to
-the semantic tier, and marks the session's entries promoted. Extractors are
-question-blind by construction: the interface only ever sees the session id
-and transcript.
+A consolidation pass walks every session that still has unpromoted entries
+and hands the session transcript to an extractor. It then appends the facts
+of all those sessions to the semantic tier in one write and marks their
+entries promoted in one more, so a crash in between leaves the whole pass to
+be redone (the facts dedupe by id) and a concurrent snapshot sees none or all
+of the pass's facts. Extractors are question-blind by construction: the
+interface only ever sees the session id and transcript.
 
 The built-in extractor is pure pattern matching (no model call) with a fixed
 coarse relation vocabulary: kv, is_a, prefers, mentioned_in.
@@ -18,9 +20,10 @@ import threading
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from datetime import datetime
 from typing import Protocol
 
-from .store import MemoryStore, SemanticFact
+from .store import MemoryStore, SemanticFact, utc_now
 
 RELATION_KV = "kv"
 RELATION_IS_A = "is_a"
@@ -116,7 +119,12 @@ def run_consolidation_pass(
 ) -> ConsolidationReport:
     """One idempotent pass: sessions whose entries are all promoted are skipped,
     so rerunning over unchanged data emits nothing. An extractor failure on one
-    session is recorded and the pass continues."""
+    session is recorded and the pass continues.
+
+    The facts of every session go to the semantic tier in one append, then the
+    promotion marks in one more, in sorted session order; the facts' created_at
+    is one instant per pass. A snapshot taken while the pass runs therefore
+    sees either none of the pass's facts or all of them."""
     started = time.perf_counter()
     report = ConsolidationReport()
     loaded = store.load_entries(project)
@@ -124,6 +132,9 @@ def run_consolidation_pass(
     for entry in loaded.entries:
         by_session.setdefault(entry.session_id, []).append(entry)
 
+    now = utc_now()
+    facts: list[SemanticFact] = []
+    pairs: list[tuple[str, str]] = []
     for session_id in sorted(by_session):
         entries = by_session[session_id]
         pending = [e for e in entries if not e.promoted]
@@ -136,29 +147,38 @@ def run_consolidation_pass(
         except Exception as exc:  # failure isolated to this session
             report.failures.append((session_id, str(exc)))
             continue
-        facts = [
+        session_facts = [
             SemanticFact(
                 id=fact_id_for(session_id, draft),
                 subject=draft.subject,
                 relation=draft.relation,
                 value=draft.value,
                 session_ids=frozenset({session_id}),
+                created_at=now,
             )
             for draft in drafts
         ]
-        # Facts before promotions: a crash in between leaves the session
-        # unpromoted, and the next pass re-extracts it with the same fact ids.
-        report.facts_emitted += store.append_facts(facts)
-        first_fact_id = facts[0].id if facts else ""
-        store.promote_many((entry.id, first_fact_id) for entry in pending)
-        report.entries_promoted += len(pending)
+        facts.extend(session_facts)
+        first_fact_id = session_facts[0].id if session_facts else ""
+        pairs.extend((entry.id, first_fact_id) for entry in pending)
+
+    if pairs:
+        # Facts before promotions: a crash in between leaves every session of
+        # the pass unpromoted, and the next pass re-extracts them with the same
+        # fact ids.
+        report.facts_emitted = store.append_facts(facts)
+        store.promote_many(pairs)
+        report.entries_promoted = len(pairs)
 
     report.duration_seconds = time.perf_counter() - started
     return report
 
 
 class ConsolidationDaemon:
-    """Fixed-rate background runner; overlapping passes are skipped, not queued."""
+    """Fixed-rate background runner; overlapping passes are skipped, not queued.
+
+    A pass that raises is counted in ``pass_errors``; ``last_error`` keeps the
+    text of the latest such exception and ``last_error_at`` its UTC time."""
 
     def __init__(self, interval_seconds: float, pass_fn: Callable[[], object]):
         if interval_seconds <= 0:
@@ -170,14 +190,18 @@ class ConsolidationDaemon:
         self.passes_run = 0
         self.passes_skipped = 0
         self.pass_errors = 0
+        self.last_error: str | None = None
+        self.last_error_at: datetime | None = None
 
     def _loop(self) -> None:
         next_at = time.monotonic()
         while not self._stop.is_set():
             try:
                 self._fn()
-            except Exception:
+            except Exception as exc:  # the daemon outlives a failed pass
                 self.pass_errors += 1
+                self.last_error = str(exc)
+                self.last_error_at = utc_now()
             self.passes_run += 1
             next_at += self.interval
             now = time.monotonic()

@@ -15,8 +15,9 @@ rewritten; cognitive weight and promotion live in the replayed sidecar ledgers.
 
 One streaming reader splits every file on ``\\n`` only; a line that is not
 UTF-8 JSON or lacks or mistypes a required field is skipped and counted.
-Each write is one append per file. An append that finds a torn last line (a
-crash mid-append) ends it first, so only the fragment is lost.
+Each write is one append per file; a consolidation pass makes one append to
+the fact file and one to the promotion ledger. An append that finds a torn
+last line (a crash mid-append) ends it first, so only the fragment is lost.
 
 One store instance serialises its writers through a lock; readers get fresh
 value snapshots and never touch the files' contents.
@@ -36,6 +37,15 @@ from pathlib import Path
 from .errors import NotFoundError, StorageError, ValidationError
 
 SYSTEM_PREFIX = "[system]"
+
+# Built once: json.dumps with non-default options builds a new encoder per call.
+# Entry and fact lines keep their text as UTF-8; ledger lines are ASCII.
+_encode_text = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+_encode_ascii = json.JSONEncoder(separators=(",", ":")).encode
+
+# A loaded field must have its JSON type exactly: a cast would load a wrong
+# value, and a bool is not a number.
+_NUMBER = (int, float)
 
 
 def utc_now() -> datetime:
@@ -97,20 +107,34 @@ class EpisodicEntry:
             "promoted": self.promoted,
             "cognitive_weight": self.cognitive_weight,
         }
-        return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+        return _encode_text(record)
 
     @classmethod
     def from_dict(cls, record: dict) -> "EpisodicEntry":
+        entry_id, session_id, agent_id, project, content = (
+            record["id"], record["session_id"], record["agent_id"], record["project"],
+            record["content"],
+        )
+        tokens, weight = record["tokens"], record["cognitive_weight"]
+        if not (
+            type(entry_id) is type(session_id) is type(agent_id) is type(project)
+            is type(content) is str
+            and type(tokens) is int
+            and type(weight) in _NUMBER
+        ):
+            raise ValidationError(f"mistyped field in entry line {entry_id!r}")
+        # Positional, in field order: on this per-line path, keyword
+        # arguments cost about a third of the parse.
         return cls(
-            id=str(record["id"]),
-            timestamp=parse_timestamp(record["timestamp"]),
-            session_id=str(record["session_id"]),
-            agent_id=str(record["agent_id"]),
-            project=str(record["project"]),
-            content=str(record["content"]),
-            tokens=int(record["tokens"]),
-            promoted=record["promoted"],
-            cognitive_weight=float(record["cognitive_weight"]),
+            entry_id,
+            parse_timestamp(record["timestamp"]),
+            session_id,
+            agent_id,
+            project,
+            content,
+            tokens,
+            record["promoted"],
+            weight,
         )
 
 
@@ -144,17 +168,22 @@ class SemanticFact:
             "session_ids": sorted(self.session_ids),
             "created_at": self.created_at.isoformat(),
         }
-        return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+        return _encode_text(record)
 
     @classmethod
     def from_dict(cls, record: dict) -> "SemanticFact":
-        return cls(
-            id=str(record["id"]),
-            subject=str(record["subject"]),
-            relation=str(record["relation"]),
-            value=str(record["value"]),
-            session_ids=record["session_ids"],
-            created_at=parse_timestamp(record["created_at"]),
+        fact_id, subject, relation, value = (
+            record["id"], record["subject"], record["relation"], record["value"]
+        )
+        if not type(fact_id) is type(subject) is type(relation) is type(value) is str:
+            raise ValidationError(f"mistyped field in fact line {fact_id!r}")
+        return cls(  # positional, in field order, as in EpisodicEntry.from_dict
+            fact_id,
+            subject,
+            relation,
+            value,
+            record["session_ids"],
+            parse_timestamp(record["created_at"]),
         )
 
 
@@ -166,14 +195,13 @@ class CwLedgerRecord:
     applied_at: datetime
 
     def to_line(self) -> str:
-        return json.dumps(
+        return _encode_ascii(
             {
                 "entry_id": self.entry_id,
                 "delta": self.delta,
                 "reward": self.reward,
                 "applied_at": self.applied_at.isoformat(),
-            },
-            separators=(",", ":"),
+            }
         )
 
 
@@ -184,13 +212,12 @@ class PromotionRecord:
     promoted_at: datetime
 
     def to_line(self) -> str:
-        return json.dumps(
+        return _encode_ascii(
             {
                 "entry_id": self.entry_id,
                 "fact_id": self.fact_id,
                 "promoted_at": self.promoted_at.isoformat(),
-            },
-            separators=(",", ":"),
+            }
         )
 
 
@@ -227,7 +254,10 @@ _BAD_LINE = (KeyError, TypeError, ValueError, ValidationError)
 
 
 def _record_id(record: dict) -> str:
-    return str(record["id"])
+    record_id = record["id"]
+    if type(record_id) is not str:
+        raise ValidationError(f"mistyped id: {record_id!r}")
+    return record_id
 
 
 def _ledger_entry_id(record: dict) -> str:
@@ -248,6 +278,12 @@ class MemoryStore:
 
     def __init__(self, workspace: str | Path):
         self.root = Path(workspace)
+        self.memory_dir = self.root / "memory"
+        self.episodic_dir = self.memory_dir / "episodic"
+        self.facts_path = self.memory_dir / "semantic" / "facts.jsonl"
+        self.cw_ledger_path = self.memory_dir / "cw_ledger.jsonl"
+        self.promotions_path = self.memory_dir / "promotions.jsonl"
+        self._day_paths: dict[str, Path] = {}
         self._lock = threading.Lock()
         self._cw: dict[str, float] | None = None
         self._promoted: set[str] | None = None
@@ -256,39 +292,28 @@ class MemoryStore:
 
     # -- paths ------------------------------------------------------------
 
-    @property
-    def memory_dir(self) -> Path:
-        return self.root / "memory"
-
-    @property
-    def episodic_dir(self) -> Path:
-        return self.memory_dir / "episodic"
-
-    @property
-    def facts_path(self) -> Path:
-        return self.memory_dir / "semantic" / "facts.jsonl"
-
-    @property
-    def cw_ledger_path(self) -> Path:
-        return self.memory_dir / "cw_ledger.jsonl"
-
-    @property
-    def promotions_path(self) -> Path:
-        return self.memory_dir / "promotions.jsonl"
-
     def _day_path(self, timestamp: datetime) -> Path:
         day = timestamp.astimezone(timezone.utc).date().isoformat()
-        return self.episodic_dir / f"{day}.jsonl"
+        path = self._day_paths.get(day)
+        if path is None:
+            path = self._day_paths[day] = self.episodic_dir / f"{day}.jsonl"
+        return path
 
     @staticmethod
     def _append_lines(path: Path, lines: Iterable[str]) -> None:
-        """Append ``lines`` in one write, first ending a torn last line."""
+        """Append ``lines`` in one write, first ending a torn last line. The
+        parent directories are made only when the file cannot be opened
+        without them."""
         data = "".join(line + "\n" for line in lines).encode("utf-8")
         if not data:
             return
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with path.open("a+b") as handle:
+            try:
+                handle = open(path, "a+b")
+            except FileNotFoundError:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                handle = open(path, "a+b")
+            with handle:
                 if handle.seek(0, os.SEEK_END):
                     handle.seek(-1, os.SEEK_END)
                     if handle.read(1) != b"\n":

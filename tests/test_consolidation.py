@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import json
 import time
+from datetime import datetime, timezone
+
+import pytest
 
 from agentmem import store as store_module
 from agentmem.consolidation import (
@@ -145,6 +148,55 @@ def test_pass_appends_at_most_twice_per_session(store, monkeypatch):
     assert len(store.load_facts().facts) == 20
 
 
+def _four_sessions(store):
+    store.append_entries(
+        [
+            make_entry(entry_id=f"s{i}-{j}", session_id=f"s{i}", content=f"key{j}: value {i} {j}")
+            for i in range(4)
+            for j in range(3)
+        ]
+    )
+
+
+def test_pass_appends_once_per_file(store, monkeypatch):
+    _four_sessions(store)
+    calls = []
+    original = MemoryStore._append_lines
+
+    def counting(path, lines):
+        calls.append(path)
+        original(path, lines)
+
+    monkeypatch.setattr(MemoryStore, "_append_lines", staticmethod(counting))
+    report = run_consolidation_pass(store, HeuristicExtractor(), "proj")
+    assert (report.sessions_scanned, report.facts_emitted, report.entries_promoted) == (4, 12, 12)
+    assert calls == [store.facts_path, store.promotions_path]
+
+
+def test_crash_between_fact_and_promotion_appends_is_redone(store, monkeypatch):
+    _four_sessions(store)
+    original = MemoryStore.promote_many
+    crashes = []
+
+    def crash_once(self, pairs):
+        if not crashes:
+            crashes.append(True)
+            raise OSError("crash before the promotion append")
+        original(self, pairs)
+
+    monkeypatch.setattr(MemoryStore, "promote_many", crash_once)
+    with pytest.raises(OSError):
+        run_consolidation_pass(store, HeuristicExtractor(), "proj")
+    facts = store.facts_path.read_bytes()
+    assert len(MemoryStore(store.root).load_facts().facts) == 12
+    assert MemoryStore(store.root).promoted_entry_ids() == set()
+
+    report = run_consolidation_pass(store, HeuristicExtractor(), "proj")
+    assert (report.facts_emitted, report.entries_promoted) == (0, 12)
+    assert len(MemoryStore(store.root).promoted_entry_ids()) == 12
+    assert store.facts_path.read_bytes() == facts
+
+
 def test_pass_parses_each_episodic_line_once(tmp_path, monkeypatch):
     writer = MemoryStore(tmp_path / "ws")
     for question in load_dataset(SYNTHETIC20):
@@ -202,6 +254,27 @@ def test_stop_prevents_further_passes():
     settled = count["n"]
     time.sleep(0.1)
     assert count["n"] == settled
+
+
+def test_daemon_keeps_the_last_error():
+    calls = []
+
+    def fail_once():
+        calls.append(True)
+        if len(calls) == 1:
+            raise RuntimeError("extractor down")
+
+    before = datetime.now(timezone.utc)
+    daemon = schedule(0.02, fail_once)
+    deadline = time.monotonic() + 5.0
+    while daemon.passes_run < 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    daemon.stop()
+    assert not daemon._thread.is_alive()
+    assert daemon.passes_run >= 2
+    assert daemon.pass_errors == 1
+    assert daemon.last_error == "extractor down"
+    assert before <= daemon.last_error_at <= datetime.now(timezone.utc)
 
 
 def test_overrunning_pass_skips_ticks():

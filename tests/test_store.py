@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import shutil
+from datetime import timezone
 
 import pytest
 from hypothesis import given, settings
@@ -182,11 +184,22 @@ def test_bad_lines_are_skipped_and_counted_in_every_file(store, path_of, parse, 
         (lambda s: s.facts_path, "session_ids", [1, "s1"]),
         (lambda s: s.facts_path, "session_ids", {"s1": 1}),
         (lambda s: s.facts_path, "session_ids", []),
+        (lambda s: s.facts_path, "id", 7),
+        (lambda s: s.facts_path, "value", 42),
         (lambda s: next(s.episodic_dir.glob("*.jsonl")), "promoted", "false"),
         (lambda s: next(s.episodic_dir.glob("*.jsonl")), "promoted", 0),
+        (lambda s: next(s.episodic_dir.glob("*.jsonl")), "session_id", None),
+        (lambda s: next(s.episodic_dir.glob("*.jsonl")), "tokens", 2.9),
+        (lambda s: next(s.episodic_dir.glob("*.jsonl")), "tokens", True),
+        (lambda s: next(s.episodic_dir.glob("*.jsonl")), "cognitive_weight", "0.0"),
+        (lambda s: next(s.episodic_dir.glob("*.jsonl")), "cognitive_weight", False),
+        (lambda s: next(s.episodic_dir.glob("*.jsonl")), "content", 123),
+        (lambda s: next(s.episodic_dir.glob("*.jsonl")), "id", 7),
     ],
     ids=["session_ids-string", "session_ids-int", "session_ids-object", "session_ids-empty",
-         "promoted-string", "promoted-int"],
+         "fact-id-int", "value-int", "promoted-string", "promoted-int", "session_id-null",
+         "tokens-float", "tokens-bool", "cognitive_weight-string", "cognitive_weight-bool",
+         "content-int", "entry-id-int"],
 )
 def test_mistyped_field_is_a_skipped_line(store, path_of, key, value):
     store.append_entry(make_entry(entry_id="e1"))
@@ -201,6 +214,67 @@ def test_mistyped_field_is_a_skipped_line(store, path_of, key, value):
     assert [e.id for e in entries] == ["e1"]
     assert [f.id for f in facts] == ["f1"]
     assert entries.skipped + facts.skipped == 1
+
+
+def test_append_after_memory_dir_deleted_recreates_it(store):
+    store.append_entry(make_entry(entry_id="e1"))
+    store.append_fact(make_fact(fact_id="f1"))
+    store.promote("e1", "f1")
+    shutil.rmtree(store.memory_dir)
+    store.append_entry(make_entry(entry_id="e2"))
+    store.append_fact(make_fact(fact_id="f2"))
+    store.apply_cw_delta("e2", 0.5, 1.0)
+    store.promote("e2", "f2")
+    fresh = MemoryStore(store.root)
+    assert [(e.id, e.cognitive_weight, e.promoted) for e in fresh.load_entries("proj")] == [
+        ("e2", 0.5, True)
+    ]
+    assert [f.id for f in fresh.load_facts()] == ["f2"]
+
+
+_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(['"', "\\", "\u2028", "\u0085", "\n", "é", "漢", "\U0001f600", "\x00"]),
+        st.characters(),
+    ),
+)
+_UTC = st.datetimes(timezones=st.just(timezone.utc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    text=st.lists(_TEXT, min_size=6, max_size=6),
+    ts=_UTC,
+    tokens=st.integers(min_value=0),
+    weight=st.floats(min_value=-1.0, max_value=1.0),
+    promoted=st.booleans(),
+    numbers=st.lists(st.floats(), min_size=2, max_size=2),
+)
+def test_to_line_equals_the_json_dumps_it_replaced(text, ts, tokens, weight, promoted, numbers):
+    entry_id, session_id, agent_id, content, subject, value = text
+    entry = EpisodicEntry(entry_id, ts, session_id, agent_id, "p\u2028\"", content,
+                          tokens=tokens, promoted=promoted, cognitive_weight=weight)
+    assert entry.to_line() == json.dumps(
+        {"id": entry_id, "timestamp": ts.isoformat(), "session_id": session_id,
+         "agent_id": agent_id, "project": "p\u2028\"", "content": content, "tokens": tokens,
+         "promoted": promoted, "cognitive_weight": weight},
+        ensure_ascii=False, separators=(",", ":"),
+    )
+    fact = SemanticFact(entry_id, subject, content, value, frozenset({session_id, value}), ts)
+    assert fact.to_line() == json.dumps(
+        {"id": entry_id, "subject": subject, "relation": content, "value": value,
+         "session_ids": sorted({session_id, value}), "created_at": ts.isoformat()},
+        ensure_ascii=False, separators=(",", ":"),
+    )
+    delta, reward = numbers
+    assert store_mod.CwLedgerRecord(entry_id, delta, reward, ts).to_line() == json.dumps(
+        {"entry_id": entry_id, "delta": delta, "reward": reward, "applied_at": ts.isoformat()},
+        separators=(",", ":"),
+    )
+    assert store_mod.PromotionRecord(entry_id, value, ts).to_line() == json.dumps(
+        {"entry_id": entry_id, "fact_id": value, "promoted_at": ts.isoformat()},
+        separators=(",", ":"),
+    )
 
 
 def test_loads_never_mutate_files(store):
