@@ -8,7 +8,7 @@ from .attribution import (
     compute_attribution,
     jaccard_attribution,
 )
-from .config import EngineConfig
+from .config import EngineConfig, TrainConfig
 from .consolidation import (
     ConsolidationDaemon,
     ConsolidationReport,
@@ -45,7 +45,6 @@ from .evaluation import (
     wilson_ci,
 )
 from .learning import (
-    TrainConfig,
     TrainingEpisode,
     WeightPolicy,
     ppo_update,

@@ -8,7 +8,6 @@ Output is line-delimited JSON unless --pretty is given. Exit codes:
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 import tempfile
@@ -19,10 +18,17 @@ from pathlib import Path
 from . import attribution as attribution_mod
 from . import evaluation, learning
 from .clients import HttpEmbedder, HttpExtractor, HttpReader
-from .config import EngineConfig
+from .config import RETRIEVAL_ALIASES, EngineConfig, TrainConfig, load
 from .consolidation import HeuristicExtractor, run_consolidation_pass
 from .errors import AgentMemError, ServiceError, ValidationError
-from .retrieval import MODE_BM25, MODES, HashedBowEmbedder, RetrievalPipeline, parse_stage1_k1
+from .retrieval import (
+    MODE_BM25,
+    MODES,
+    HashedBowEmbedder,
+    RetrievalConfig,
+    RetrievalPipeline,
+    parse_stage1_k1,
+)
 from .scoring import Variant
 from .store import EpisodicEntry, MemoryStore, parse_timestamp, utc_now
 
@@ -48,21 +54,16 @@ def _load_config(args) -> EngineConfig:
     return cfg
 
 
+def _flags(args, names) -> dict:
+    """The flags among ``names`` that were given, by name."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _retrieval_cfg(cfg: EngineConfig, args) -> None:
     """Fold the retrieval and ranking-mode flags into the config in place."""
-    overrides = {}
-    if args.k is not None:
-        overrides["stage2_k"] = args.k
-    if args.k1 is not None:
-        overrides["stage1_k1"] = parse_stage1_k1(args.k1)
-    if args.budget is not None:
-        overrides["token_budget"] = args.budget
-    if args.variant:
-        overrides["variant"] = Variant(args.variant)
-    if args.ranking:
-        overrides["mode"] = args.ranking
-    if overrides:
-        cfg.retrieval = replace(cfg.retrieval, **overrides)
+    flags = _flags(args, ("k", "k1", "budget", "variant", "ranking"))
+    overrides = {RETRIEVAL_ALIASES.get(name, name): value for name, value in flags.items()}
+    cfg.retrieval = load(RetrievalConfig, overrides, cfg.retrieval)
 
 
 def _reader(cfg: EngineConfig, name: str):
@@ -138,7 +139,7 @@ def _embedder(cfg: EngineConfig):
         return None
     if cfg.embedder.url:
         return HttpEmbedder(
-            cfg.embedder.url, dimension=cfg.embedder_dimension, timeout=cfg.embedder.timeout
+            cfg.embedder.url, dimension=cfg.embedder.dimension, timeout=cfg.embedder.timeout
         )
     return HashedBowEmbedder()
 
@@ -272,24 +273,19 @@ def cmd_ablate(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     _retrieval_cfg(cfg, args)
-    train_cfg = cfg.train
-    if args.epochs is not None:
-        train_cfg = replace(train_cfg, epochs=args.epochs)
-    if args.batch_size is not None:
-        train_cfg = replace(train_cfg, batch_size=args.batch_size)
-    if args.question_count is not None:
-        train_cfg = replace(train_cfg, question_count=args.question_count)
+    train_flags = _flags(args, ("epochs", "batch_size", "question_count"))
+    train_cfg = load(TrainConfig, train_flags, cfg.train)
 
     dataset = evaluation.load_dataset(args.dataset)
     reader = _reader(cfg, args.reader)
     extractor = _extractor(cfg, args.extractor)
     embedder = _embedder(cfg)
 
-    # Materialise each question's corpus once; episodes only re-rank snapshots.
-    with contextlib.ExitStack() as stack:
-        snapshots = {}
-        for question in dataset:
-            tmp = stack.enter_context(tempfile.TemporaryDirectory(prefix="agentmem-train-"))
+    # Materialise each question's corpus once; episodes only re-rank the
+    # in-memory snapshots, so each temporary store goes once it is loaded.
+    snapshots = {}
+    for question in dataset:
+        with tempfile.TemporaryDirectory(prefix="agentmem-train-") as tmp:
             store = MemoryStore(tmp)
             evaluation.ingest_question(store, question)
             if extractor is not None:
@@ -299,25 +295,25 @@ def cmd_train(args) -> int:
                 store.load_facts().facts,
             )
 
-        def pipeline_factory(weights):
-            def run(question):
-                entries, facts = snapshots[question.question_id]
-                pipeline = RetrievalPipeline(
-                    replace(cfg.retrieval, weights=weights),
-                    entries=entries,
-                    facts=facts,
-                    decay=cfg.decay,
-                    tiers=cfg.tiers,
-                    embedder=embedder,
-                    now=question.question_date,
-                )
-                return pipeline.retrieve(question.question).packed_context
+    def pipeline_factory(weights):
+        def run(question):
+            entries, facts = snapshots[question.question_id]
+            pipeline = RetrievalPipeline(
+                replace(cfg.retrieval, weights=weights),
+                entries=entries,
+                facts=facts,
+                decay=cfg.decay,
+                tiers=cfg.tiers,
+                embedder=embedder,
+                now=question.question_date,
+            )
+            return pipeline.retrieve(question.question).packed_context
 
-            return run
+        return run
 
-        final_weights, log = learning.train(
-            dataset, pipeline_factory, reader, train_cfg, seed=cfg.seed
-        )
+    final_weights, log = learning.train(
+        dataset, pipeline_factory, reader, train_cfg, seed=cfg.seed
+    )
 
     lines = [json.dumps(record, ensure_ascii=False) for record in log]
     final_record = {

@@ -1,28 +1,66 @@
 """Declarative engine configuration.
 
-A single YAML file configures every component; CLI flags override file
-values. Every default matches the engine's baseline hyperparameters, so an
-empty file (or none at all) yields the stock configuration.
+A single YAML file configures every component; CLI flags and ablation cells
+override its values. Each section is read by ``load`` onto the dataclass that
+owns it, so the defaults are defined only on those dataclasses and an empty
+file (or none at all) yields the stock configuration. ``EngineConfig.to_dict``
+walks the same fields.
+
+``load`` rejects, with a ValidationError (CLI exit 3), a key that is not a
+field and a value of the wrong YAML type: an int field takes an int, a float
+field an int or a float (stored as a float), a bool field a bool and a str
+field a str (``str | None`` also null); no bool counts as a number.
+``variant`` is read by its value and ``stage1_k1`` by ``parse_stage1_k1``.
+``weights`` is a 5-element list or a ``{sem, bm25, decay, cw, tier}``
+mapping, given either at the top level or under ``retrieval:``, not both. A
+null section or ``weights`` reads as an empty one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from enum import Enum
 from pathlib import Path
+from typing import get_type_hints
 
 import yaml
 
 from .attribution import AttributionConfig
 from .errors import ValidationError
-from .learning import TrainConfig
 from .retrieval import RetrievalConfig, parse_stage1_k1
 from .scoring import DecayConfig, TierConfig, Variant, WeightVector
+
+# Short names of RetrievalConfig fields, as CLI flags and ablation cells spell them.
+RETRIEVAL_ALIASES = {
+    "k": "stage2_k", "k1": "stage1_k1", "budget": "token_budget", "ranking": "mode"
+}
+_WEIGHT_KEYS = ("sem", "bm25", "decay", "cw", "tier")
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    epochs: int = 4
+    batch_size: int = 16
+    clip_epsilon: float = 0.2
+    step_size: float = 0.01
+    question_count: int = 100
+
+    def __post_init__(self) -> None:
+        if min(self.epochs, self.batch_size, self.question_count) < 1:
+            raise ValidationError("epochs, batch_size, question_count must be >= 1")
+        if self.clip_epsilon <= 0 or self.step_size <= 0:
+            raise ValidationError("clip_epsilon and step_size must be > 0")
 
 
 @dataclass(frozen=True)
 class Endpoint:
     url: str | None = None
     timeout: float = 10.0
+
+
+@dataclass(frozen=True)
+class EmbedderEndpoint(Endpoint):
+    dimension: int = 384
 
 
 @dataclass
@@ -34,10 +72,8 @@ class EngineConfig:
     tiers: TierConfig = field(default_factory=TierConfig)
     attribution: AttributionConfig = field(default_factory=AttributionConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    consolidation_interval_seconds: float = 300.0
     reader: Endpoint = field(default_factory=Endpoint)
-    embedder: Endpoint = field(default_factory=Endpoint)
-    embedder_dimension: int = 384
+    embedder: EmbedderEndpoint = field(default_factory=EmbedderEndpoint)
     extractor: Endpoint = field(default_factory=Endpoint)
 
     @classmethod
@@ -46,147 +82,107 @@ class EngineConfig:
             raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
         except yaml.YAMLError as exc:
             raise ValidationError(f"malformed YAML in {path}: {exc}") from exc
-        if raw is None:
-            raw = {}
-        if not isinstance(raw, dict):
+        if not isinstance(raw, (dict, type(None))):
             raise ValidationError(f"config root must be a mapping: {path}")
-        return cls.from_dict(raw)
+        return cls.from_dict(raw or {})
 
     @classmethod
     def from_dict(cls, raw: dict) -> "EngineConfig":
-        known = {
-            "workspace",
-            "seed",
-            "weights",
-            "decay",
-            "tiers",
-            "retrieval",
-            "attribution",
-            "train",
-            "consolidation",
-            "reader",
-            "embedder",
-            "extractor",
-        }
-        unknown = set(raw) - known
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-
-        try:  # every bad value or non-mapping section below becomes a ValidationError
-            weights = _weights(raw.get("weights"))
-            retrieval_raw = dict(raw.get("retrieval") or {})
-            if weights is not None:
-                retrieval_raw.setdefault("weights", weights)
-            retrieval = _retrieval(retrieval_raw)
-            decay_raw = raw.get("decay") or {}
-            tiers_raw = raw.get("tiers") or {}
-            consolidation_raw = raw.get("consolidation") or {}
-            return cls(
-                workspace=Path(raw.get("workspace", "workspace")),
-                seed=int(raw.get("seed", 0)),
-                retrieval=retrieval,
-                decay=DecayConfig(
-                    lambda_per_day=float(decay_raw.get("lambda_per_day", 0.05)),
-                    bypass_threshold=float(decay_raw.get("bypass_threshold", 2.0)),
-                ),
-                tiers=TierConfig(
-                    episodic=float(tiers_raw.get("episodic", 1.0)),
-                    semantic=float(tiers_raw.get("semantic", 1.2)),
-                    procedural=float(tiers_raw.get("procedural", 1.4)),
-                ),
-                attribution=AttributionConfig(
-                    alpha=float((raw.get("attribution") or {}).get("alpha", 0.1))
-                ),
-                train=_train(raw.get("train") or {}),
-                consolidation_interval_seconds=float(
-                    consolidation_raw.get("interval_seconds", 300.0)
-                ),
-                reader=_endpoint(raw.get("reader")),
-                embedder=_endpoint(raw.get("embedder")),
-                embedder_dimension=int((raw.get("embedder") or {}).get("dimension", 384)),
-                extractor=_endpoint(raw.get("extractor")),
-            )
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ValidationError(f"invalid config value: {exc}") from exc
+        raw = dict(raw)
+        weights = raw.pop("weights", None)
+        if weights is not None:
+            retrieval = raw.get("retrieval")
+            retrieval = {} if retrieval is None else retrieval
+            if not isinstance(retrieval, dict):
+                raise ValidationError(f"retrieval must be a mapping, got {retrieval!r}")
+            if retrieval.get("weights") is not None:
+                raise ValidationError("weights given both at the top level and under retrieval")
+            raw["retrieval"] = {**retrieval, "weights": weights}
+        return load(cls, raw)
 
     def to_dict(self) -> dict:
-        return {
-            "workspace": str(self.workspace),
-            "seed": self.seed,
-            "retrieval": self.retrieval.to_dict(),
-            "decay": {
-                "lambda_per_day": self.decay.lambda_per_day,
-                "bypass_threshold": self.decay.bypass_threshold,
-            },
-            "tiers": {
-                "episodic": self.tiers.episodic,
-                "semantic": self.tiers.semantic,
-                "procedural": self.tiers.procedural,
-            },
-            "attribution": {"alpha": self.attribution.alpha},
-            "train": {
-                "epochs": self.train.epochs,
-                "batch_size": self.train.batch_size,
-                "clip_epsilon": self.train.clip_epsilon,
-                "step_size": self.train.step_size,
-                "question_count": self.train.question_count,
-            },
-            "consolidation": {"interval_seconds": self.consolidation_interval_seconds},
-            "reader": {"url": self.reader.url, "timeout": self.reader.timeout},
-            "embedder": {
-                "url": self.embedder.url,
-                "timeout": self.embedder.timeout,
-                "dimension": self.embedder_dimension,
-            },
-            "extractor": {"url": self.extractor.url, "timeout": self.extractor.timeout},
-        }
+        return _dump(self)
 
 
-def _weights(raw) -> WeightVector | None:
+def load(cls, raw: dict | None, base=None):
+    """Read the mapping ``raw`` onto the dataclass ``cls`` under the rules in
+    the module docstring; the fields it does not name keep their value in
+    ``base`` (by default ``cls()``)."""
     if raw is None:
-        return None
-    if isinstance(raw, (list, tuple)):
-        if len(raw) != 5:
+        raw = {}
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{cls.__name__} must be a mapping, got {raw!r}")
+    base = cls() if base is None else base
+    names = {f.name for f in fields(cls)}
+    unknown = sorted(set(raw) - names, key=str)
+    if unknown:
+        raise ValidationError(f"unknown {cls.__name__} keys: {unknown}")
+    hints = get_type_hints(cls)
+    values = {}
+    for name, value in raw.items():
+        kind = hints[name]
+        if is_dataclass(kind) and kind is not WeightVector:  # a nested section
+            values[name] = load(kind, value, getattr(base, name))
+            continue
+        try:
+            values[name] = _READERS[kind](value)
+        except (ValidationError, ValueError) as exc:  # Variant raises ValueError
+            raise ValidationError(f"{cls.__name__}.{name}: {exc}") from exc
+    return replace(base, **values)
+
+
+def _typed(*kinds):
+    def read(value):
+        if type(value) not in kinds:
+            expected = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+            raise ValidationError(f"expected {expected}, got {value!r}")
+        return value
+
+    return read
+
+
+_number = _typed(int, float)
+
+
+def _float(value) -> float:
+    return float(_number(value))
+
+
+def _weights(value) -> WeightVector:
+    if value is None:
+        value = {}
+    elif isinstance(value, list):
+        if len(value) != len(_WEIGHT_KEYS):
             raise ValidationError("weights list must have 5 components")
-        return WeightVector(*(float(v) for v in raw))
-    if isinstance(raw, dict):
-        return WeightVector(
-            w_sem=float(raw.get("sem", 0.0)),
-            w_bm25=float(raw.get("bm25", 0.35)),
-            w_decay=float(raw.get("decay", 0.25)),
-            w_cw=float(raw.get("cw", 0.25)),
-            w_tier=float(raw.get("tier", 0.15)),
-        )
-    raise ValidationError(f"unsupported weights value: {raw!r}")
+        value = dict(zip(_WEIGHT_KEYS, value))
+    elif not isinstance(value, dict):
+        raise ValidationError(f"expected a list or mapping, got {value!r}")
+    unknown = sorted(set(value) - set(_WEIGHT_KEYS), key=str)
+    if unknown:
+        raise ValidationError(f"unknown weight keys: {unknown}")
+    return WeightVector(**{f"w_{key}": _float(v) for key, v in value.items()})
 
 
-def _retrieval(raw: dict) -> RetrievalConfig:
-    weights = raw.get("weights")
-    if weights is not None and not isinstance(weights, WeightVector):
-        weights = _weights(weights)
-    return RetrievalConfig(
-        stage1_k1=parse_stage1_k1(raw.get("stage1_k1", 5)),
-        stage2_k=int(raw.get("stage2_k", 4)),
-        token_budget=int(raw.get("token_budget", 300)),
-        weights=weights or WeightVector.default(),
-        variant=Variant(raw.get("variant", "raw")),
-        mode=str(raw.get("mode", "bm25")),
-        rrf_k=int(raw.get("rrf_k", 60)),
-        include_timestamps=bool(raw.get("include_timestamps", False)),
-    )
+_READERS = {
+    int: _typed(int),
+    float: _float,
+    bool: _typed(bool),
+    str: _typed(str),
+    str | None: _typed(str, type(None)),
+    int | None: parse_stage1_k1,  # stage1_k1, the only such field
+    Path: lambda value: Path(_typed(str)(value)),
+    Variant: Variant,
+    WeightVector: _weights,
+}
 
 
-def _train(raw: dict) -> TrainConfig:
-    return TrainConfig(
-        epochs=int(raw.get("epochs", 4)),
-        batch_size=int(raw.get("batch_size", 16)),
-        clip_epsilon=float(raw.get("clip_epsilon", 0.2)),
-        step_size=float(raw.get("step_size", 0.01)),
-        question_count=int(raw.get("question_count", 100)),
-    )
-
-
-def _endpoint(raw) -> Endpoint:
-    if raw is None:
-        return Endpoint()
-    return Endpoint(url=raw.get("url"), timeout=float(raw.get("timeout", 10.0)))
+def _dump(value):
+    if isinstance(value, WeightVector):
+        return value.as_list()
+    if is_dataclass(value):
+        return {f.name: _dump(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, Path):
+        return str(value)
+    return value

@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Protocol
 
 from . import attribution as attribution_mod
+from .config import RETRIEVAL_ALIASES, load
 from .consolidation import Extractor, HeuristicExtractor, run_consolidation_pass
 from .errors import ValidationError
 from .retrieval import (
@@ -30,9 +31,8 @@ from .retrieval import (
     RetrievalConfig,
     RetrievalPipeline,
     oracle_context,
-    parse_stage1_k1,
 )
-from .scoring import DecayConfig, TierConfig, Variant
+from .scoring import DecayConfig, TierConfig
 from .store import EpisodicEntry, MemoryStore, parse_timestamp
 
 QUESTION_TYPES = (
@@ -512,7 +512,9 @@ REMOVABLE = ("decay", "cw", "tier", "scoping")
 
 def apply_cell(cfg: RetrievalConfig, overrides: dict) -> RetrievalConfig:
     """Produce the cell's config: signal removal zeroes a weight and
-    renormalises; removing scoping disables stage 1."""
+    renormalises; removing scoping disables stage 1. Every other key is a
+    RetrievalConfig field or its short name (``k``, ``k1``, ``budget``), read
+    by ``config.load``."""
     out = cfg
     removal = overrides.get("remove")
     if removal:
@@ -522,17 +524,8 @@ def apply_cell(cfg: RetrievalConfig, overrides: dict) -> RetrievalConfig:
             out = replace(out, weights=out.weights.without(removal))
         else:
             raise ValidationError(f"cannot remove {removal!r}")
-    if "k" in overrides:
-        out = replace(out, stage2_k=int(overrides["k"]))
-    if "budget" in overrides:
-        out = replace(out, token_budget=int(overrides["budget"]))
-    if "k1" in overrides:
-        out = replace(out, stage1_k1=parse_stage1_k1(overrides["k1"]))
-    if "variant" in overrides:
-        out = replace(out, variant=Variant(overrides["variant"]))
-    if "mode" in overrides:
-        out = replace(out, mode=str(overrides["mode"]))
-    return out
+    values = {RETRIEVAL_ALIASES.get(k, k): v for k, v in overrides.items() if k != "remove"}
+    return load(RetrievalConfig, values, out)
 
 
 def grid_cells(axes: dict[str, list]) -> list[dict]:

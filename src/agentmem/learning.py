@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import TrainConfig
 from .errors import ValidationError
 from .evaluation import BenchmarkQuestion, Reader, soft_em
 from .scoring import WeightVector
@@ -45,21 +46,6 @@ class TrainingEpisode:
     reward: float
     logp_old: float
     advantage: float = 0.0
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 4
-    batch_size: int = 16
-    clip_epsilon: float = 0.2
-    step_size: float = 0.01
-    question_count: int = 100
-
-    def __post_init__(self) -> None:
-        if min(self.epochs, self.batch_size, self.question_count) < 1:
-            raise ValidationError("epochs, batch_size, question_count must be >= 1")
-        if self.clip_epsilon <= 0 or self.step_size <= 0:
-            raise ValidationError("clip_epsilon and step_size must be > 0")
 
 
 def _free(weights: WeightVector) -> np.ndarray:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 from .errors import NotFoundError, ValidationError
 
-DEFAULT_K1 = 1.5
-DEFAULT_B = 0.75
+K1 = 1.5
+B = 0.75
 
 # Word characters minus underscore: lowercased alphanumeric runs.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -53,13 +53,9 @@ class Bm25Index:
     avg_doc_len: float
     doc_len: dict[str, int]
     postings: dict[str, dict[str, int]]
-    k1: float = DEFAULT_K1
-    b: float = DEFAULT_B
 
 
-def build_index(
-    docs: Sequence[tuple[str, str]], k1: float = DEFAULT_K1, b: float = DEFAULT_B
-) -> Bm25Index:
+def build_index(docs: Sequence[tuple[str, str]]) -> Bm25Index:
     """Index (doc_id, text) pairs. Duplicate ids are rejected."""
     doc_len: dict[str, int] = {}
     postings: defaultdict[str, dict[str, int]] = defaultdict(dict)
@@ -72,9 +68,7 @@ def build_index(
             postings[term][doc_id] = f
     n = len(doc_len)
     avg = sum(doc_len.values()) / n if n else 0.0
-    return Bm25Index(
-        doc_count=n, avg_doc_len=avg, doc_len=doc_len, postings=dict(postings), k1=k1, b=b
-    )
+    return Bm25Index(doc_count=n, avg_doc_len=avg, doc_len=doc_len, postings=dict(postings))
 
 
 def _idf(doc_count: int, df: int) -> float:
@@ -94,15 +88,13 @@ def bm25_score(index: Bm25Index, query_tokens: Iterable[str], doc_id: str) -> fl
     dl = index.doc_len.get(doc_id)
     if dl is None:
         raise NotFoundError(f"doc_id not in index: {doc_id!r}")
-    length_norm = index.k1 * (
-        1.0 - index.b + (index.b * dl / index.avg_doc_len if index.avg_doc_len > 0 else 0.0)
-    )
+    length_norm = K1 * (1.0 - B + (B * dl / index.avg_doc_len if index.avg_doc_len > 0 else 0.0))
     score = 0.0
     for term in dict.fromkeys(query_tokens):
         f = index.postings.get(term, {}).get(doc_id, 0)
         if f == 0:
             continue
-        score += idf(index, term) * f * (index.k1 + 1.0) / (f + length_norm)
+        score += idf(index, term) * f * (K1 + 1.0) / (f + length_norm)
     return score
 
 
@@ -110,8 +102,6 @@ def _accumulate(
     weighted_postings: Iterable[tuple[float, Mapping]],
     doc_len: Mapping | Sequence[int],
     avg_doc_len: float,
-    k1: float,
-    b: float,
 ) -> dict:
     """Sum each (idf, postings) term's contribution into its documents' scores.
 
@@ -119,6 +109,7 @@ def _accumulate(
     ``bm25_score`` uses and the floats are identical to it.
     """
     scores: dict = {}
+    k1, b = K1, B  # locals, as the loop below reads them once per posting
     for weight, postings in weighted_postings:
         for doc, f in postings.items():
             length_norm = k1 * (
@@ -140,7 +131,7 @@ def rank(
         postings = index.postings.get(term)
         if postings:
             weighted.append((idf(index, term), postings))
-    scores = _accumulate(weighted, index.doc_len, index.avg_doc_len, index.k1, index.b)
+    scores = _accumulate(weighted, index.doc_len, index.avg_doc_len)
     ranked = sorted(scores.items(), key=lambda pair: (-pair[1], pair[0]))
     return ranked if limit is None else ranked[:limit]
 
@@ -148,8 +139,6 @@ def rank(
 def pool_scores(
     query_tokens: Iterable[str],
     docs: Sequence[tuple[Mapping[str, int], int]],
-    k1: float = DEFAULT_K1,
-    b: float = DEFAULT_B,
 ) -> list[float]:
     """Raw BM25 of each (term counts, token length) document, in order.
 
@@ -164,5 +153,5 @@ def pool_scores(
         postings = {i: counts[term] for i, (counts, _) in enumerate(docs) if term in counts}
         if postings:
             weighted.append((_idf(n, len(postings)), postings))
-    scores = _accumulate(weighted, lengths, avg, k1, b)
+    scores = _accumulate(weighted, lengths, avg)
     return [scores.get(i, 0.0) for i in range(n)]

@@ -24,7 +24,7 @@ import hashlib
 import time
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Protocol
 
@@ -92,6 +92,8 @@ class RetrievalConfig:
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}")
         object.__setattr__(self, "variant", Variant(self.variant))
+        if self.variant is Variant.ZSCORE_EQUAL_FUSION:  # this variant fixes its weights
+            object.__setattr__(self, "weights", WeightVector.equal_fusion())
 
     def to_dict(self) -> dict:
         """JSON-safe echo of every field, as recorded with runs and results."""
@@ -390,8 +392,6 @@ class RetrievalPipeline:
         embedder: Embedder | None = None,
         now: datetime | None = None,
     ):
-        if cfg.variant is Variant.ZSCORE_EQUAL_FUSION:
-            cfg = replace(cfg, weights=WeightVector.equal_fusion())
         self.cfg = cfg
         self.decay = decay or DecayConfig()
         self.tiers = tiers or TierConfig()

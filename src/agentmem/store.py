@@ -261,11 +261,17 @@ def _record_id(record: dict) -> str:
 
 
 def _ledger_entry_id(record: dict) -> str:
-    return str(record["entry_id"])
+    entry_id = record["entry_id"]
+    if type(entry_id) is not str:
+        raise ValidationError(f"mistyped entry_id: {entry_id!r}")
+    return entry_id
 
 
 def _cw_delta(record: dict) -> tuple[str, float]:
-    return str(record["entry_id"]), float(record["delta"])
+    delta = record["delta"]
+    if type(delta) not in _NUMBER:
+        raise ValidationError(f"mistyped delta: {delta!r}")
+    return _ledger_entry_id(record), delta
 
 
 class MemoryStore:

@@ -259,6 +259,17 @@ def test_bad_config_value_is_data_error(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("text", ["retrieval: {stage2k: 8}\n", "seed: true\n"])
+def test_unknown_key_or_mistyped_config_value_is_data_error(tmp_path, capsys, text):
+    config = tmp_path / "engine.yaml"
+    config.write_text(text)
+    code = main([
+        "--config", str(config), "--workspace", str(tmp_path / "ws"), "retrieve",
+        "--project", "p", "--query", "hello",
+    ])
+    assert code == 3
+
+
 def test_dead_embedder_endpoint_is_service_error(tmp_path, capsys):
     ws = str(tmp_path / "ws")
     run_cli(

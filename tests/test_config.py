@@ -1,11 +1,20 @@
 from __future__ import annotations
 
-import pytest
+import json
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
-from agentmem.config import EngineConfig
+import pytest
+import yaml
+
+from agentmem.attribution import AttributionConfig
+from agentmem.cli import _retrieval_cfg, build_parser
+from agentmem.config import EmbedderEndpoint, Endpoint, EngineConfig, TrainConfig
 from agentmem.errors import ValidationError
+from agentmem.evaluation import apply_cell
 from agentmem.retrieval import RetrievalConfig
-from agentmem.scoring import Variant
+from agentmem.scoring import DecayConfig, TierConfig, Variant, WeightVector
 
 
 def test_defaults_match_baseline():
@@ -22,7 +31,6 @@ def test_defaults_match_baseline():
     assert (cfg.train.epochs, cfg.train.batch_size) == (4, 16)
     assert (cfg.train.clip_epsilon, cfg.train.step_size) == (0.2, 0.01)
     assert cfg.train.question_count == 100
-    assert cfg.consolidation_interval_seconds == 300.0
 
 
 def test_file_round_trip(tmp_path):
@@ -34,7 +42,6 @@ seed: 9
 weights: {sem: 0.0, bm25: 0.5, decay: 0.2, cw: 0.2, tier: 0.1}
 decay: {lambda_per_day: 0.1, bypass_threshold: 3.0}
 retrieval: {stage1_k1: inf, stage2_k: 2, token_budget: 600, variant: zscore, mode: dense}
-consolidation: {interval_seconds: 60}
 reader: {url: http://reader.local, timeout: 3}
 """
     )
@@ -47,7 +54,6 @@ reader: {url: http://reader.local, timeout: 3}
     assert cfg.retrieval.variant is Variant.ZSCORE
     assert cfg.retrieval.mode == "dense"
     assert cfg.decay.lambda_per_day == 0.1
-    assert cfg.consolidation_interval_seconds == 60.0
     assert cfg.reader.url == "http://reader.local"
     assert cfg.embedder.url is None
 
@@ -82,6 +88,22 @@ def test_malformed_stage1_k1_rejected(tmp_path):
     "tiers: [1]\n",
     "weights: [a, b, c, d, e]\n",
     "retrieval: {stage2_k: [\n",
+    "retrieval: {stage2k: 8}\n",
+    "decay: {lambda: 0.5}\n",
+    "reader: {URL: http://reader.local}\n",
+    "weights: {semantic: 0.0, bm25: 0.35, decay: 0.25, cw: 0.25, tier: 0.15}\n",
+    "retrieval: {stage2_k: 2.9}\n",
+    "retrieval: {include_timestamps: 'false'}\n",
+    "seed: true\n",
+    "tiers: {semantic: true}\n",
+    "embedder: {dimension: 2.5}\n",
+    "consolidation: {interval_seconds: 300}\n",
+    "weights: [0, 0.35, 0.25, 0.25, 0.15]\nretrieval: {weights: [0, 0.35, 0.25, 0.25, 0.15]}\n",
+    "weights: {sem: 0.0, bm25: 0.35, decay: 0.25, cw: 0.25, tier: 0.15, extra: 0}\n",
+    "reader: {url: 5}\n",
+    "reader: {timeout: '3'}\n",
+    "attribution: {alpha: true}\n",
+    "train: {epochs: 2.0}\n",
 ])
 def test_malformed_values_rejected(tmp_path, text):
     path = tmp_path / "bad.yaml"
@@ -104,4 +126,75 @@ def test_config_echo_is_json_safe():
     echo = EngineConfig().to_dict()
     parsed = json.loads(json.dumps(echo))
     assert parsed["retrieval"]["weights"] == [0.0, 0.35, 0.25, 0.25, 0.15]
-    assert parsed["consolidation"]["interval_seconds"] == 300.0
+
+
+def test_to_dict_round_trips_default_config():
+    cfg = EngineConfig()
+    assert EngineConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_to_dict_round_trips_config_with_every_section_changed():
+    cfg = EngineConfig(
+        workspace=Path("/data/mem"),
+        seed=9,
+        retrieval=RetrievalConfig(
+            stage1_k1=None,
+            stage2_k=2,
+            token_budget=600,
+            weights=WeightVector(0.1, 0.3, 0.2, 0.2, 0.2),
+            variant=Variant.MINMAX,
+            mode="hybrid_rrf",
+            rrf_k=30,
+            include_timestamps=True,
+        ),
+        decay=DecayConfig(lambda_per_day=0.1, bypass_threshold=3.0),
+        tiers=TierConfig(episodic=1.1, semantic=1.3, procedural=1.5),
+        attribution=AttributionConfig(alpha=0.2),
+        train=TrainConfig(epochs=2, batch_size=8, clip_epsilon=0.3, step_size=0.02,
+                          question_count=50),
+        reader=Endpoint(url="http://reader.local", timeout=3.0),
+        embedder=EmbedderEndpoint(url="http://embed.local", timeout=4.0, dimension=64),
+        extractor=Endpoint(url="http://extract.local", timeout=5.0),
+    )
+    default = EngineConfig()
+    for f in fields(EngineConfig):
+        assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+    echo = json.loads(json.dumps(cfg.to_dict()))
+    assert EngineConfig.from_dict(echo) == cfg
+
+
+def test_float_fields_take_ints_and_store_floats():
+    cfg = EngineConfig.from_dict({"reader": {"timeout": 3}, "weights": [0, 0, 0, 1, 0]})
+    assert cfg.reader.timeout == 3.0 and type(cfg.reader.timeout) is float
+    assert cfg.to_dict()["reader"]["timeout"] == 3.0
+    assert cfg.retrieval.weights == WeightVector(0.0, 0.0, 0.0, 1.0, 0.0)
+
+
+def test_one_override_set_gives_one_retrieval_config(tmp_path):
+    path = tmp_path / "engine.yaml"
+    path.write_text(
+        "retrieval: {stage2_k: 2, stage1_k1: inf, token_budget: 600, variant: zscore,"
+        " mode: dense}\n"
+    )
+    from_yaml = EngineConfig.from_file(path).retrieval
+
+    args = build_parser().parse_args([
+        "retrieve", "--project", "p", "--query", "q", "--k", "2", "--k1", "inf",
+        "--budget", "600", "--variant", "zscore", "--mode", "dense",
+    ])
+    cfg = EngineConfig()
+    _retrieval_cfg(cfg, args)
+
+    from_cell = apply_cell(
+        RetrievalConfig(),
+        {"k": 2, "k1": "inf", "budget": 600, "variant": "zscore", "mode": "dense"},
+    )
+    assert from_yaml == cfg.retrieval == from_cell
+    assert from_yaml != RetrievalConfig()
+
+
+def test_readme_config_block_loads_to_the_defaults():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)
+    cfg = EngineConfig.from_dict(yaml.safe_load(block))
+    assert replace(cfg, seed=0, workspace=Path("workspace")) == EngineConfig()

@@ -489,3 +489,24 @@ def test_equal_fusion_variant_swaps_weights(store):
         project="proj",
     )
     assert pipeline.cfg.weights == WeightVector.equal_fusion()
+
+
+def test_equal_fusion_weights_are_echoed_and_used_by_every_caller():
+    cfg = RetrievalConfig(stage1_k1=None, variant=Variant.ZSCORE_EQUAL_FUSION)
+    assert cfg.to_dict()["weights"] == WeightVector.equal_fusion().as_list()
+    entries = [
+        make_entry(entry_id="a", content="report report due friday", days_ago=9,
+                   cognitive_weight=0.8),
+        make_entry(entry_id="b", content="the report", days_ago=0, session_id="s2"),
+        make_entry(entry_id="c", content="lunch on friday", days_ago=3, session_id="s3",
+                   promoted=True),
+        make_entry(entry_id="d", content="nothing relevant here", days_ago=1,
+                   cognitive_weight=-0.5),
+    ]
+    pipeline = RetrievalPipeline(cfg, entries=entries, facts=[])
+    ranked = pipeline.retrieve("report friday").ranked
+    direct = stage2_retrieve(tokenize("report friday"), entries, cfg, now=pipeline.now)
+    assert [(r.entry.id, r.score) for r in direct] == [(r.entry.id, r.score) for r in ranked]
+    default = stage2_retrieve(tokenize("report friday"), entries, RetrievalConfig(
+        stage1_k1=None, variant=Variant.ZSCORE), now=pipeline.now)
+    assert [r.score for r in default] != [r.score for r in ranked]

@@ -216,6 +216,31 @@ def test_mistyped_field_is_a_skipped_line(store, path_of, key, value):
     assert entries.skipped + facts.skipped == 1
 
 
+@pytest.mark.parametrize(
+    "path_of, parse, record",
+    [
+        (lambda s: s.cw_ledger_path, store_mod._cw_delta, {"entry_id": "e1", "delta": "0.5"}),
+        (lambda s: s.cw_ledger_path, store_mod._cw_delta, {"entry_id": "e1", "delta": True}),
+        (lambda s: s.cw_ledger_path, store_mod._cw_delta, {"entry_id": ["e1"], "delta": 0.5}),
+        (lambda s: s.promotions_path, store_mod._ledger_entry_id, {"entry_id": ["e1"]}),
+        (lambda s: s.promotions_path, store_mod._ledger_entry_id, {"entry_id": 1}),
+    ],
+    ids=["delta-string", "delta-bool", "cw-entry_id-list", "promotion-entry_id-list",
+         "promotion-entry_id-int"],
+)
+def test_mistyped_ledger_line_is_skipped(store, path_of, parse, record):
+    store.append_entries([make_entry(entry_id="e1"), make_entry(entry_id="['e1']")])
+    store.apply_cw_delta("e1", 0.1, 1.0)
+    path = path_of(store)
+    with path.open("a") as handle:
+        handle.write(json.dumps(record) + "\n")
+    assert MemoryStore._read_jsonl([path], parse)[1] == 1
+    entries = MemoryStore(store.root).load_entries("proj").entries
+    assert [(e.id, e.cognitive_weight, e.promoted) for e in entries] == [
+        ("e1", pytest.approx(0.1), False), ("['e1']", 0.0, False)
+    ]
+
+
 def test_append_after_memory_dir_deleted_recreates_it(store):
     store.append_entry(make_entry(entry_id="e1"))
     store.append_fact(make_fact(fact_id="f1"))
