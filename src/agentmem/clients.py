@@ -54,6 +54,8 @@ class HttpEmbedder:
             raise ServiceError("embedder returned wrong vector count")
         out = []
         for vec in vectors:
+            if not isinstance(vec, list) or not all(type(x) in (int, float) for x in vec):
+                raise ServiceError(f"embedder returned {vec!r}, expected a list of numbers")
             if len(vec) != self.dimension:
                 raise ServiceError(
                     f"embedder returned dimension {len(vec)}, expected {self.dimension}"
@@ -84,12 +86,13 @@ class HttpExtractor:
         if not isinstance(facts, list):
             raise ServiceError("extractor response missing 'facts' list")
         try:
-            return [
-                FactDraft(str(f["subject"]), str(f["relation"]), str(f["value"]))
-                for f in facts
-            ]
+            drafts = [FactDraft(f["subject"], f["relation"], f["value"]) for f in facts]
         except (KeyError, TypeError) as exc:
             raise ServiceError(f"malformed fact in extractor response: {exc}") from exc
+        for draft in drafts:
+            if not type(draft.subject) is type(draft.relation) is type(draft.value) is str:
+                raise ServiceError(f"extractor returned a fact field that is not a string: {draft}")
+        return drafts
 
 
 class HttpReader:

@@ -221,7 +221,9 @@ def question_from_dict(record: dict) -> BenchmarkQuestion:
 
 
 def load_dataset(path: str | Path) -> list[BenchmarkQuestion]:
-    """Load a JSONL (one object per question) or JSON-array dataset file."""
+    """Load a JSONL (one object per question) or JSON-array dataset file. A
+    record that is not an object, or lacks or mistypes a key, raises
+    ValidationError naming the record's position and the key."""
     text = Path(path).read_text(encoding="utf-8")
     stripped = text.lstrip()
     if not stripped:
@@ -233,7 +235,15 @@ def load_dataset(path: str | Path) -> list[BenchmarkQuestion]:
             records = [json.loads(line) for line in text.split("\n") if line.strip()]
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed dataset file {path}: {exc}") from exc
-    return [question_from_dict(r) for r in records]
+    questions = []
+    for number, record in enumerate(records, start=1):
+        try:
+            questions.append(question_from_dict(record))
+        except KeyError as exc:
+            raise ValidationError(f"{path}, record {number}: missing key {exc.args[0]!r}") from exc
+        except TypeError as exc:
+            raise ValidationError(f"{path}, record {number}: mistyped: {exc}") from exc
+    return questions
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,12 @@
-"""Tokenisation and raw Okapi BM25 scoring over an inverted index.
+"""Tokenisation and raw Okapi BM25 scoring over inverted indexes.
 
 ``Bm25Index`` holds postings, ``term -> {doc_id: term frequency}``, plus each
 document's token length; a term's document frequency is the size of its
-postings. ``rank`` walks only the postings of the query terms, so its cost
-grows with the matched postings, not with the corpus. It returns only the
-documents that share a query term, best first: each of them scores > 0,
-and every other document scores exactly 0. ``pool_scores`` scores a pool of
-already-counted documents under that pool's own statistics, so a caller
-that caches each document's counts never tokenises it twice.
+postings. ``pool_scores`` scores the documents of several indexes as one
+corpus, walking only the postings of the query terms, so its cost grows with
+the matched postings, not with the corpus. Stage 1 scores the fact index
+through ``rank``; stage 2 scores a pool from its sessions' indexes. A
+document that shares no query term scores exactly 0 and is left out.
 ``bm25_score`` is the per-document reference both are tested against.
 
 Scores are left unnormalised on purpose: downstream scoring applies its own
@@ -19,7 +18,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter, defaultdict
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
 
 from .errors import NotFoundError, ValidationError
@@ -39,36 +38,33 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def term_counts(text: str) -> tuple[Counter, int]:
-    """A document's term frequencies and token length."""
-    tokens = tokenize(text)
-    return Counter(tokens), len(tokens)
-
-
 @dataclass(frozen=True)
 class Bm25Index:
-    """Immutable per-corpus statistics; safe to score from many threads."""
+    """Immutable per-corpus statistics; safe to score from many threads.
+    ``total_len`` is the integer sum of ``doc_len``."""
 
     doc_count: int
-    avg_doc_len: float
-    doc_len: dict[str, int]
-    postings: dict[str, dict[str, int]]
+    total_len: int
+    doc_len: dict[Hashable, int]
+    postings: dict[str, dict[Hashable, int]]
+
+    @property
+    def avg_doc_len(self) -> float:
+        return self.total_len / self.doc_count if self.doc_count else 0.0
 
 
-def build_index(docs: Sequence[tuple[str, str]]) -> Bm25Index:
+def build_index(docs: Sequence[tuple[Hashable, str]]) -> Bm25Index:
     """Index (doc_id, text) pairs. Duplicate ids are rejected."""
-    doc_len: dict[str, int] = {}
-    postings: defaultdict[str, dict[str, int]] = defaultdict(dict)
+    doc_len: dict[Hashable, int] = {}
+    postings: defaultdict[str, dict[Hashable, int]] = defaultdict(dict)
     for doc_id, text in docs:
         if doc_id in doc_len:
             raise ValidationError(f"duplicate doc_id: {doc_id!r}")
-        counts, length = term_counts(text)
-        doc_len[doc_id] = length
-        for term, f in counts.items():
+        tokens = tokenize(text)
+        doc_len[doc_id] = len(tokens)
+        for term, f in Counter(tokens).items():
             postings[term][doc_id] = f
-    n = len(doc_len)
-    avg = sum(doc_len.values()) / n if n else 0.0
-    return Bm25Index(doc_count=n, avg_doc_len=avg, doc_len=doc_len, postings=dict(postings))
+    return Bm25Index(len(doc_len), sum(doc_len.values()), doc_len, dict(postings))
 
 
 def _idf(doc_count: int, df: int) -> float:
@@ -80,7 +76,7 @@ def idf(index: Bm25Index, term: str) -> float:
     return _idf(index.doc_count, len(index.postings.get(term, ())))
 
 
-def bm25_score(index: Bm25Index, query_tokens: Iterable[str], doc_id: str) -> float:
+def bm25_score(index: Bm25Index, query_tokens: Iterable[str], doc_id: Hashable) -> float:
     """Raw Okapi BM25 of one document for the query terms.
 
     Repeated query terms count once; terms absent from the doc contribute 0.
@@ -98,60 +94,34 @@ def bm25_score(index: Bm25Index, query_tokens: Iterable[str], doc_id: str) -> fl
     return score
 
 
-def _accumulate(
-    weighted_postings: Iterable[tuple[float, Mapping]],
-    doc_len: Mapping | Sequence[int],
-    avg_doc_len: float,
-) -> dict:
-    """Sum each (idf, postings) term's contribution into its documents' scores.
-
-    Terms come in query order, so every document's sum runs in the order
-    ``bm25_score`` uses and the floats are identical to it.
+def pool_scores(
+    query_tokens: Iterable[str], indexes: Sequence[Bm25Index]
+) -> dict[Hashable, float]:
+    """Raw BM25 of every document sharing a query term, with ``indexes``
+    scored as one corpus: N, the total length and each df are summed over
+    them, so doc ids must be distinct across them. Each score is > 0 and
+    ``==`` to ``bm25_score`` over one ``build_index`` of all their texts,
+    as each document's sum runs over the query terms in the same order.
     """
-    scores: dict = {}
+    n = sum(index.doc_count for index in indexes)
+    avg = sum(index.total_len for index in indexes) / n if n else 0.0
+    scores: dict[Hashable, float] = {}
     k1, b = K1, B  # locals, as the loop below reads them once per posting
-    for weight, postings in weighted_postings:
-        for doc, f in postings.items():
-            length_norm = k1 * (
-                1.0 - b + (b * doc_len[doc] / avg_doc_len if avg_doc_len > 0 else 0.0)
-            )
-            scores[doc] = scores.get(doc, 0.0) + weight * f * (k1 + 1.0) / (f + length_norm)
+    for term in dict.fromkeys(query_tokens):
+        matched = [(index.doc_len, p) for index in indexes if (p := index.postings.get(term))]
+        if not matched:
+            continue
+        weight = _idf(n, sum(len(postings) for _, postings in matched))
+        for doc_len, postings in matched:
+            for doc, f in postings.items():
+                length_norm = k1 * (1.0 - b + (b * doc_len[doc] / avg if avg > 0 else 0.0))
+                scores[doc] = scores.get(doc, 0.0) + weight * f * (k1 + 1.0) / (f + length_norm)
     return scores
 
 
-def rank(
-    index: Bm25Index, query_tokens: Iterable[str], limit: int | None = None
-) -> list[tuple[str, float]]:
+def rank(index: Bm25Index, query_tokens: Iterable[str]) -> list[tuple[Hashable, float]]:
     """Documents sharing a query term, sorted by (score desc, doc_id asc).
 
     Every returned score is > 0; a document left out scores exactly 0.
     """
-    weighted = []
-    for term in dict.fromkeys(query_tokens):
-        postings = index.postings.get(term)
-        if postings:
-            weighted.append((idf(index, term), postings))
-    scores = _accumulate(weighted, index.doc_len, index.avg_doc_len)
-    ranked = sorted(scores.items(), key=lambda pair: (-pair[1], pair[0]))
-    return ranked if limit is None else ranked[:limit]
-
-
-def pool_scores(
-    query_tokens: Iterable[str],
-    docs: Sequence[tuple[Mapping[str, int], int]],
-) -> list[float]:
-    """Raw BM25 of each (term counts, token length) document, in order.
-
-    N, the average length and every df come from ``docs`` alone, so each
-    score equals ``bm25_score`` over ``build_index`` of the same texts.
-    """
-    n = len(docs)
-    lengths = [length for _, length in docs]
-    avg = sum(lengths) / n if n else 0.0
-    weighted = []
-    for term in dict.fromkeys(query_tokens):
-        postings = {i: counts[term] for i, (counts, _) in enumerate(docs) if term in counts}
-        if postings:
-            weighted.append((_idf(n, len(postings)), postings))
-    scores = _accumulate(weighted, lengths, avg)
-    return [scores.get(i, 0.0) for i in range(n)]
+    return sorted(pool_scores(query_tokens, [index]).items(), key=lambda pair: (-pair[1], pair[0]))

@@ -4,12 +4,15 @@ Stage 1 ranks semantic facts lexically and gathers the top distinct session
 ids. Stage 2 scores episodic entries inside those sessions with the
 composite formula and returns the top k, greedily packed into a token budget.
 
-Stage 2 scores a pool as columns (``scoring.pool_signals``). The inputs no
-query changes, exp(-lambda * age), phi_cw, the tier multiplier and the
-timestamp, are kept per snapshot position, like each entry's term counts,
-and a pool takes them by its positions. Only raw BM25, dense similarity and
-scope membership are computed per query. ``ScoreBreakdown`` and
-``RankedEntry`` are built only for the entries returned.
+BM25 has one form for both tiers, ``lexical.Bm25Index``: stage 1 ranks the
+fact index, and a snapshot keeps one index per session, keyed by snapshot
+position, so a pool's raw BM25 is ``lexical.pool_scores`` over its sessions'
+indexes. Stage 2 scores a pool as columns (``scoring.pool_signals``). The
+inputs no query changes, exp(-lambda * age), phi_cw, the tier multiplier and
+the timestamp, are kept per snapshot position, and a pool takes them by its
+positions. Only raw BM25, dense similarity and scope membership are computed
+per query. ``ScoreBreakdown`` and ``RankedEntry`` are built only for the
+entries returned.
 
 Every mode ranks through the same composite. In dense and hybrid modes each
 candidate's embedding cosine to the query fills the phi_sem slot; dense mode
@@ -254,25 +257,26 @@ def stage2_retrieve(
     now: datetime | None = None,
     k: int | None = 0,
     similarities: Sequence[float] | None = None,
-    term_stats: Sequence[tuple[Counter, int]] | None = None,
+    raw_bm25: Sequence[float] | None = None,
     signals: np.ndarray | None = None,
 ) -> list[RankedEntry]:
     """Rank the scoped entries best-first in ``cfg.mode``.
 
     bm25 ranks by the composite under ``cfg.weights``, dense by the composite
     under ``DENSE_WEIGHTS``, and hybrid_rrf fuses those two orders. Dense and
-    hybrid need ``similarities``, one per entry. A caller that keeps
-    per-snapshot inputs may pass each entry's ``lexical.term_counts`` as
-    ``term_stats`` and its ``_entry_signals`` row as ``signals`` (taken with
-    the same now, decay and tiers); otherwise both are taken here. Callers must have
-    excluded system entries already, and entry ids must be unique within
-    the pool. ``k=0`` means "use cfg.stage2_k"; ``k=None`` returns the full
-    ranking.
+    hybrid need ``similarities``, one per entry. ``raw_bm25`` holds one value
+    per entry too, the pool's BM25; without it the pool is indexed here. A
+    caller that keeps per-snapshot inputs may pass each entry's
+    ``_entry_signals`` row as ``signals`` (taken with the same now, decay
+    and tiers). Callers must have excluded system entries already, and entry
+    ids must be unique within the pool. ``k=0`` means "use cfg.stage2_k";
+    ``k=None`` returns the full ranking.
     """
     if cfg.mode != MODE_BM25 and similarities is None:
         raise ValidationError(f"mode {cfg.mode!r} requires dense similarities")
-    if similarities is not None and len(similarities) != len(entries):
-        raise ValidationError("similarities must hold one value per entry")
+    for name, column in (("similarities", similarities), ("raw_bm25", raw_bm25)):
+        if column is not None and len(column) != len(entries):
+            raise ValidationError(f"{name} must hold one value per entry")
     ids = [e.id for e in entries]
     if len(set(ids)) < len(ids):
         duplicate = next(i for i, n in Counter(ids).items() if n > 1)
@@ -283,8 +287,10 @@ def stage2_retrieve(
     tiers = tiers or TierConfig()
     if now is None:
         now = max(e.timestamp for e in entries)
-    if term_stats is None:
-        term_stats = [lexical.term_counts(e.content) for e in entries]
+    if raw_bm25 is None:
+        index = lexical.build_index([(i, e.content) for i, e in enumerate(entries)])
+        scores = lexical.pool_scores(query_tokens, [index])
+        raw_bm25 = [scores.get(i, 0.0) for i in range(len(entries))]
     if signals is None:
         signals = np.array([_entry_signals(e, now, decay, tiers) for e in entries])
     exp_age, phi_cw, multiplier, timestamp = signals.T
@@ -293,7 +299,7 @@ def stage2_retrieve(
     else:
         in_scope = np.zeros(len(entries), dtype=bool)
     pool = scoring.pool_signals(
-        lexical.pool_scores(query_tokens, term_stats),
+        raw_bm25,
         np.zeros(len(entries)) if similarities is None else np.array(similarities, dtype=float),
         in_scope,
         exp_age,
@@ -377,8 +383,8 @@ class RetrievalPipeline:
 
     Construction snapshots the entry and fact sets, so retrieval concurrent
     with a consolidation pass sees either the pre-pass or post-pass tier,
-    never a torn state. It indexes the facts and each session's entries;
-    an entry's term counts are taken the first time it enters a pool.
+    never a torn state. It indexes the facts up front, and each session's
+    entries the first time the session enters a pool.
     """
 
     def __init__(
@@ -406,10 +412,10 @@ class RetrievalPipeline:
         self._session_positions: dict[str, list[int]] = {}
         for i, entry in enumerate(self.entries):
             self._session_positions.setdefault(entry.session_id, []).append(i)
-        # Per position (two entries may share an id), filled the first time
-        # the entry enters a pool: its lexical.term_counts and its row of
-        # _entry_signals, which now, decay and tiers fix for the snapshot.
-        self._term_stats: list[tuple[Counter, int] | None] = [None] * len(self.entries)
+        # Filled the first time a session enters a pool: its entries' BM25
+        # index, keyed by position as two entries may share an id, and their
+        # rows of _entry_signals, which now, decay and tiers fix.
+        self._session_index: dict[str, lexical.Bm25Index] = {}
         self._signals = np.empty((len(self.entries), 4))
 
     @classmethod
@@ -439,20 +445,17 @@ class RetrievalPipeline:
             scoped = stage1_scope(query_tokens, self.facts, cfg.stage1_k1, self._fact_index)
         fallback_unscoped = not scoping_disabled and not scoped
         semantic_scope = frozenset(scoped)
-        if scoped:
-            # Snapshot order: pool-relative variants sum in pool order.
-            positions = sorted(i for s in scoped for i in self._session_positions.get(s, ()))
-            pool = [self.entries[i] for i in positions]
-            searched = sum(s in self._session_positions for s in scoped)
-        else:
-            positions = range(len(self.entries))
-            pool = self.entries
-            searched = total_sessions
+        # The scoped sessions, or all of them, then their positions in
+        # snapshot order: pool-relative variants sum in pool order.
+        known = self._session_positions
+        sessions = [s for s in scoped if s in known] if scoped else list(known)
+        positions = sorted(i for s in sessions for i in known[s])
+        pool = [self.entries[i] for i in positions]
         latency["stage1"] = (time.perf_counter_ns() - t0) // 1000
 
         t1 = time.perf_counter_ns()
         similarities = None if cfg.mode == MODE_BM25 else self._similarities(query, pool)
-        term_stats, signals = self._pool_inputs(positions)
+        scores = lexical.pool_scores(query_tokens, self._session_indexes(sessions))
         ranked = stage2_retrieve(
             query_tokens,
             pool,
@@ -462,8 +465,8 @@ class RetrievalPipeline:
             semantic_scope=semantic_scope,
             now=self.now,
             similarities=similarities,
-            term_stats=term_stats,
-            signals=signals,
+            raw_bm25=[scores.get(i, 0.0) for i in positions],
+            signals=self._signals[positions],
         )
         latency["stage2"] = (time.perf_counter_ns() - t1) // 1000
 
@@ -480,7 +483,7 @@ class RetrievalPipeline:
             ranked=ranked,
             scoped_session_ids=scoped,
             total_sessions=total_sessions,
-            sessions_searched=searched,
+            sessions_searched=len(sessions),
             scoping_disabled=scoping_disabled,
             fallback_unscoped=fallback_unscoped,
             packed_context=context,
@@ -489,20 +492,22 @@ class RetrievalPipeline:
             latency_micros=latency,
         )
 
-    def _pool_inputs(
-        self, positions: Sequence[int]
-    ) -> tuple[list[tuple[Counter, int]], np.ndarray]:
-        """Term counts and signal rows of the entries at ``positions``, each
-        taken once per snapshot. An entry whose signals raise is left unfilled,
-        so it raises again in the next pool. Two threads may fill one
-        position at once; both store equal values, the signals first."""
-        stats, signals = self._term_stats, self._signals
-        for i in positions:
-            if stats[i] is None:
-                entry = self.entries[i]
-                signals[i] = _entry_signals(entry, self.now, self.decay, self.tiers)
-                stats[i] = lexical.term_counts(entry.content)
-        return [stats[i] for i in positions], signals[positions]
+    def _session_indexes(self, sessions: Sequence[str]) -> list[lexical.Bm25Index]:
+        """The BM25 index of each session, built once per snapshot together
+        with its entries' signal rows. A session whose signals raise is not
+        stored, so it raises again in the next pool. Two threads may build
+        one session at once; both store equal values, the signals first."""
+        built = self._session_index
+        for session in sessions:
+            if session not in built:
+                positions = self._session_positions[session]
+                self._signals[positions] = [
+                    _entry_signals(self.entries[i], self.now, self.decay, self.tiers)
+                    for i in positions
+                ]
+                docs = [(i, self.entries[i].content) for i in positions]
+                built[session] = lexical.build_index(docs)
+        return [built[session] for session in sessions]
 
     def _similarities(self, query: str, pool: Sequence[EpisodicEntry]) -> list[float]:
         """Cosine of each pool entry to the query, from one embed call.

@@ -356,7 +356,13 @@ class MemoryStore:
         return self.append_entries([entry])[0]
 
     def append_entries(self, entries: Sequence[EpisodicEntry]) -> list[str]:
-        """Append entries, one JSONL line each, grouped per UTC-day file."""
+        """Append entries, one JSONL line each, grouped per UTC-day file.
+
+        An id that is already stored or repeated in the batch raises
+        ValidationError before anything is written. Stored means in this
+        instance's id view, so an id appended by another process after the
+        view was read is not seen.
+        """
         for entry in entries:
             if not entry.project:
                 raise ValidationError("entry.project must be non-empty")
@@ -365,13 +371,17 @@ class MemoryStore:
             if entry.cognitive_weight != 0.0:
                 raise ValidationError("new entries must start with cognitive_weight 0")
         with self._lock:
+            known = self._entry_ids_view()
+            ids: set[str] = set()
             by_file: dict[Path, list[str]] = {}
             for entry in entries:
+                if entry.id in known or entry.id in ids:
+                    raise ValidationError(f"duplicate entry id: {entry.id!r}")
+                ids.add(entry.id)
                 by_file.setdefault(self._day_path(entry.timestamp), []).append(entry.to_line())
             for path, lines in by_file.items():
                 self._append_lines(path, lines)
-            if self._entry_ids is not None:
-                self._entry_ids.update(e.id for e in entries)
+            known.update(ids)
         return [e.id for e in entries]
 
     def load_entries(

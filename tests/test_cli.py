@@ -36,6 +36,21 @@ def test_append_then_retrieve_round_trip(tmp_path, capsys):
     assert summary["mode"] == "bm25"
 
 
+def test_append_of_a_stored_id_is_data_error_and_keeps_the_workspace_usable(tmp_path, capsys):
+    ws = str(tmp_path / "ws")
+    for session, expected in (("s1", 0), ("s2", 3)):
+        code, _ = run_cli(
+            capsys, "--workspace", ws, "append", "--project", "p", "--session", session,
+            "--agent", "a", "--id", "e1", "--content", f"quarterly report in {session}",
+        )
+        assert code == expected
+    for argv in (("retrieve", "--k1", "none"), ("consolidate",), ("retrieve",)):
+        extra = ("--query", "quarterly report") if argv[0] == "retrieve" else ()
+        code, records = run_cli(capsys, "--workspace", ws, *argv, "--project", "p", *extra)
+        assert code == 0
+    assert [r["id"] for r in records if "id" in r] == ["e1"]
+
+
 def test_retrieve_skips_a_fact_line_with_mistyped_session_ids(tmp_path, capsys):
     ws = tmp_path / "ws"
     run_cli(
@@ -216,6 +231,35 @@ def test_ablate_k1_unbounded_disables_scoping(capsys):
 def test_eval_missing_dataset_is_data_error(tmp_path, capsys):
     code = main(["eval", "--dataset", str(tmp_path / "nope.jsonl")])
     assert code == 3
+
+
+def _first_record():
+    return json.loads(SYNTHETIC20.read_text().splitlines()[0])
+
+
+def _without_sessions():
+    record = _first_record()
+    del record["haystack_sessions"]
+    return json.dumps(record), "record 1: missing key 'haystack_sessions'"
+
+
+def _turn_without_content():
+    record = _first_record()
+    del record["haystack_sessions"][0][0]["content"]
+    return json.dumps(record), "record 1: missing key 'content'"
+
+
+@pytest.mark.parametrize("dataset", [
+    _without_sessions,
+    _turn_without_content,
+    lambda: (json.dumps([_first_record(), 5]), "record 2: mistyped: 'int' object is not subscriptable"),
+], ids=["no_haystack_sessions", "turn_without_content", "array_of_non_objects"])
+def test_eval_malformed_dataset_is_data_error(tmp_path, capsys, dataset):
+    text, message = dataset()
+    path = tmp_path / "bad.jsonl"
+    path.write_text(text + "\n")
+    assert main(["eval", "--dataset", str(path)]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_train_seed_is_reproducible(tmp_path, capsys):

@@ -14,6 +14,18 @@ from agentmem.consolidation import FactDraft
 from agentmem.errors import ServiceError
 
 
+# Base path -> a malformed body served for any request under it.
+MALFORMED = {
+    "/vector-5": {"vectors": [5]},
+    "/vector-null": {"vectors": [None]},
+    "/vector-strings": {"vectors": [["a", "b"]]},
+    "/vector-bools": {"vectors": [[True, False]]},
+    "/subject-null": {"facts": [{"subject": None, "relation": "kv", "value": "blue"}]},
+    "/value-object": {"facts": [{"subject": "color", "relation": "kv", "value": {"a": 1}}]},
+    "/relation-number": {"facts": [{"subject": "color", "relation": 3, "value": "blue"}]},
+}
+
+
 class Handler(BaseHTTPRequestHandler):
     requests_seen: list[tuple[str, dict]] = []
 
@@ -24,7 +36,10 @@ class Handler(BaseHTTPRequestHandler):
         length = int(self.headers["Content-Length"])
         payload = json.loads(self.rfile.read(length))
         Handler.requests_seen.append((self.path, payload))
-        if self.path == "/embed":
+        base = self.path.rsplit("/", 1)[0]
+        if base in MALFORMED:
+            body = MALFORMED[base]
+        elif self.path == "/embed":
             body = {"vectors": [[3.0, 4.0] for _ in payload["texts"]]}
         elif self.path == "/extract":
             body = {
@@ -76,6 +91,18 @@ def test_embedder_dimension_mismatch(server_url):
     embedder = HttpEmbedder(server_url, dimension=5)
     with pytest.raises(ServiceError):
         embedder.embed(["one"])
+
+
+@pytest.mark.parametrize("base", ["/vector-5", "/vector-null", "/vector-strings", "/vector-bools"])
+def test_embedder_rejects_a_vector_that_is_not_a_list_of_numbers(server_url, base):
+    with pytest.raises(ServiceError, match="list of numbers"):
+        HttpEmbedder(server_url + base, dimension=2).embed(["one"])
+
+
+@pytest.mark.parametrize("base", ["/subject-null", "/value-object", "/relation-number"])
+def test_extractor_rejects_a_fact_field_that_is_not_a_string(server_url, base):
+    with pytest.raises(ServiceError, match="not a string"):
+        HttpExtractor(server_url + base).extract("s1", "the sky is blue")
 
 
 def test_extractor_contract(server_url):

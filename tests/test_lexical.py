@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agentmem.errors import NotFoundError, ValidationError
-from agentmem.lexical import bm25_score, build_index, pool_scores, rank, term_counts, tokenize
+from agentmem.lexical import bm25_score, build_index, pool_scores, rank, tokenize
 
 TWO_DOC_CORPUS = [("d1", "apple banana"), ("d2", "cherry date")]
 
@@ -181,10 +181,23 @@ def test_rank_is_the_positive_part_of_the_brute_force_ranking(texts, query):
 
 
 @settings(max_examples=80, deadline=None)
-@given(texts=CORPUS, query=QUERY)
-@example(*ORDER_SENSITIVE)
-def test_pool_scores_equal_bm25_score_over_the_pool(texts, query):
+@given(texts=CORPUS, query=QUERY, cuts=st.lists(st.integers(0, 12), max_size=3))
+@example(*ORDER_SENSITIVE, [1, 2])
+def test_pool_scores_equal_bm25_score_over_the_pool(texts, query, cuts):
     docs = [(f"d{i}", text) for i, text in enumerate(texts)]
     idx = build_index(docs)
-    counted = [term_counts(text) for text in texts]
-    assert pool_scores(query, counted) == [bm25_score(idx, query, doc_id) for doc_id, _ in docs]
+    bounds = [0, *sorted(c % (len(docs) + 1) for c in cuts), len(docs)]
+    indexes = [build_index(docs[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    scores = pool_scores(query, indexes)
+    expected = {doc_id: bm25_score(idx, query, doc_id) for doc_id, _ in docs}
+    assert scores == {doc_id: s for doc_id, s in expected.items() if s > 0.0}
+
+
+@settings(max_examples=40, deadline=None)
+@given(texts=CORPUS, query=QUERY)
+@example(*ORDER_SENSITIVE)
+def test_rank_is_pool_scores_of_its_index_sorted(texts, query):
+    idx = build_index([(f"d{i}", text) for i, text in enumerate(texts)])
+    assert rank(idx, query) == sorted(
+        pool_scores(query, [idx]).items(), key=lambda pair: (-pair[1], pair[0])
+    )

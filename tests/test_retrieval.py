@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agentmem import lexical
 from agentmem.errors import ValidationError
 from agentmem.lexical import tokenize
 from agentmem.retrieval import (
@@ -351,6 +352,37 @@ def test_pipeline_scopes_and_ranks(store):
     assert all(r.entry.session_id == "s1" for r in result.ranked)
     assert result.ranked[0].entry.id == "s1-0"
     assert result.packed_token_count <= 300
+
+
+def test_scoped_query_indexes_only_its_sessions_and_only_once(monkeypatch):
+    entries = [
+        make_entry(entry_id=f"{s}-{i}", session_id=s, content=f"{topic} note {i}")
+        for s, topic in (("s1", "quarterly report"), ("s2", "weather"), ("s3", "lunch soup"))
+        for i in range(2)
+    ]
+    facts = [
+        make_fact(fact_id="f1", subject="quarterly report", value="friday", session_ids=("s1",)),
+        make_fact(fact_id="f3", subject="lunch", value="soup", session_ids=("s3",)),
+    ]
+    pipeline = RetrievalPipeline(RetrievalConfig(stage1_k1=5), entries=entries, facts=facts)
+    built = []
+    real = lexical.build_index
+
+    def recording(docs):
+        built.append(sorted({pipeline.entries[i].session_id for i, _ in docs}))
+        return real(docs)
+
+    monkeypatch.setattr(lexical, "build_index", recording)
+    first = pipeline.retrieve("quarterly report")
+    assert first.scoped_session_ids == ["s1"]
+    assert built == [["s1"]]
+    again = pipeline.retrieve("quarterly report")
+    assert built == [["s1"]]
+    assert [(r.entry.id, r.breakdown) for r in again.ranked] == [
+        (r.entry.id, r.breakdown) for r in first.ranked
+    ]
+    assert pipeline.retrieve("lunch soup").scoped_session_ids == ["s3"]
+    assert built == [["s1"], ["s3"]]
 
 
 def test_pipeline_excludes_system_entries(store):

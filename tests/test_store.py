@@ -43,6 +43,24 @@ def test_same_day_appends_share_one_file(store):
     assert ids == ["e1", "e2"]
 
 
+def test_stored_id_is_rejected_and_nothing_written(store):
+    store.append_entry(make_entry(entry_id="e1", session_id="s1"))
+    before = [p.read_bytes() for p in sorted(store.episodic_dir.glob("*.jsonl"))]
+    with pytest.raises(ValidationError, match="e1"):
+        store.append_entries([make_entry(entry_id="e2"), make_entry(entry_id="e1", session_id="s2")])
+    with pytest.raises(ValidationError, match="e1"):
+        MemoryStore(store.root).append_entry(make_entry(entry_id="e1", days_ago=3))
+    assert [p.read_bytes() for p in sorted(store.episodic_dir.glob("*.jsonl"))] == before
+    store.append_entry(make_entry(entry_id="e2"))
+
+
+def test_id_repeated_in_a_batch_is_rejected(store):
+    with pytest.raises(ValidationError, match="x"):
+        store.append_entries([make_entry(entry_id="x"), make_entry(entry_id="x", days_ago=1)])
+    assert not list(store.episodic_dir.glob("*.jsonl"))
+    assert store.load_entries("proj").entries == []
+
+
 def test_day_files_split_by_utc_date(store):
     store.append_entry(make_entry(entry_id="e1", days_ago=0))
     store.append_entry(make_entry(entry_id="e2", days_ago=2))
