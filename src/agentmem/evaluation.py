@@ -188,6 +188,16 @@ def _parse_session_date(raw: str) -> datetime:
         raise ValidationError(f"unparseable session date: {raw!r}") from exc
 
 
+def _text(record: dict, key: str) -> str:
+    """A text field; numbers, as real datasets carry numeric answers, are
+    cast with ``str``. Anything else, null included, is a TypeError naming
+    the key, so it cannot load as the text "None"."""
+    value = record[key]
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise TypeError(f"{key!r} must be a string or a number, got {value!r}")
+    return str(value)
+
+
 def question_from_dict(record: dict) -> BenchmarkQuestion:
     raw_sessions = record["haystack_sessions"]
     dates = record.get("haystack_dates") or [""] * len(raw_sessions)
@@ -205,15 +215,15 @@ def question_from_dict(record: dict) -> BenchmarkQuestion:
             Session(
                 session_id=str(sid),
                 date=parsed,
-                turns=tuple(Turn(str(t["role"]), str(t["content"])) for t in turns),
+                turns=tuple(Turn(_text(t, "role"), _text(t, "content")) for t in turns),
             )
         )
     question_date = record.get("question_date")
     return BenchmarkQuestion(
-        question_id=str(record["question_id"]),
-        question_type=str(record["question_type"]),
-        question=str(record["question"]),
-        answer=str(record["answer"]),
+        question_id=_text(record, "question_id"),
+        question_type=_text(record, "question_type"),
+        question=_text(record, "question"),
+        answer=_text(record, "answer"),
         sessions=tuple(sessions),
         answer_session_ids=tuple(str(s) for s in record.get("answer_session_ids", ())),
         question_date=parse_timestamp(question_date) if question_date else None,

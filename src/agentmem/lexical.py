@@ -4,10 +4,16 @@
 document's token length; a term's document frequency is the size of its
 postings. ``pool_scores`` scores the documents of several indexes as one
 corpus, walking only the postings of the query terms, so its cost grows with
-the matched postings, not with the corpus. Stage 1 scores the fact index
-through ``rank``; stage 2 scores a pool from its sessions' indexes. A
-document that shares no query term scores exactly 0 and is left out.
-``bm25_score`` is the per-document reference both are tested against.
+the matched postings, not with the corpus. Stage 2 scores a pool from its
+sessions' indexes this way. A document that shares no query term scores
+exactly 0 and is left out.
+
+Stage 1 scores the fact index through ``Bm25Columns``: the same sums as a
+numpy column over every fact, from per-term postings arrays built the first
+time a query uses the term, and it takes the facts best-first by partial
+selection, sorting only the top few. ``rank`` is ``pool_scores`` fully
+sorted, and ``bm25_score`` is the per-document reference all of them are
+tested against.
 
 Scores are left unnormalised on purpose: downstream scoring applies its own
 normalisation variants, and the decay-bypass rule thresholds the raw value.
@@ -18,13 +24,18 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter, defaultdict
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NotFoundError, ValidationError
 
 K1 = 1.5
 B = 0.75
+# Facts that Bm25Columns.ranked sorts first; it takes 4x more each time the
+# walk needs more. Stage 1 stops after about k1 facts.
+_FIRST_CUT = 16
 
 # Word characters minus underscore: lowercased alphanumeric runs.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -102,6 +113,10 @@ def pool_scores(
     them, so doc ids must be distinct across them. Each score is > 0 and
     ``==`` to ``bm25_score`` over one ``build_index`` of all their texts,
     as each document's sum runs over the query terms in the same order.
+
+    This stays on dict postings rather than ``Bm25Columns``: an unscoped
+    pool spans up to hundreds of small session indexes, where numpy calls
+    per index would cost more than the loop they replace.
     """
     n = sum(index.doc_count for index in indexes)
     avg = sum(index.total_len for index in indexes) / n if n else 0.0
@@ -122,6 +137,82 @@ def pool_scores(
 def rank(index: Bm25Index, query_tokens: Iterable[str]) -> list[tuple[Hashable, float]]:
     """Documents sharing a query term, sorted by (score desc, doc_id asc).
 
-    Every returned score is > 0; a document left out scores exactly 0.
+    Every returned score is > 0; a document left out scores exactly 0. This
+    full sort is the reference that ``Bm25Columns.ranked`` is tested against.
     """
     return sorted(pool_scores(query_tokens, [index]).items(), key=lambda pair: (-pair[1], pair[0]))
+
+
+class Bm25Columns:
+    """BM25 of one ``Bm25Index`` as a float column over its documents, which
+    are kept in sorted-id order. Each score is ``==`` to ``pool_scores`` over
+    that index alone: every document's sum runs over the query terms in the
+    same order, with the same operations.
+
+    A term's postings become (positions, term frequencies) arrays the first
+    time a query uses it, and are kept for the life of the index. Two threads
+    may build one term at once; both store equal arrays.
+    """
+
+    def __init__(self, index: Bm25Index):
+        self.index = index
+        self.doc_ids = sorted(index.doc_len)
+        self._position = {doc: i for i, doc in enumerate(self.doc_ids)}
+        doc_len = np.array([index.doc_len[doc] for doc in self.doc_ids], dtype=float)
+        avg = index.avg_doc_len
+        relative = B * doc_len / avg if avg > 0 else np.zeros(len(doc_len))
+        self._length_norm = K1 * (1.0 - B + relative)
+        self._terms: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _postings(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
+        arrays = self._terms.get(term)
+        if arrays is None:
+            postings = self.index.postings.get(term)
+            if postings is None:
+                return None
+            position = self._position
+            arrays = (
+                np.fromiter((position[doc] for doc in postings), np.intp, len(postings)),
+                np.fromiter(postings.values(), float, len(postings)),
+            )
+            self._terms[term] = arrays
+        return arrays
+
+    def scores(self, query_tokens: Iterable[str]) -> np.ndarray:
+        """Raw BM25 of every document, in ``doc_ids`` order. Every
+        contribution is > 0, so the nonzero scores are exactly the matches."""
+        n = self.index.doc_count
+        scores = np.zeros(n)
+        for term in dict.fromkeys(query_tokens):
+            arrays = self._postings(term)
+            if arrays is None:
+                continue
+            positions, tf = arrays
+            weight = _idf(n, len(positions))
+            scores[positions] += weight * tf * (K1 + 1.0) / (tf + self._length_norm[positions])
+        return scores
+
+    def ranked(self, query_tokens: Iterable[str]) -> Iterator[tuple[Hashable, float]]:
+        """``rank``'s pairs in the same (score desc, doc_id asc) order, lazily.
+
+        Each step sorts only the documents scoring at least the m-th best
+        score, so ties at the cut stay in id order, and the next step takes
+        4x as many; what a step sorted is a prefix of the next one's order.
+        """
+        scores = self.scores(query_tokens)
+        matched = np.flatnonzero(scores)
+        values = scores[matched]
+        done, m = 0, _FIRST_CUT
+        while done < len(matched):
+            if m < len(matched):
+                cut = np.partition(values, len(values) - m)[len(values) - m]
+                top = np.flatnonzero(values >= cut)
+            else:
+                top = np.arange(len(matched))
+            # top ascends, as do positions and ids, so a stable sort keeps
+            # equal scores in id order.
+            top = top[np.argsort(-values[top], kind="stable")]
+            for i in top[done:].tolist():
+                yield self.doc_ids[matched[i]], float(values[i])
+            done = len(top)
+            m *= 4

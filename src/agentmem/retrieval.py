@@ -5,14 +5,15 @@ ids. Stage 2 scores episodic entries inside those sessions with the
 composite formula and returns the top k, greedily packed into a token budget.
 
 BM25 has one form for both tiers, ``lexical.Bm25Index``: stage 1 ranks the
-fact index, and a snapshot keeps one index per session, keyed by snapshot
-position, so a pool's raw BM25 is ``lexical.pool_scores`` over its sessions'
-indexes. Stage 2 scores a pool as columns (``scoring.pool_signals``). The
-inputs no query changes, exp(-lambda * age), phi_cw, the tier multiplier and
-the timestamp, are kept per snapshot position, and a pool takes them by its
-positions. Only raw BM25, dense similarity and scope membership are computed
-per query. ``ScoreBreakdown`` and ``RankedEntry`` are built only for the
-entries returned.
+fact index through ``lexical.Bm25Columns``, and a snapshot keeps one index
+per session, keyed by snapshot position, so a pool's raw BM25 is
+``lexical.pool_scores`` over its sessions' indexes. Stage 2 scores a pool as
+columns (``scoring.pool_signals``). The inputs no query changes,
+exp(-lambda * age), phi_cw, the tier multiplier and the timestamp, are kept
+per snapshot position, and a pool takes them by its positions. Only raw
+BM25, dense similarity and scope membership are computed per query.
+``ScoreBreakdown`` and ``RankedEntry`` are built only for the entries
+returned.
 
 Every mode ranks through the same composite. In dense and hybrid modes each
 candidate's embedding cosine to the query fills the phi_sem slot; dense mode
@@ -188,17 +189,18 @@ class RetrievalResult:
 
 @dataclass(frozen=True)
 class FactIndex:
-    """Stage 1's view of a fact set: BM25 postings and the facts by id."""
+    """Stage 1's view of a fact set: BM25 columns and the facts by id. The
+    columns cache each query term's postings arrays, so one index serves a
+    snapshot's queries."""
 
-    bm25: lexical.Bm25Index
+    bm25: lexical.Bm25Columns
     by_id: dict[str, SemanticFact]
 
 
 def build_fact_index(facts: Sequence[SemanticFact]) -> FactIndex:
     """Facts are searchable by the subject+relation+value concatenation."""
-    return FactIndex(
-        lexical.build_index([(f.id, f.search_text()) for f in facts]), {f.id: f for f in facts}
-    )
+    index = lexical.build_index([(f.id, f.search_text()) for f in facts])
+    return FactIndex(lexical.Bm25Columns(index), {f.id: f for f in facts})
 
 
 def stage1_scope(
@@ -207,11 +209,13 @@ def stage1_scope(
     k1: int | None,
     index: FactIndex | None = None,
 ) -> list[str]:
-    """Walk facts in lexical-rank order, gathering distinct session ids.
+    """Walk facts in lexical-rank order, (score desc, id asc), gathering
+    distinct session ids.
 
     A multi-session fact contributes all its sessions at its rank. Only
-    positive-scoring facts count as relevant, and ``lexical.rank`` returns
-    only those; with k1=None every session backed by one is returned.
+    positive-scoring facts count as relevant; with k1=None every session
+    backed by one is returned. The facts come from ``Bm25Columns.ranked``,
+    which sorts only as many top facts as the walk reaches.
     """
     if not facts:
         return []
@@ -219,7 +223,7 @@ def stage1_scope(
         index = build_fact_index(facts)
     scoped: list[str] = []
     seen: set[str] = set()
-    for fact_id, _ in lexical.rank(index.bm25, query_tokens):
+    for fact_id, _ in index.bm25.ranked(query_tokens):
         for session_id in sorted(index.by_id[fact_id].session_ids):
             if session_id in seen:
                 continue

@@ -249,11 +249,28 @@ def _turn_without_content():
     return json.dumps(record), "record 1: missing key 'content'"
 
 
+def _with_null(*path):
+    """The first record with the value at ``path`` set to null."""
+    def dataset():
+        record = _first_record()
+        target = record
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = None
+        return json.dumps(record), f"record 1: mistyped: {path[-1]!r} must be a string or a number"
+    return dataset
+
+
 @pytest.mark.parametrize("dataset", [
     _without_sessions,
     _turn_without_content,
     lambda: (json.dumps([_first_record(), 5]), "record 2: mistyped: 'int' object is not subscriptable"),
-], ids=["no_haystack_sessions", "turn_without_content", "array_of_non_objects"])
+    _with_null("answer"),
+    _with_null("question"),
+    _with_null("haystack_sessions", 0, 0, "content"),
+    _with_null("haystack_sessions", 0, 0, "role"),
+], ids=["no_haystack_sessions", "turn_without_content", "array_of_non_objects", "null_answer",
+        "null_question", "null_turn_content", "null_turn_role"])
 def test_eval_malformed_dataset_is_data_error(tmp_path, capsys, dataset):
     text, message = dataset()
     path = tmp_path / "bad.jsonl"

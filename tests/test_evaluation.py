@@ -209,6 +209,20 @@ def test_jsonl_dataset_keeps_unicode_line_separators_in_text(tmp_path):
     assert question.sessions[0].turns[0].content == content
 
 
+def test_dataset_casts_numeric_text_fields(tmp_path):
+    record = {
+        "question_id": 7, "question_type": "multi-session", "question": "how many?", "answer": 42,
+        "haystack_session_ids": ["s1"], "haystack_dates": ["2025-01-01"],
+        "haystack_sessions": [[{"role": "user", "content": 3.5}]],
+        "answer_session_ids": ["s1"],
+    }
+    path = tmp_path / "numbers.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    (question,) = load_dataset(path)
+    assert (question.question_id, question.answer) == ("7", "42")
+    assert question.sessions[0].turns[0].content == "3.5"
+
+
 # -- benchmark runner -----------------------------------------------------------------------
 
 @pytest.fixture(scope="module")

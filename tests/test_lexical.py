@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agentmem.errors import NotFoundError, ValidationError
-from agentmem.lexical import bm25_score, build_index, pool_scores, rank, tokenize
+from agentmem.lexical import Bm25Columns, bm25_score, build_index, pool_scores, rank, tokenize
 
 TWO_DOC_CORPUS = [("d1", "apple banana"), ("d2", "cherry date")]
 
@@ -201,3 +201,35 @@ def test_rank_is_pool_scores_of_its_index_sorted(texts, query):
     assert rank(idx, query) == sorted(
         pool_scores(query, [idx]).items(), key=lambda pair: (-pair[1], pair[0])
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    texts=st.lists(st.lists(st.sampled_from("abcdefg"), max_size=6).map(" ".join), max_size=80),
+    query=QUERY,
+)
+@example(*ORDER_SENSITIVE)
+def test_columns_equal_pool_scores_and_rank(texts, query):
+    """Up to 80 documents over seven terms: many tie, and the walk crosses
+    the first selection cut."""
+    idx = build_index([(f"d{i}", text) for i, text in enumerate(texts)])
+    columns = Bm25Columns(idx)
+    expected = pool_scores(query, [idx])
+    scores = columns.scores(query)
+    assert columns.doc_ids == sorted(idx.doc_len)
+    assert [(doc_id, scores[i]) for i, doc_id in enumerate(columns.doc_ids)] == [
+        (doc_id, expected.get(doc_id, 0.0)) for doc_id in columns.doc_ids
+    ]
+    assert list(columns.ranked(query)) == rank(idx, query)
+
+
+@pytest.mark.parametrize("size", [15, 16, 17, 64, 65, 300])
+def test_columns_rank_every_match_past_each_selection_cut(size):
+    """Corpora where most documents match with distinct scores, so the walk
+    grows its selection past 16, 64 and 256 documents."""
+    rng = random.Random(size)
+    texts = [" ".join(rng.choices("abcdefg", k=rng.randint(1, 40))) for _ in range(size)]
+    idx = build_index([(f"d{i}", text) for i, text in enumerate(texts)])
+    columns = Bm25Columns(idx)
+    for query in (["a"], ["a", "b", "a"], ["g", "c"], ["z"]):
+        assert list(columns.ranked(query)) == rank(idx, query)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -383,6 +385,61 @@ def test_scoped_query_indexes_only_its_sessions_and_only_once(monkeypatch):
     ]
     assert pipeline.retrieve("lunch soup").scoped_session_ids == ["s3"]
     assert built == [["s1"], ["s3"]]
+
+
+def _fact_pipeline():
+    entries = [
+        make_entry(entry_id=f"e{i}", session_id=f"s{i % 7}", content=f"{word} note {i}")
+        for i, word in enumerate(["report", "lunch", "deadline", "bike", "soup"] * 6)
+    ]
+    subjects = [f"{a} {b}" for a in ("report", "lunch", "deadline", "bike")
+                for b in ("friday", "soup", "blue")]
+    facts = [
+        make_fact(fact_id=f"f{i}", subject=subject, value=f"v{i % 5}",
+                  session_ids=(f"s{i % 7}", f"s{(i * 3) % 7}"))
+        for i, subject in enumerate(subjects)
+    ]
+    return RetrievalPipeline(RetrievalConfig(stage1_k1=5), entries=entries, facts=facts)
+
+
+def test_stage1_builds_postings_arrays_only_for_query_terms_and_once():
+    pipeline = _fact_pipeline()
+    columns = pipeline._fact_index.bm25
+    assert columns._terms == {}  # nothing built with the snapshot
+    pipeline.retrieve("report friday nowhere report")
+    assert set(columns._terms) == {"report", "friday"}  # "nowhere" indexes no fact
+    built = dict(columns._terms)
+    pipeline.retrieve("friday report")
+    assert columns._terms.keys() == built.keys()
+    assert all(columns._terms[t] is arrays for t, arrays in built.items())
+    pipeline.retrieve("lunch")
+    assert set(columns._terms) == {"report", "friday", "lunch"}
+
+
+def _outputs(result):
+    return (
+        result.scoped_session_ids,
+        [(r.entry.id, r.breakdown) for r in result.ranked],
+        result.packed_context,
+    )
+
+
+def test_threads_on_cold_caches_match_serial_results():
+    queries = [f"{a} {b}" for a in ("report", "lunch", "deadline", "bike", "soup")
+               for b in ("friday", "blue", "note", "v1")] * 3
+    pipeline = _fact_pipeline()
+    serial = [_outputs(pipeline.retrieve(q)) for q in queries]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            pipeline = _fact_pipeline()  # cold fact-term and session caches
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(pipeline.retrieve, q) for q in queries]
+                results = [_outputs(f.result(timeout=60)) for f in futures]
+            assert results == serial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_pipeline_excludes_system_entries(store):

@@ -1,7 +1,10 @@
 """The retrieval fast path against a reference built from the definitions.
 
-Stage 1 walks ``lexical.rank`` over fact postings, and stage 2 scores pools
-from term counts cached per snapshot. The reference scores every fact and
+Stage 1 walks the facts best-first from ``lexical.Bm25Columns``, score
+columns with a partial top-k, and stage 2 scores pools with
+``lexical.pool_scores`` over per-session indexes cached per snapshot. The
+stage-1 scope is also checked against a walk of ``lexical.rank``, the fully
+sorted list. The reference scores every fact and
 every pool entry with ``build_index`` + ``bm25_score``, then combines each
 candidate with ``composite_score`` and orders with ``rank_order``. Results
 must be equal with ``==``: ids, scopes and every ``ScoreBreakdown`` field.
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import copy
 import json
+import random
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -27,7 +31,7 @@ from hypothesis import strategies as st
 from agentmem import consolidation, evaluation
 from agentmem.cli import main
 from agentmem.errors import ValidationError
-from agentmem.lexical import bm25_score, build_index, tokenize
+from agentmem.lexical import bm25_score, build_index, pool_scores, rank, tokenize
 from agentmem.retrieval import (
     DENSE_WEIGHTS,
     MODE_BM25,
@@ -37,7 +41,9 @@ from agentmem.retrieval import (
     HashedBowEmbedder,
     RetrievalConfig,
     RetrievalPipeline,
+    build_fact_index,
     rrf_fuse,
+    stage1_scope,
     stage2_retrieve,
 )
 from agentmem.scoring import (
@@ -76,6 +82,34 @@ def reference_scope(query, facts, k1):
                 scoped.append(session_id)
             if k1 is not None and len(scoped) >= k1:
                 return scoped
+    return scoped
+
+
+def rank_walk_scope(query, facts, k1):
+    """Stage 1 as a walk of ``lexical.rank``, every match scored and sorted."""
+    index = build_index([(f.id, f.search_text()) for f in facts])
+    by_id = {f.id: f for f in facts}
+    scoped: list[str] = []
+    for fact_id, _ in rank(index, tokenize(query)):
+        for session_id in sorted(by_id[fact_id].session_ids):
+            if session_id not in scoped:
+                scoped.append(session_id)
+            if k1 is not None and len(scoped) >= k1:
+                return scoped
+    return scoped
+
+
+def check_stage1(query, facts, k1):
+    """The pipeline's stage 1 against both references, and its score column
+    against ``pool_scores``."""
+    index = build_fact_index(facts)
+    scoped = stage1_scope(tokenize(query), facts, k1, index)
+    assert scoped == reference_scope(query, facts, k1) == rank_walk_scope(query, facts, k1)
+    expected = pool_scores(tokenize(query), [build_index([(f.id, f.search_text()) for f in facts])])
+    scores = index.bm25.scores(tokenize(query))
+    assert [(fact_id, scores[i]) for i, fact_id in enumerate(index.bm25.doc_ids)] == [
+        (fact_id, expected.get(fact_id, 0.0)) for fact_id in sorted(f.id for f in facts)
+    ]
     return scoped
 
 
@@ -233,6 +267,65 @@ def test_retrieve_matches_reference_on_random_stores(
         for query in queries:
             check_against_reference(pipeline, query)
             check_full_ranking(pipeline, query)
+
+
+SESSIONS = [f"s{i}" for i in range(12)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    facts=st.lists(
+        st.tuples(TEXT, TEXT, st.sets(st.sampled_from(SESSIONS), min_size=1, max_size=3)),
+        max_size=60,
+    ),
+    queries=st.lists(
+        st.lists(st.sampled_from(WORDS + ["nowhere"]), min_size=1, max_size=5).map(" ".join),
+        min_size=1,
+        max_size=3,
+    ),
+    k1=st.sampled_from([None, 1, 2, 3, 4, 5, 6]),
+)
+def test_stage1_scope_matches_both_references_on_random_facts(facts, queries, k1):
+    """Multi-session facts over few words, so scores tie often, and queries
+    that repeat a word."""
+    fact_list = [
+        make_fact(fact_id=f"f{i}", subject=subject, value=value, session_ids=sessions)
+        for i, (subject, value, sessions) in enumerate(facts)
+    ]
+    for query in queries:
+        if fact_list:
+            check_stage1(query, fact_list, k1)
+
+
+@pytest.mark.parametrize("k1", [1, 15, 16, 17, 30, 44, 45, None])
+def test_tied_facts_across_the_first_cut_scope_in_id_order(k1):
+    """45 facts with one text in distinct sessions tie, so equal scores
+    straddle the first partial selection; their sessions come in fact id
+    order, where "f10" sorts before "f2"."""
+    facts = [
+        make_fact(fact_id=f"f{i}", subject="quarterly report", value="friday",
+                  session_ids=(f"s{i:02d}",))
+        for i in range(45)
+    ] + [make_fact(fact_id="g", subject="lunch", value="soup", session_ids=("s99",))]
+    by_id = sorted(range(45), key=lambda i: f"f{i}")
+    expected = [f"s{i:02d}" for i in by_id][:k1]
+    assert check_stage1("quarterly report", facts, k1) == expected
+    assert check_stage1("report lunch", facts, k1) == (["s99"] + expected)[: k1 or 46]
+
+
+@pytest.mark.parametrize("k1", [1, 16, 17, 40, 64, 65, 100, None])
+def test_stage1_scope_walks_past_each_selection_cut(k1):
+    """120 facts of distinct lengths that all match, most in a session of
+    their own, so a deep scope needs the walk's later selections."""
+    rng = random.Random(7)
+    subjects = ["report " + " ".join(rng.choices(WORDS, k=rng.randint(0, 30))) for _ in range(120)]
+    facts = [
+        make_fact(fact_id=f"f{i}", subject=subject, value="friday",
+                  session_ids={f"s{i}", f"s{i // 3}"})
+        for i, subject in enumerate(subjects)
+    ]
+    for query in ("report", "friday deadline report", "the blue soup"):
+        check_stage1(query, facts, k1)
 
 
 @pytest.mark.parametrize("mode", MODES)
