@@ -387,8 +387,8 @@ class RetrievalPipeline:
 
     Construction snapshots the entry and fact sets, so retrieval concurrent
     with a consolidation pass sees either the pre-pass or post-pass tier,
-    never a torn state. It indexes the facts up front, and each session's
-    entries the first time the session enters a pool.
+    never a torn state. It indexes the facts up front when stage 1 is on,
+    and each session's entries the first time the session enters a pool.
     """
 
     def __init__(
@@ -411,7 +411,9 @@ class RetrievalPipeline:
         self.now = now or max(
             (e.timestamp for e in self.entries), default=datetime.now(timezone.utc)
         )
-        self._fact_index = build_fact_index(self.facts) if self.facts else None
+        self._fact_index = (
+            build_fact_index(self.facts) if self.facts and cfg.stage1_k1 is not None else None
+        )
         # Session id -> positions of its entries in self.entries, ascending.
         self._session_positions: dict[str, list[int]] = {}
         for i, entry in enumerate(self.entries):

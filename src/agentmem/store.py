@@ -19,33 +19,49 @@ Each write is one append per file; a consolidation pass makes one append to
 the fact file and one to the promotion ledger. An append that finds a torn
 last line (a crash mid-append) ends it first, so only the fragment is lost.
 
-One store instance serialises its writers through a lock; readers get fresh
-value snapshots and never touch the files' contents.
+A store instance keeps one view per file: the file's inode, the byte offset
+after the last complete line it parsed, and what those lines hold (entries
+or facts with the id of every line, folded cognitive weights, promoted ids).
+Every load and every id check stats the files first. Bytes another writer
+appended are parsed from the view's offset on that next use, and a file that
+shrank or was replaced is parsed again from its start; an unterminated last
+line is parsed on every use and never kept. The instance's own appends extend
+its views with the objects just written, so it never parses them back. A file
+that is cut and regrown past the view's offset between two uses is not
+noticed unless the byte before the offset is no longer a newline: files are
+append-only.
+
+One store instance serialises its readers and writers through a lock; loads
+return fresh value objects, never the views' own.
 """
 
 from __future__ import annotations
 
-import contextlib
+import copy
 import json
 import os
 import threading
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 
 from .errors import NotFoundError, StorageError, ValidationError
 
 SYSTEM_PREFIX = "[system]"
 
-# Built once: json.dumps with non-default options builds a new encoder per call.
-# Entry and fact lines keep their text as UTF-8; ledger lines are ASCII.
+# For field values of unusual types: json.dumps with non-default options
+# builds a new encoder per call. Entry and fact lines keep their text as UTF-8;
+# ledger lines are ASCII.
 _encode_text = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 _encode_ascii = json.JSONEncoder(separators=(",", ":")).encode
 
 # A loaded field must have its JSON type exactly: a cast would load a wrong
 # value, and a bool is not a number.
 _NUMBER = (int, float)
+
+_APPEND_FLAGS = os.O_RDWR | os.O_APPEND | os.O_CREAT
 
 
 def utc_now() -> datetime:
@@ -64,6 +80,37 @@ def parse_timestamp(value: str | datetime) -> datetime:
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
     return ts.astimezone(timezone.utc)
+
+
+def _json(value, ascii: bool = False) -> str:
+    """``value`` as ``json.dumps(value, ensure_ascii=ascii, separators=(",", ":"))``
+    writes it; the common field types skip building an encoder."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value) if ascii else encode_basestring(value)
+    if kind is float and value - value == 0.0:  # finite
+        return float.__repr__(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    return (_encode_ascii if ascii else _encode_text)(value)
+
+
+def _fact_line(fact: "SemanticFact", created_at: str) -> str:
+    session_ids = ",".join([_json(s) for s in sorted(fact.session_ids)])
+    return (
+        f'{{"id":{_json(fact.id)},"subject":{_json(fact.subject)},'
+        f'"relation":{_json(fact.relation)},"value":{_json(fact.value)},'
+        f'"session_ids":[{session_ids}],"created_at":"{created_at}"}}'
+    )
+
+
+def _promotion_line(entry_id: str, fact_id: str, promoted_at: str) -> str:
+    return (
+        f'{{"entry_id":{_json(entry_id, True)},"fact_id":{_json(fact_id, True)},'
+        f'"promoted_at":"{promoted_at}"}}'
+    )
 
 
 @dataclass
@@ -96,18 +143,13 @@ class EpisodicEntry:
         self.system = self.content.startswith(SYSTEM_PREFIX)
 
     def to_line(self) -> str:
-        record = {
-            "id": self.id,
-            "timestamp": self.timestamp.isoformat(),
-            "session_id": self.session_id,
-            "agent_id": self.agent_id,
-            "project": self.project,
-            "content": self.content,
-            "tokens": self.tokens,
-            "promoted": self.promoted,
-            "cognitive_weight": self.cognitive_weight,
-        }
-        return _encode_text(record)
+        return (
+            f'{{"id":{_json(self.id)},"timestamp":"{self.timestamp.isoformat()}",'
+            f'"session_id":{_json(self.session_id)},"agent_id":{_json(self.agent_id)},'
+            f'"project":{_json(self.project)},"content":{_json(self.content)},'
+            f'"tokens":{_json(self.tokens)},"promoted":{_json(self.promoted)},'
+            f'"cognitive_weight":{_json(self.cognitive_weight)}}}'
+        )
 
     @classmethod
     def from_dict(cls, record: dict) -> "EpisodicEntry":
@@ -160,15 +202,7 @@ class SemanticFact:
         return f"{self.subject} {self.relation} {self.value}"
 
     def to_line(self) -> str:
-        record = {
-            "id": self.id,
-            "subject": self.subject,
-            "relation": self.relation,
-            "value": self.value,
-            "session_ids": sorted(self.session_ids),
-            "created_at": self.created_at.isoformat(),
-        }
-        return _encode_text(record)
+        return _fact_line(self, self.created_at.isoformat())
 
     @classmethod
     def from_dict(cls, record: dict) -> "SemanticFact":
@@ -195,13 +229,9 @@ class CwLedgerRecord:
     applied_at: datetime
 
     def to_line(self) -> str:
-        return _encode_ascii(
-            {
-                "entry_id": self.entry_id,
-                "delta": self.delta,
-                "reward": self.reward,
-                "applied_at": self.applied_at.isoformat(),
-            }
+        return (
+            f'{{"entry_id":{_json(self.entry_id, True)},"delta":{_json(self.delta, True)},'
+            f'"reward":{_json(self.reward, True)},"applied_at":"{self.applied_at.isoformat()}"}}'
         )
 
 
@@ -212,13 +242,7 @@ class PromotionRecord:
     promoted_at: datetime
 
     def to_line(self) -> str:
-        return _encode_ascii(
-            {
-                "entry_id": self.entry_id,
-                "fact_id": self.fact_id,
-                "promoted_at": self.promoted_at.isoformat(),
-            }
-        )
+        return _promotion_line(self.entry_id, self.fact_id, self.promoted_at.isoformat())
 
 
 @dataclass
@@ -274,12 +298,182 @@ def _cw_delta(record: dict) -> tuple[str, float]:
     return _ledger_entry_id(record), delta
 
 
+def _as_parsed(parse: Callable[[dict], object], records: Iterable[dict]) -> list | None:
+    """What ``parse`` returns for each record, which is what a parse of its
+    line returns; None if a line of them would be skipped."""
+    try:
+        return [parse(record) for record in records]
+    except _BAD_LINE:
+        return None
+
+
+class _View:
+    """What the complete lines of one JSONL file hold, up to byte ``offset``.
+
+    ``inode`` tells a replaced file from a grown one. ``add`` folds one line
+    into the view's ``state`` and counts it in ``skipped`` if it cannot;
+    ``extend`` folds values that a parse of lines returned. Callers hold the
+    store's lock.
+    """
+
+    full = True  # a view that parses each line completely
+
+    def __init__(self, path: Path, parse: Callable[[dict], object]):
+        self.path = path
+        self.parse = parse
+        self.reset()
+
+    def reset(self, inode: int | None = None) -> None:
+        self.inode = inode
+        self.offset = 0
+        self.skipped = 0
+        self.clear()
+
+    def add(self, line: bytes) -> None:
+        try:
+            value = self.parse(json.loads(line.decode("utf-8")))
+        except _BAD_LINE:
+            self.skipped += 1
+        else:
+            self.extend((value,))
+
+    def sync(self) -> bytes:
+        """Parse the lines appended since ``offset``, up to the last ``\\n``,
+        after parsing the file again from its start if it shrank, was replaced
+        or no longer has a newline before ``offset``. Return the bytes after
+        the last ``\\n``, which the view never keeps."""
+        try:
+            stat = os.stat(self.path)
+            if stat.st_ino == self.inode and stat.st_size == self.offset:
+                return b""
+            with open(self.path, "rb") as handle:
+                stat = os.fstat(handle.fileno())
+                if (
+                    stat.st_ino != self.inode
+                    or stat.st_size < self.offset
+                    or (self.offset and os.pread(handle.fileno(), 1, self.offset - 1) != b"\n")
+                ):
+                    self.reset(stat.st_ino)
+                offset = handle.seek(self.offset)
+                for line in handle:
+                    if line[-1:] != b"\n":
+                        self.offset = offset
+                        return line
+                    offset += len(line)
+                    if line.strip():
+                        self.add(line)
+                self.offset = offset
+                return b""
+        except FileNotFoundError:
+            self.reset()
+            return b""
+        except OSError as exc:
+            raise StorageError(f"cannot read {self.path}: {exc}") from exc
+
+    def read(self) -> "_View":
+        """The view synced, with the file's unterminated last line added."""
+        return self.with_tail(self.sync())
+
+    def with_tail(self, tail: bytes) -> "_View":
+        """This view with the unterminated ``tail`` line added, leaving the
+        view itself as it was."""
+        if not tail.strip():
+            return self
+        view = self._detached()
+        view.add(tail)
+        return view
+
+    def _detached(self) -> "_View":
+        view = copy.copy(self)
+        view.state = self.state.copy()
+        return view
+
+
+class _RecordView(_View):
+    """Entries or facts in file order, and the id of every line whose ``id``
+    parses, also of a line that fails the full parse. ``seen`` counts the ids
+    of this view and of every view sharing it. A view that only id checks
+    have read holds no ``values`` (``full`` false) until a load needs them."""
+
+    def __init__(self, path: Path, parse: Callable[[dict], object], seen: dict[str, int]):
+        self.seen = seen
+        self.ids: list[str] = []
+        self.full = False
+        super().__init__(path, parse)
+
+    def clear(self) -> None:
+        seen = self.seen
+        for record_id in self.ids:
+            if seen[record_id] == 1:
+                del seen[record_id]
+            else:
+                seen[record_id] -= 1
+        self.ids = []
+        self.values: list = []
+
+    def add(self, line: bytes) -> None:
+        try:
+            record = json.loads(line.decode("utf-8"))
+            record_id = _record_id(record)
+        except _BAD_LINE:
+            self.skipped += 1
+            return
+        self.ids.append(record_id)
+        self.seen[record_id] = self.seen.get(record_id, 0) + 1
+        if self.full:
+            try:
+                self.values.append(self.parse(record))
+            except _BAD_LINE:
+                self.skipped += 1
+
+    def extend(self, values: Sequence) -> None:
+        seen = self.seen
+        for value in values:
+            self.ids.append(value.id)
+            seen[value.id] = seen.get(value.id, 0) + 1
+        if self.full:
+            self.values.extend(values)
+
+    def sync(self, full: bool = False) -> bytes:
+        if full and not self.full:
+            self.full = True
+            self.reset()
+        return super().sync()
+
+    def _detached(self) -> "_RecordView":
+        view = copy.copy(self)
+        view.ids, view.values, view.seen = list(self.ids), list(self.values), {}
+        return view
+
+
+class _WeightView(_View):
+    """Cognitive weight per entry id: the ledger's deltas clipped in file order."""
+
+    def clear(self) -> None:
+        self.state: dict[str, float] = {}
+
+    def extend(self, deltas: Iterable[tuple[str, float]]) -> None:
+        weights = self.state
+        for entry_id, delta in deltas:
+            weights[entry_id] = _clip(weights.get(entry_id, 0.0) + delta)
+
+
+class _PromotedView(_View):
+    """The entry ids that promotion lines name."""
+
+    def clear(self) -> None:
+        self.state: set[str] = set()
+
+    def extend(self, entry_ids: Iterable[str]) -> None:
+        self.state.update(entry_ids)
+
+
 class MemoryStore:
     """Filesystem-backed store rooted at a workspace directory.
 
     Loads return fresh value objects with the cognitive-weight and promotion
-    ledgers already applied; replaying a store from disk therefore always
-    reproduces the in-memory view exactly.
+    ledgers already applied, equal to what a new instance would load; another
+    writer's appends are seen from the next load or write on.
     """
 
     def __init__(self, workspace: str | Path):
@@ -289,49 +483,110 @@ class MemoryStore:
         self.facts_path = self.memory_dir / "semantic" / "facts.jsonl"
         self.cw_ledger_path = self.memory_dir / "cw_ledger.jsonl"
         self.promotions_path = self.memory_dir / "promotions.jsonl"
-        self._day_paths: dict[str, Path] = {}
         self._lock = threading.Lock()
-        self._cw: dict[str, float] | None = None
-        self._promoted: set[str] | None = None
-        self._entry_ids: set[str] | None = None
-        self._fact_ids: set[str] | None = None
+        # Day-file views by file name; they count their ids in one table.
+        self._entry_ids: dict[str, int] = {}
+        self._day_views: dict[str, _RecordView] = {}
+        self._facts = _RecordView(self.facts_path, SemanticFact.from_dict, {})
+        self._weights = _WeightView(self.cw_ledger_path, _cw_delta)
+        self._promoted = _PromotedView(self.promotions_path, _ledger_entry_id)
 
-    # -- paths ------------------------------------------------------------
+    # -- files ------------------------------------------------------------
 
-    def _day_path(self, timestamp: datetime) -> Path:
-        day = timestamp.astimezone(timezone.utc).date().isoformat()
-        path = self._day_paths.get(day)
-        if path is None:
-            path = self._day_paths[day] = self.episodic_dir / f"{day}.jsonl"
-        return path
+    def _day_view(self, name: str) -> _RecordView:
+        view = self._day_views.get(name)
+        if view is None:
+            view = self._day_views[name] = _RecordView(
+                self.episodic_dir / name, EpisodicEntry.from_dict, self._entry_ids
+            )
+        return view
+
+    def _sync_day_views(self, full: bool = False) -> list[tuple[_RecordView, bytes]]:
+        """Sync the view of every day file, in file-name order, and return each
+        with its file's unterminated tail. The views of files that are gone
+        are dropped."""
+        try:
+            names = sorted(n for n in os.listdir(self.episodic_dir) if n.endswith(".jsonl"))
+        except FileNotFoundError:
+            names = []
+        except OSError as exc:
+            raise StorageError(f"cannot list {self.episodic_dir}: {exc}") from exc
+        listed = set(names)
+        for name in [n for n in self._day_views if n not in listed]:
+            self._day_views.pop(name).reset()
+        return [(view, view.sync(full)) for view in map(self._day_view, names)]
+
+    def _known_entry_ids(self):
+        """Every episodic line's id, the day views synced first."""
+        tail_ids = [
+            record_id
+            for view, tail in self._sync_day_views()
+            for record_id in view.with_tail(tail).ids[len(view.ids):]
+        ]
+        return self._entry_ids.keys() | tail_ids if tail_ids else self._entry_ids
+
+    def _require_entries(self, entry_ids: Iterable[str]) -> None:
+        """Raise NotFoundError for an id that no episodic line carries. The day
+        views are synced only when an id misses the ids they already hold."""
+        missing = [i for i in entry_ids if i not in self._entry_ids]
+        if missing:
+            known = self._known_entry_ids()
+            for entry_id in missing:
+                if entry_id not in known:
+                    raise NotFoundError(f"unknown entry_id: {entry_id!r}")
+
+    def _append(self, view: _View, lines: list[str], values: list | None) -> None:
+        """Append ``lines`` to ``view``'s file. When the write began at the
+        view's offset, or the file was empty, fold ``values`` (what a parse of
+        the lines returns) into the view; otherwise its next sync parses them."""
+        written = self._append_lines(view.path, lines)
+        if written is None or values is None:
+            return
+        inode, start, stop = written
+        if start == 0:
+            view.reset(inode)
+            view.full = True
+        elif start != view.offset or inode != view.inode:
+            return
+        view.extend(values)
+        view.offset = stop
 
     @staticmethod
-    def _append_lines(path: Path, lines: Iterable[str]) -> None:
-        """Append ``lines`` in one write, first ending a torn last line. The
-        parent directories are made only when the file cannot be opened
-        without them."""
+    def _append_lines(path: Path, lines: Sequence[str]) -> tuple[int, int, int] | None:
+        """Append ``lines`` in one write, first ending a torn last line, and
+        return the file's inode and the byte range the lines took (None if
+        there were none). The parent directories are made only when the file
+        cannot be opened without them."""
         data = "".join(line + "\n" for line in lines).encode("utf-8")
         if not data:
-            return
+            return None
         try:
             try:
-                handle = open(path, "a+b")
+                fd = os.open(path, _APPEND_FLAGS, 0o666)
             except FileNotFoundError:
                 path.parent.mkdir(parents=True, exist_ok=True)
-                handle = open(path, "a+b")
-            with handle:
-                if handle.seek(0, os.SEEK_END):
-                    handle.seek(-1, os.SEEK_END)
-                    if handle.read(1) != b"\n":
-                        data = b"\n" + data
-                handle.write(data)
+                fd = os.open(path, _APPEND_FLAGS, 0o666)
+            try:
+                end = os.lseek(fd, 0, os.SEEK_END)
+                pending = memoryview(
+                    b"\n" + data if end and os.pread(fd, 1, end - 1) != b"\n" else data
+                )
+                while pending:
+                    pending = pending[os.write(fd, pending):]
+                # O_APPEND leaves the offset at the end of this write, even if
+                # another writer has appended since.
+                stop = os.lseek(fd, 0, os.SEEK_CUR)
+                return os.fstat(fd).st_ino, stop - len(data), stop
+            finally:
+                os.close(fd)
         except OSError as exc:
             raise StorageError(f"cannot append to {path}: {exc}") from exc
 
     @staticmethod
     def _read_jsonl(paths: Iterable[Path], parse: Callable[[dict], object]) -> tuple[list, int]:
         """``parse`` each non-blank line of ``paths`` in order; return the values
-        and the number of skipped lines. A missing file reads as empty."""
+        and the number of skipped lines. A missing file reads as empty. This
+        is the from-scratch reading that the views must equal."""
         values = []
         skipped = 0
         for path in paths:
@@ -359,9 +614,9 @@ class MemoryStore:
         """Append entries, one JSONL line each, grouped per UTC-day file.
 
         An id that is already stored or repeated in the batch raises
-        ValidationError before anything is written. Stored means in this
-        instance's id view, so an id appended by another process after the
-        view was read is not seen.
+        ValidationError before anything is written. Stored means on a line
+        of a day file when this call syncs the day views, so an id that
+        another writer appended before is seen.
         """
         for entry in entries:
             if not entry.project:
@@ -371,17 +626,20 @@ class MemoryStore:
             if entry.cognitive_weight != 0.0:
                 raise ValidationError("new entries must start with cognitive_weight 0")
         with self._lock:
-            known = self._entry_ids_view()
+            known = self._known_entry_ids()
             ids: set[str] = set()
-            by_file: dict[Path, list[str]] = {}
+            by_view: dict[_RecordView, tuple[list[EpisodicEntry], list[str]]] = {}
             for entry in entries:
                 if entry.id in known or entry.id in ids:
                     raise ValidationError(f"duplicate entry id: {entry.id!r}")
                 ids.add(entry.id)
-                by_file.setdefault(self._day_path(entry.timestamp), []).append(entry.to_line())
-            for path, lines in by_file.items():
-                self._append_lines(path, lines)
-            known.update(ids)
+                day = entry.timestamp.astimezone(timezone.utc).date().isoformat()
+                batch, lines = by_view.setdefault(self._day_view(f"{day}.jsonl"), ([], []))
+                batch.append(entry)
+                lines.append(entry.to_line())
+            for view, (batch, lines) in by_view.items():
+                parsed = _as_parsed(EpisodicEntry.from_dict, map(vars, batch))
+                self._append(view, lines, parsed)
         return [e.id for e in entries]
 
     def load_entries(
@@ -396,31 +654,37 @@ class MemoryStore:
         agent id restricts the result to that agent's own entries. Corrupt
         lines are skipped and counted, never fatal.
         """
-        cw = self._cw_view()
-        promoted = self._promoted_view()
         session_filter = frozenset(sessions) if sessions is not None else None
-        # A cold id cache is filled from this parse, under the writer lock so
-        # no append lands between the read and the fill. A skipped line may
-        # still carry an id, so the cache is filled only when none was skipped.
-        cold = self._entry_ids is None
-        with self._lock if cold else contextlib.nullcontext():
-            parsed, skipped = self._read_jsonl(self._episodic_paths(), EpisodicEntry.from_dict)
-            if not skipped and self._entry_ids is None:
-                self._entry_ids = {entry.id for entry in parsed}
-        entries = [
-            entry
-            for entry in parsed
-            if entry.project == project
-            and (session_filter is None or entry.session_id in session_filter)
-            and (agent_view is None or entry.agent_id == agent_view)
-        ]
-        for entry in entries:
-            entry.cognitive_weight = cw.get(entry.id, entry.cognitive_weight)
-            entry.promoted = entry.promoted or entry.id in promoted
+        entries = []
+        skipped = 0
+        with self._lock:
+            weights = self._weights.read().state
+            promoted = self._promoted.read().state
+            for view, tail in self._sync_day_views(full=True):
+                view = view.with_tail(tail)
+                skipped += view.skipped
+                for entry in view.values:
+                    if (
+                        entry.project == project
+                        and (session_filter is None or entry.session_id in session_filter)
+                        and (agent_view is None or entry.agent_id == agent_view)
+                    ):
+                        # A copy, so a caller's edits never reach the view. The
+                        # constructor keeps the attributes in the instance's
+                        # inline values, which later reads find about 3x faster
+                        # than in a __dict__ filled by update() (CPython 3.11).
+                        entries.append(EpisodicEntry(
+                            entry.id,
+                            entry.timestamp,
+                            entry.session_id,
+                            entry.agent_id,
+                            entry.project,
+                            entry.content,
+                            entry.tokens,
+                            entry.promoted or entry.id in promoted,
+                            weights.get(entry.id, entry.cognitive_weight),
+                        ))
         return LoadedEntries(entries=entries, skipped=skipped)
-
-    def _episodic_paths(self) -> list[Path]:
-        return sorted(self.episodic_dir.glob("*.jsonl"))
 
     # -- semantic tier ----------------------------------------------------
 
@@ -432,33 +696,46 @@ class MemoryStore:
         """Append project-shared facts in one write; return how many were new.
         A fact whose id is stored or earlier in the batch is an idempotent no-op."""
         with self._lock:
-            known = self._fact_ids_view()
+            view = self._facts
+            tail = view.sync()
+            known = view.seen
+            if tail.strip():
+                known = known.keys() | view.with_tail(tail).ids[len(view.ids):]
             fresh: dict[str, SemanticFact] = {}
             for fact in facts:
                 if fact.id not in known:
                     fresh.setdefault(fact.id, fact)
-            self._append_lines(self.facts_path, [f.to_line() for f in fresh.values()])
-            known.update(fresh)
+            # A pass gives all its facts one created_at: format it once.
+            lines, last, stamp = [], None, ""
+            for fact in fresh.values():
+                if fact.created_at is not last:
+                    last, stamp = fact.created_at, fact.created_at.isoformat()
+                lines.append(_fact_line(fact, stamp))
+            self._append(view, lines, _as_parsed(SemanticFact.from_dict, map(vars, fresh.values())))
         return len(fresh)
 
     def load_facts(self) -> LoadedFacts:
-        facts, skipped = self._read_jsonl([self.facts_path], SemanticFact.from_dict)
-        return LoadedFacts(facts=facts, skipped=skipped)
+        with self._lock:
+            view = self._facts.with_tail(self._facts.sync(full=True))
+            facts = [  # copies, built as in load_entries
+                SemanticFact(f.id, f.subject, f.relation, f.value, f.session_ids, f.created_at)
+                for f in view.values
+            ]
+        return LoadedFacts(facts=facts, skipped=view.skipped)
 
     # -- sidecar ledgers ----------------------------------------------------
 
     def apply_cw_delta(self, entry_id: str, delta: float, reward: float) -> float:
         """Clip-update one entry's cognitive weight via the append-only ledger."""
         with self._lock:
-            if entry_id not in self._entry_ids_view():
-                raise NotFoundError(f"unknown entry_id: {entry_id!r}")
-            cw = self._cw_view()
-            new_value = _clip(cw.get(entry_id, 0.0) + delta)
+            self._require_entries([entry_id])
+            weights = self._weights.read().state
+            new_value = _clip(weights.get(entry_id, 0.0) + delta)
             record = CwLedgerRecord(
                 entry_id=entry_id, delta=delta, reward=reward, applied_at=utc_now()
             )
-            self._append_lines(self.cw_ledger_path, [record.to_line()])
-            cw[entry_id] = new_value
+            parsed = _as_parsed(_cw_delta, [{"entry_id": entry_id, "delta": delta}])
+            self._append(self._weights, [record.to_line()], parsed)
         return new_value
 
     def promote(self, entry_id: str, fact_id: str) -> None:
@@ -469,41 +746,11 @@ class MemoryStore:
         unknown entry id raises ``NotFoundError`` before anything is written."""
         pairs = list(pairs)
         with self._lock:
-            known = self._entry_ids_view()
-            for entry_id, _ in pairs:
-                if entry_id not in known:
-                    raise NotFoundError(f"unknown entry_id: {entry_id!r}")
-            now = utc_now()
-            self._append_lines(
-                self.promotions_path,
-                [PromotionRecord(entry_id, fact_id, now).to_line() for entry_id, fact_id in pairs],
-            )
-            self._promoted_view().update(entry_id for entry_id, _ in pairs)
+            self._require_entries(entry_id for entry_id, _ in pairs)
+            promoted_at = utc_now().isoformat()
+            lines = [_promotion_line(entry_id, fact_id, promoted_at) for entry_id, fact_id in pairs]
+            self._append(self._promoted, lines, [entry_id for entry_id, _ in pairs])
 
     def promoted_entry_ids(self) -> set[str]:
-        return set(self._promoted_view())
-
-    # -- ledger replay ------------------------------------------------------
-
-    def _cw_view(self) -> dict[str, float]:
-        if self._cw is None:
-            cw: dict[str, float] = {}
-            for entry_id, delta in self._read_jsonl([self.cw_ledger_path], _cw_delta)[0]:
-                cw[entry_id] = _clip(cw.get(entry_id, 0.0) + delta)
-            self._cw = cw
-        return self._cw
-
-    def _promoted_view(self) -> set[str]:
-        if self._promoted is None:
-            self._promoted = set(self._read_jsonl([self.promotions_path], _ledger_entry_id)[0])
-        return self._promoted
-
-    def _entry_ids_view(self) -> set[str]:
-        if self._entry_ids is None:
-            self._entry_ids = set(self._read_jsonl(self._episodic_paths(), _record_id)[0])
-        return self._entry_ids
-
-    def _fact_ids_view(self) -> set[str]:
-        if self._fact_ids is None:
-            self._fact_ids = set(self._read_jsonl([self.facts_path], _record_id)[0])
-        return self._fact_ids
+        with self._lock:
+            return set(self._promoted.read().state)

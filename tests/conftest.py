@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from agentmem import consolidation
+from agentmem import store as store_module
 from agentmem.store import EpisodicEntry, MemoryStore, SemanticFact
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -48,6 +50,15 @@ def make_fact(
         session_ids=frozenset(session_ids),
         created_at=BASE_TS,
     )
+
+
+@pytest.fixture
+def frozen_clock(monkeypatch) -> datetime:
+    """Pin the store's clock, and consolidation's import of it, to BASE_TS, so
+    ledger lines and fact times are the same on every run."""
+    monkeypatch.setattr(store_module, "utc_now", lambda: BASE_TS)
+    monkeypatch.setattr(consolidation, "utc_now", lambda: BASE_TS)
+    return BASE_TS
 
 
 @pytest.fixture

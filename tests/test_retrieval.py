@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agentmem import lexical
+from agentmem import lexical, retrieval
 from agentmem.errors import ValidationError
 from agentmem.lexical import tokenize
 from agentmem.retrieval import (
@@ -440,6 +440,23 @@ def test_threads_on_cold_caches_match_serial_results():
             assert results == serial
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_unscoped_pipeline_builds_no_fact_index(monkeypatch):
+    queries = ["report friday", "lunch soup blue", "nowhere", "deadline v1 note"]
+    source = _fact_pipeline()
+    cfg = RetrievalConfig(stage1_k1=None)
+    indexed = RetrievalPipeline(cfg, entries=source.entries, facts=source.facts)
+    indexed._fact_index = retrieval.build_fact_index(indexed.facts)  # as a scoped config has
+
+    def refuse(facts):
+        raise AssertionError("an unscoped pipeline built the fact index")
+
+    monkeypatch.setattr(retrieval, "build_fact_index", refuse)
+    pipeline = RetrievalPipeline(cfg, entries=source.entries, facts=source.facts)
+    assert pipeline._fact_index is None
+    for query in queries:
+        assert _outputs(pipeline.retrieve(query)) == _outputs(indexed.retrieve(query))
 
 
 def test_pipeline_excludes_system_entries(store):

@@ -1,0 +1,372 @@
+"""A store instance's file views against a fresh instance's parse.
+
+Every check compares what a long-lived instance loads with what a new
+``MemoryStore`` on the same directory loads: ids, every field (including the
+timestamps' tzinfo), order and skip counts.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from datetime import timedelta, timezone
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import agentmem
+from agentmem.consolidation import HeuristicExtractor, run_consolidation_pass
+from agentmem.errors import NotFoundError, ValidationError
+from agentmem.evaluation import BENCH_PROJECT, ingest_question, load_dataset
+from agentmem.store import EpisodicEntry, MemoryStore, SemanticFact
+from conftest import BASE_TS, SYNTHETIC20, make_entry, make_fact
+
+# sha256 of every file (relative path, NUL, bytes; in path order) that
+# test_frozen_clock_writes_are_byte_identical makes. The encoding of these
+# files is a format: a change of this value is a change of the format.
+SYNTHETIC20_FILES_SHA256 = "ca7082a434d1b7443037af9522e385ee681ea08c33bc695ff14be05f47030a33"
+
+
+def _entry_fields(entry: EpisodicEntry) -> tuple:
+    return (
+        entry.id, entry.timestamp, entry.timestamp.tzinfo, entry.session_id, entry.agent_id,
+        entry.project, entry.content, entry.tokens, entry.promoted, entry.cognitive_weight,
+        entry.system,
+    )
+
+
+def _fact_fields(fact: SemanticFact) -> tuple:
+    return (
+        fact.id, fact.subject, fact.relation, fact.value, fact.session_ids, fact.created_at,
+        fact.created_at.tzinfo,
+    )
+
+
+def _replay(store: MemoryStore, project: str = "proj") -> tuple:
+    entries, facts = store.load_entries(project), store.load_facts()
+    return (
+        [_entry_fields(e) for e in entries], entries.skipped,
+        [_fact_fields(f) for f in facts], facts.skipped,
+        store.promoted_entry_ids(),
+    )
+
+
+def _assert_like_fresh(*stores: MemoryStore, project: str = "proj") -> None:
+    fresh = _replay(MemoryStore(stores[0].root), project)
+    for store in stores:
+        assert _replay(store, project) == fresh
+
+
+# -- views that went stale ---------------------------------------------------
+
+def test_another_instances_weights_promotions_and_facts_are_seen(store):
+    store.append_entries([make_entry(entry_id="e1"), make_entry(entry_id="e2")])
+    store.append_fact(make_fact(fact_id="f1"))
+    other = MemoryStore(store.root)
+    store.load_entries("proj")  # this instance's views are read
+    other.apply_cw_delta("e1", 0.5, 1.0)
+    other.promote("e2", "f1")
+    other.append_fact(make_fact(fact_id="f2"))
+    assert [(e.id, e.cognitive_weight, e.promoted) for e in store.load_entries("proj")] == [
+        ("e1", 0.5, False), ("e2", 0.0, True)
+    ]
+    assert store.apply_cw_delta("e1", 0.25, 1.0) == 0.75
+    assert store.append_facts([make_fact(fact_id="f2"), make_fact(fact_id="f3")]) == 1
+    assert [f.id for f in MemoryStore(store.root).load_facts()] == ["f1", "f2", "f3"]
+    _assert_like_fresh(store, other)
+
+
+def test_entry_another_instance_appended_takes_deltas(store):
+    store.append_entry(make_entry(entry_id="e1"))
+    store.apply_cw_delta("e1", 0.1, 1.0)  # this instance's id view is read
+    MemoryStore(store.root).append_entry(make_entry(entry_id="e2"))
+    assert store.apply_cw_delta("e2", 0.5, 1.0) == 0.5
+    store.promote_many([("e2", "f1")])
+    with pytest.raises(NotFoundError):
+        store.apply_cw_delta("e3", 0.5, 1.0)
+    _assert_like_fresh(store)
+
+
+def test_id_another_instance_appended_is_a_duplicate(store):
+    store.append_entry(make_entry(entry_id="e1"))
+    MemoryStore(store.root).append_entry(make_entry(entry_id="e2"))
+    with pytest.raises(ValidationError, match="e2"):
+        store.append_entry(make_entry(entry_id="e2", days_ago=1))
+    assert [e.id for e in MemoryStore(store.root).load_entries("proj")] == ["e1", "e2"]
+
+
+# -- what the views parse --------------------------------------------------------
+
+def test_own_appends_are_never_parsed_back(store, monkeypatch):
+    store.append_entries([make_entry(entry_id=f"e{i}", days_ago=i % 3) for i in range(6)])
+    store.append_facts([make_fact(fact_id="f1"), make_fact(fact_id="f2")])
+    store.promote_many([("e1", "f1")])
+    store.apply_cw_delta("e2", 0.5, 1.0)
+    parses = []
+    real = json.loads
+    monkeypatch.setattr(json, "loads", lambda text, **kw: parses.append(text) or real(text, **kw))
+    store.load_entries("proj")
+    store.load_facts()
+    store.apply_cw_delta("e3", 0.5, 1.0)
+    store.append_entry(make_entry(entry_id="e9"))
+    assert parses == []
+    other = MemoryStore(store.root)
+    other.append_entry(make_entry(entry_id="x1"))
+    other.apply_cw_delta("x1", 0.1, 1.0)
+    parses.clear()
+    store.load_entries("proj")  # parses only the two lines the other instance wrote
+    day_file = store.episodic_dir / f"{BASE_TS.date()}.jsonl"
+    assert sorted(parses) == sorted(
+        path.read_text().splitlines()[-1] + "\n" for path in (day_file, store.cw_ledger_path)
+    )
+
+
+def test_an_entry_whose_line_would_be_skipped_is_left_to_the_parse(store):
+    weird = make_entry(entry_id="w1", cognitive_weight=0)
+    weird.tokens = True  # written as true: the parse skips the line
+    store.append_entries([make_entry(entry_id="e1"), weird])
+    loaded = store.load_entries("proj")
+    assert ([e.id for e in loaded], loaded.skipped) == (["e1"], 1)
+    store.apply_cw_delta("w1", 0.1, 1.0)  # its id still parses
+    _assert_like_fresh(store)
+
+
+def test_timestamps_are_normalised_as_a_parse_normalises_them(store):
+    plus_two = timezone(timedelta(hours=2))
+    store.append_entries([
+        EpisodicEntry("naive", BASE_TS.replace(tzinfo=None), "s1", "a", "proj", "naive time"),
+        EpisodicEntry("plus2", BASE_TS.astimezone(plus_two), "s1", "a", "proj", "offset time"),
+    ])
+    fact = make_fact(fact_id="f1")
+    fact.created_at = BASE_TS.astimezone(plus_two)
+    store.append_fact(fact)
+    assert {e.timestamp.tzinfo for e in store.load_entries("proj")} == {timezone.utc}
+    assert store.load_facts().facts[0].created_at.tzinfo is timezone.utc
+    _assert_like_fresh(store)
+
+
+def test_loads_return_copies(store):
+    store.append_entry(make_entry(entry_id="e1"))
+    store.append_fact(make_fact(fact_id="f1"))
+    store.load_entries("proj").entries[0].content = "changed"
+    store.load_facts().facts[0].value = "changed"
+    _assert_like_fresh(store)
+
+
+# -- two instances, interleaved ----------------------------------------------------
+
+_TEXT = st.one_of(
+    st.sampled_from(["plain", 'quote " and \\ slash', "line\u2028sep\x85", "café \U0001f600",
+                     "ctl\x01\x1f\x7f", "[system] marker"]),
+    st.text(max_size=8),
+)
+_TZ = st.sampled_from([timezone.utc, timezone(timedelta(hours=-5)), None])
+_DAYS = st.integers(min_value=0, max_value=2)
+
+
+@st.composite
+def _entry(draw):
+    tz = draw(_TZ)
+    ts = BASE_TS - timedelta(days=draw(_DAYS), minutes=draw(st.integers(0, 600)))
+    ts = ts.replace(tzinfo=None) if tz is None else ts.astimezone(tz)
+    return EpisodicEntry(
+        draw(st.sampled_from([f"e{i}" for i in range(6)])), ts,
+        draw(st.sampled_from(["s1", "s2", "s3"])), draw(st.sampled_from(["a", "b"])),
+        draw(st.sampled_from(["proj", "other"])), draw(_TEXT),
+        cognitive_weight=draw(st.sampled_from([0, 0.0])),
+    )
+
+
+@st.composite
+def _fact(draw):
+    tz = draw(_TZ)
+    return SemanticFact(
+        draw(st.sampled_from([f"f{i}" for i in range(4)])), draw(_TEXT), "kv", draw(_TEXT),
+        frozenset(draw(st.lists(st.sampled_from(["s1", "s2", "s3"]), min_size=1, max_size=2))),
+        BASE_TS.replace(tzinfo=None) if tz is None else BASE_TS.astimezone(tz),
+    )
+
+
+_ENTRY_IDS = st.sampled_from([f"e{i}" for i in range(7)])
+_FILES = st.sampled_from(["day0", "day1", "facts", "cw", "promotions"])
+_STEP = st.one_of(
+    st.tuples(st.just("entries"), st.lists(_entry(), min_size=1, max_size=3)),
+    st.tuples(st.just("facts"), st.lists(_fact(), min_size=1, max_size=3)),
+    st.tuples(st.just("promote"), st.lists(_ENTRY_IDS, min_size=1, max_size=3)),
+    st.tuples(st.just("cw"), st.tuples(_ENTRY_IDS, st.floats(-0.7, 0.7))),
+    st.tuples(st.just("corrupt"), _FILES),
+    st.tuples(st.just("torn"), st.tuples(_FILES, st.booleans())),
+    st.tuples(st.just("truncate"), st.tuples(_FILES, st.floats(0.0, 1.0))),
+    st.tuples(st.just("replace"), _FILES),
+)
+
+
+def _file(store: MemoryStore, name: str) -> Path:
+    if name.startswith("day"):
+        day = (BASE_TS - timedelta(days=int(name[3:]))).date().isoformat()
+        return store.episodic_dir / f"{day}.jsonl"
+    return {"facts": store.facts_path, "cw": store.cw_ledger_path,
+            "promotions": store.promotions_path}[name]
+
+
+_WHOLE_LINES = {
+    "day0": '{"id":"t1","timestamp":"2025-03-01T09:00:00+00:00","session_id":"s9",'
+            '"agent_id":"a","project":"proj","content":"tail","tokens":1,"promoted":false,'
+            '"cognitive_weight":0.0}',
+    "facts": '{"id":"ft","subject":"x","relation":"kv","value":"y","session_ids":["s9"],'
+             '"created_at":"2025-03-01T09:00:00+00:00"}',
+    "cw": '{"entry_id":"e1","delta":0.5,"reward":1.0,"applied_at":"2025-03-01T09:00:00+00:00"}',
+    "promotions": '{"entry_id":"e2","fact_id":"f1","promoted_at":"2025-03-01T09:00:00+00:00"}',
+}
+
+
+def _foreign(store: MemoryStore, kind: str, arg) -> None:
+    """Bytes that no instance wrote: corrupt or torn lines, a cut, a new inode."""
+    name = arg[0] if isinstance(arg, tuple) else arg
+    path = _file(store, name)
+    if kind in ("truncate", "replace") and not path.exists():
+        return
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if kind == "corrupt":
+        with path.open("ab") as handle:
+            handle.write(b'{not json\n{"id": 7, "entry_id": 7}\n')
+    elif kind == "torn":
+        whole = arg[1] and name in _WHOLE_LINES
+        with path.open("ab") as handle:  # a whole record that lacks only its newline, or less
+            handle.write(_WHOLE_LINES[name].encode() if whole else '{"id": "torn", "café'.encode()[:-1])
+    elif kind == "truncate":
+        os.truncate(path, int(path.stat().st_size * arg[1]))
+    else:
+        lines = path.read_bytes().split(b"\n")
+        temp = path.with_suffix(".tmp")
+        temp.write_bytes(b"\n".join(lines[1:] + lines[:1]))  # first line moved to the end
+        os.replace(temp, path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(steps=st.lists(st.tuples(st.booleans(), _STEP), min_size=1, max_size=14))
+def test_two_instances_replay_like_a_fresh_one(tmp_path_factory, steps):
+    root = tmp_path_factory.mktemp("views")
+    instances = (MemoryStore(root), MemoryStore(root))
+    for second, (kind, arg) in steps:
+        store = instances[second]
+        try:
+            if kind == "entries":
+                store.append_entries(arg)
+            elif kind == "facts":
+                store.append_facts(arg)
+            elif kind == "promote":
+                store.promote_many([(entry_id, "f0") for entry_id in arg])
+            elif kind == "cw":
+                store.apply_cw_delta(arg[0], arg[1], 1.0)
+            else:
+                _foreign(store, kind, arg)
+        except (ValidationError, NotFoundError):
+            pass
+        _assert_like_fresh(*instances)
+
+
+# -- processes ----------------------------------------------------------------------
+
+_WRITER = """
+import json, sys, time
+from datetime import datetime, timezone
+from agentmem.store import EpisodicEntry, MemoryStore
+
+root, prefix, count, total = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+store = MemoryStore(root)
+ts = datetime(2025, 3, 1, 12, tzinfo=timezone.utc)
+for i in range(count):
+    store.append_entry(EpisodicEntry(f"{prefix}{i}", ts, "s1", prefix, "proj", f"note {i}"))
+    store.apply_cw_delta(f"{prefix}{i}", 0.25, 1.0)
+deadline = time.monotonic() + 60
+while len(store.load_entries("proj")) < total and time.monotonic() < deadline:
+    time.sleep(0.01)
+loaded = store.load_entries("proj")
+print(json.dumps([[e.id, e.cognitive_weight] for e in loaded] + [loaded.skipped]))
+"""
+
+
+def test_two_processes_append_to_one_workspace(tmp_path):
+    count = 60
+    env = {**os.environ, "PYTHONPATH": str(Path(agentmem.__file__).parents[1])}
+    writers = [
+        subprocess.Popen(
+            [sys.executable, "-c", _WRITER, str(tmp_path), prefix, str(count), str(2 * count)],
+            stdout=subprocess.PIPE, env=env, text=True,
+        )
+        for prefix in ("a", "b")
+    ]
+    outputs = [json.loads(w.communicate(timeout=120)[0]) for w in writers]
+    assert [w.returncode for w in writers] == [0, 0]
+    fresh = MemoryStore(tmp_path).load_entries("proj")
+    want = [[e.id, e.cognitive_weight] for e in fresh] + [fresh.skipped]
+    assert sorted(e[0] for e in want[:-1]) == sorted(f"{p}{i}" for p in "ab" for i in range(count))
+    assert {e[1] for e in want[:-1]} == {0.25}
+    assert fresh.skipped == 0
+    assert outputs == [want, want]
+
+
+# -- byte-identical files ---------------------------------------------------------
+
+def test_frozen_clock_writes_are_byte_identical(tmp_path, frozen_clock):
+    store = MemoryStore(tmp_path / "ws")
+    for question in load_dataset(SYNTHETIC20):
+        ingest_question(store, question)
+    run_consolidation_pass(store, HeuristicExtractor(), BENCH_PROJECT)
+    entries = store.load_entries(BENCH_PROJECT).entries
+    for i, entry in enumerate(entries[:12]):
+        store.apply_cw_delta(entry.id, (0, 0.25, -0.5)[i % 3], 1.0)
+    paths = sorted(store.root.rglob("*.jsonl"))
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(str(path.relative_to(store.root)).encode() + b"\0" + path.read_bytes())
+        ledger = path.parent == store.memory_dir
+        for line in path.read_text(encoding="utf-8").splitlines():
+            assert line == json.dumps(json.loads(line), ensure_ascii=ledger, separators=(",", ":"))
+    assert digest.hexdigest() == SYNTHETIC20_FILES_SHA256
+    _assert_like_fresh(store, project=BENCH_PROJECT)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    entries=st.lists(_entry(), min_size=1, max_size=4, unique_by=lambda e: e.id),
+    facts=st.lists(_fact(), min_size=1, max_size=3, unique_by=lambda f: f.id),
+    promoted=st.lists(st.booleans(), min_size=4, max_size=4),
+    deltas=st.lists(st.one_of(st.just(0), st.floats(-1.0, 1.0)), min_size=1, max_size=3),
+)
+def test_every_written_line_equals_json_dumps(tmp_path_factory, frozen_clock, entries, facts,
+                                              promoted, deltas):
+    store = MemoryStore(tmp_path_factory.mktemp("lines"))
+    for entry, flag in zip(entries, promoted):
+        entry.promoted = flag
+    store.append_entries(entries)
+    store.append_facts(facts)
+    store.promote_many([(e.id, facts[0].id) for e in entries])
+    for delta in deltas:
+        store.apply_cw_delta(entries[0].id, delta, 1)
+    stamp = frozen_clock.isoformat()
+    want: dict[Path, list[str]] = {}
+    for e in entries:
+        path = store.episodic_dir / f"{e.timestamp.astimezone(timezone.utc).date()}.jsonl"
+        want.setdefault(path, []).append(json.dumps(
+            {"id": e.id, "timestamp": e.timestamp.isoformat(), "session_id": e.session_id,
+             "agent_id": e.agent_id, "project": e.project, "content": e.content,
+             "tokens": e.tokens, "promoted": e.promoted, "cognitive_weight": e.cognitive_weight},
+            ensure_ascii=False, separators=(",", ":")))
+    want[store.facts_path] = [json.dumps(
+        {"id": f.id, "subject": f.subject, "relation": f.relation, "value": f.value,
+         "session_ids": sorted(f.session_ids), "created_at": f.created_at.isoformat()},
+        ensure_ascii=False, separators=(",", ":")) for f in facts]
+    want[store.promotions_path] = [json.dumps(
+        {"entry_id": e.id, "fact_id": facts[0].id, "promoted_at": stamp},
+        separators=(",", ":")) for e in entries]
+    want[store.cw_ledger_path] = [json.dumps(
+        {"entry_id": entries[0].id, "delta": d, "reward": 1, "applied_at": stamp},
+        separators=(",", ":")) for d in deltas]
+    assert {p: p.read_text(encoding="utf-8").split("\n")[:-1] for p in want} == want
