@@ -4,16 +4,21 @@
 document's token length; a term's document frequency is the size of its
 postings. ``pool_scores`` scores the documents of several indexes as one
 corpus, walking only the postings of the query terms, so its cost grows with
-the matched postings, not with the corpus. Stage 2 scores a pool from its
-sessions' indexes this way. A document that shares no query term scores
-exactly 0 and is left out.
+the matched postings, not with the corpus. A document that shares no query
+term scores exactly 0 and is left out.
 
-Stage 1 scores the fact index through ``Bm25Columns``: the same sums as a
-numpy column over every fact, from per-term postings arrays built the first
-time a query uses the term, and it takes the facts best-first by partial
-selection, sorting only the top few. ``rank`` is ``pool_scores`` fully
-sorted, and ``bm25_score`` is the per-document reference all of them are
-tested against.
+``Bm25Columns`` gives the same sums as a numpy column over every document of
+one index, from per-term postings arrays built the first time a query uses
+the term. Stage 1 scores the fact index this way and takes the facts
+best-first by partial selection, sorting only the top few.
+
+Stage 2 has two pools. A scoped pool, the entries of a few sessions, is
+scored by ``pool_scores`` over those sessions' indexes, as its N and
+document frequencies count only the pool. The whole snapshot, the pool of a
+query that stage 1 scopes to no session, is one index scored through
+``Bm25Columns``. ``rank`` is ``pool_scores`` fully sorted, and
+``bm25_score`` is the per-document reference all of them are tested
+against.
 
 Scores are left unnormalised on purpose: downstream scoring applies its own
 normalisation variants, and the decay-bypass rule thresholds the raw value.
@@ -114,9 +119,11 @@ def pool_scores(
     ``==`` to ``bm25_score`` over one ``build_index`` of all their texts,
     as each document's sum runs over the query terms in the same order.
 
-    This stays on dict postings rather than ``Bm25Columns``: an unscoped
-    pool spans up to hundreds of small session indexes, where numpy calls
-    per index would cost more than the loop they replace.
+    Scoped pools stay on dict postings rather than ``Bm25Columns``: their
+    N and document frequencies depend on which sessions are in the pool, and
+    a column over the whole snapshot, masked to the pool on every query,
+    would cost more than walking the pool's few hundred postings. A pool of
+    the whole snapshot is one index, scored through ``Bm25Columns``.
     """
     n = sum(index.doc_count for index in indexes)
     avg = sum(index.total_len for index in indexes) / n if n else 0.0

@@ -5,15 +5,19 @@ ids. Stage 2 scores episodic entries inside those sessions with the
 composite formula and returns the top k, greedily packed into a token budget.
 
 BM25 has one form for both tiers, ``lexical.Bm25Index``: stage 1 ranks the
-fact index through ``lexical.Bm25Columns``, and a snapshot keeps one index
-per session, keyed by snapshot position, so a pool's raw BM25 is
-``lexical.pool_scores`` over its sessions' indexes. Stage 2 scores a pool as
-columns (``scoring.pool_signals``). The inputs no query changes,
-exp(-lambda * age), phi_cw, the tier multiplier and the timestamp, are kept
-per snapshot position, and a pool takes them by its positions. Only raw
-BM25, dense similarity and scope membership are computed per query.
-``ScoreBreakdown`` and ``RankedEntry`` are built only for the entries
-returned.
+fact index through ``lexical.Bm25Columns``. Stage 2 has two pools, picked by
+what stage 1 returned. A scoped query ranks the entries of its sessions: a
+snapshot keeps one index per session, keyed by snapshot position, and the
+pool's raw BM25 is ``lexical.pool_scores`` over those sessions' indexes.
+With no scope (``k1`` None, or a query whose facts name no session the
+snapshot holds) the pool is the whole snapshot, whose raw BM25 is one
+``Bm25Columns`` column over a single index of every entry, so such a query
+builds no list as long as the snapshot. Stage 2 scores a pool as columns (``scoring.pool_signals``). The
+inputs no query changes, exp(-lambda * age), phi_cw, the tier multiplier and
+the timestamp, are kept per snapshot position, and a pool takes them by its
+positions. Only raw BM25, dense similarity and scope membership are
+computed per query. ``ScoreBreakdown`` and ``RankedEntry`` are built only
+for the entries returned.
 
 Every mode ranks through the same composite. In dense and hybrid modes each
 candidate's embedding cosine to the query fills the phi_sem slot; dense mode
@@ -27,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import time
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Container, Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Protocol
@@ -208,14 +212,18 @@ def stage1_scope(
     facts: Sequence[SemanticFact],
     k1: int | None,
     index: FactIndex | None = None,
+    sessions: Container[str] | None = None,
 ) -> list[str]:
     """Walk facts in lexical-rank order, (score desc, id asc), gathering
     distinct session ids.
 
     A multi-session fact contributes all its sessions at its rank. Only
     positive-scoring facts count as relevant; with k1=None every session
-    backed by one is returned. The facts come from ``Bm25Columns.ranked``,
-    which sorts only as many top facts as the walk reaches.
+    backed by one is returned. When ``sessions`` is given, only the sessions
+    in it are gathered and count towards k1: facts are shared by a project,
+    while a snapshot may hold the entries of only some of its sessions. The
+    facts come from ``Bm25Columns.ranked``, which sorts only as many top
+    facts as the walk reaches.
     """
     if not facts:
         return []
@@ -225,7 +233,7 @@ def stage1_scope(
     seen: set[str] = set()
     for fact_id, _ in index.bm25.ranked(query_tokens):
         for session_id in sorted(index.by_id[fact_id].session_ids):
-            if session_id in seen:
+            if session_id in seen or (sessions is not None and session_id not in sessions):
                 continue
             seen.add(session_id)
             scoped.append(session_id)
@@ -263,6 +271,7 @@ def stage2_retrieve(
     similarities: Sequence[float] | None = None,
     raw_bm25: Sequence[float] | None = None,
     signals: np.ndarray | None = None,
+    ids: Sequence[str] | None = None,
 ) -> list[RankedEntry]:
     """Rank the scoped entries best-first in ``cfg.mode``.
 
@@ -272,19 +281,22 @@ def stage2_retrieve(
     per entry too, the pool's BM25; without it the pool is indexed here. A
     caller that keeps per-snapshot inputs may pass each entry's
     ``_entry_signals`` row as ``signals`` (taken with the same now, decay
-    and tiers). Callers must have excluded system entries already, and entry
-    ids must be unique within the pool. ``k=0`` means "use cfg.stage2_k";
-    ``k=None`` returns the full ranking.
+    and tiers), and the entries' ids as ``ids`` once it has checked that
+    they are distinct; without them the ids are taken and checked here.
+    Callers must have excluded system entries already, and entry ids must be
+    unique within the pool. ``k=0`` means "use cfg.stage2_k"; ``k=None``
+    returns the full ranking.
     """
     if cfg.mode != MODE_BM25 and similarities is None:
         raise ValidationError(f"mode {cfg.mode!r} requires dense similarities")
     for name, column in (("similarities", similarities), ("raw_bm25", raw_bm25)):
         if column is not None and len(column) != len(entries):
             raise ValidationError(f"{name} must hold one value per entry")
-    ids = [e.id for e in entries]
-    if len(set(ids)) < len(ids):
-        duplicate = next(i for i, n in Counter(ids).items() if n > 1)
-        raise ValidationError(f"duplicate doc_id: {duplicate!r}")
+    if ids is None:
+        ids = [e.id for e in entries]
+        if len(set(ids)) < len(ids):
+            duplicate = next(i for i, n in Counter(ids).items() if n > 1)
+            raise ValidationError(f"duplicate doc_id: {duplicate!r}")
     if not entries:
         return []
     decay = decay or DecayConfig()
@@ -387,8 +399,14 @@ class RetrievalPipeline:
 
     Construction snapshots the entry and fact sets, so retrieval concurrent
     with a consolidation pass sees either the pre-pass or post-pass tier,
-    never a torn state. It indexes the facts up front when stage 1 is on,
-    and each session's entries the first time the session enters a pool.
+    never a torn state. It indexes the facts up front when stage 1 is on.
+    Stage 2's pool is the entries of the scoped sessions, or the whole
+    snapshot when stage 1 scopes none: ``k1`` None, or a query whose facts
+    name no session the snapshot holds. Each session's entries are indexed
+    the first time the session enters a scoped pool; the whole snapshot is
+    indexed once, as one ``lexical.Bm25Columns``, the first time a query
+    needs it, so a pipeline that never falls back builds no snapshot index
+    and an unscoped one builds no session index.
     """
 
     def __init__(
@@ -423,6 +441,9 @@ class RetrievalPipeline:
         # rows of _entry_signals, which now, decay and tiers fix.
         self._session_index: dict[str, lexical.Bm25Index] = {}
         self._signals = np.empty((len(self.entries), 4))
+        # The whole snapshot as one pool, once a query needs it: BM25 columns
+        # keyed by position, and the entry ids, None when two are equal.
+        self._snapshot_pool: tuple[lexical.Bm25Columns, list[str] | None] | None = None
 
     @classmethod
     def from_store(
@@ -448,31 +469,39 @@ class RetrievalPipeline:
         scoping_disabled = cfg.stage1_k1 is None
         scoped: list[str] = []
         if not scoping_disabled and self.facts:
-            scoped = stage1_scope(query_tokens, self.facts, cfg.stage1_k1, self._fact_index)
+            scoped = stage1_scope(
+                query_tokens, self.facts, cfg.stage1_k1, self._fact_index, self._session_positions
+            )
         fallback_unscoped = not scoping_disabled and not scoped
-        semantic_scope = frozenset(scoped)
-        # The scoped sessions, or all of them, then their positions in
-        # snapshot order: pool-relative variants sum in pool order.
-        known = self._session_positions
-        sessions = [s for s in scoped if s in known] if scoped else list(known)
-        positions = sorted(i for s in sessions for i in known[s])
-        pool = [self.entries[i] for i in positions]
+        if scoped:
+            # Pool-relative variants sum in pool order: snapshot order.
+            positions = sorted(i for s in scoped for i in self._session_positions[s])
+            pool = [self.entries[i] for i in positions]
+        else:
+            pool = self.entries
         latency["stage1"] = (time.perf_counter_ns() - t0) // 1000
 
         t1 = time.perf_counter_ns()
         similarities = None if cfg.mode == MODE_BM25 else self._similarities(query, pool)
-        scores = lexical.pool_scores(query_tokens, self._session_indexes(sessions))
+        if scoped:
+            scores = lexical.pool_scores(query_tokens, self._session_indexes(scoped))
+            raw_bm25 = [scores.get(i, 0.0) for i in positions]
+            signals, ids = self._signals[positions], None
+        else:
+            columns, ids = self._whole_snapshot_pool()
+            raw_bm25, signals = columns.scores(query_tokens), self._signals
         ranked = stage2_retrieve(
             query_tokens,
             pool,
             cfg,
             decay=self.decay,
             tiers=self.tiers,
-            semantic_scope=semantic_scope,
+            semantic_scope=frozenset(scoped),
             now=self.now,
             similarities=similarities,
-            raw_bm25=[scores.get(i, 0.0) for i in positions],
-            signals=self._signals[positions],
+            raw_bm25=raw_bm25,
+            signals=signals,
+            ids=ids,
         )
         latency["stage2"] = (time.perf_counter_ns() - t1) // 1000
 
@@ -489,7 +518,7 @@ class RetrievalPipeline:
             ranked=ranked,
             scoped_session_ids=scoped,
             total_sessions=total_sessions,
-            sessions_searched=len(sessions),
+            sessions_searched=len(scoped) if scoped else total_sessions,
             scoping_disabled=scoping_disabled,
             fallback_unscoped=fallback_unscoped,
             packed_context=context,
@@ -514,6 +543,25 @@ class RetrievalPipeline:
                 docs = [(i, self.entries[i].content) for i in positions]
                 built[session] = lexical.build_index(docs)
         return [built[session] for session in sessions]
+
+    def _whole_snapshot_pool(self) -> tuple[lexical.Bm25Columns, list[str] | None]:
+        """The BM25 columns of one index over every entry, keyed by
+        position, and the entries' ids, None when two are equal so that
+        ``stage2_retrieve`` raises for them on every query. Built once per
+        snapshot together with every signal row, which are stored before
+        the columns; a snapshot whose signals raise stores nothing, so it
+        raises again on the next query. Two threads may build at once; both
+        store equal values."""
+        built = self._snapshot_pool
+        if built is None:
+            rows = [_entry_signals(e, self.now, self.decay, self.tiers) for e in self.entries]
+            index = lexical.build_index([(i, e.content) for i, e in enumerate(self.entries)])
+            ids = [e.id for e in self.entries]
+            if rows:
+                self._signals[:] = rows
+            built = (lexical.Bm25Columns(index), ids if len(set(ids)) == len(ids) else None)
+            self._snapshot_pool = built
+        return built
 
     def _similarities(self, query: str, pool: Sequence[EpisodicEntry]) -> list[float]:
         """Cosine of each pool entry to the query, from one embed call.

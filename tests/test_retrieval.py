@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agentmem import lexical, retrieval
+from agentmem import consolidation, lexical, retrieval
 from agentmem.errors import ValidationError
 from agentmem.lexical import tokenize
 from agentmem.retrieval import (
@@ -79,6 +79,18 @@ def test_stage1_multi_session_fact_contributes_all_sessions():
 
 def test_stage1_empty_tier():
     assert stage1_scope(tokenize("anything"), [], k1=5) == []
+
+
+def test_stage1_counts_only_the_given_sessions_towards_k1():
+    facts = [
+        make_fact(fact_id="f1", subject="dog parks", value="riverside", session_ids=("s2",)),
+        make_fact(fact_id="f2", subject="dog food", value="acme", session_ids=("s1", "s3")),
+    ]
+    tokens = tokenize("dog parks")
+    assert stage1_scope(tokens, facts, k1=1) == ["s2"]
+    assert stage1_scope(tokens, facts, k1=1, sessions={"s1", "s3"}) == ["s1"]
+    assert stage1_scope(tokens, facts, k1=None, sessions={"s3", "s2"}) == ["s2", "s3"]
+    assert stage1_scope(tokens, facts, k1=5, sessions=set()) == []
 
 
 # -- stage 2 -----------------------------------------------------------------
@@ -387,7 +399,29 @@ def test_scoped_query_indexes_only_its_sessions_and_only_once(monkeypatch):
     assert built == [["s1"], ["s3"]]
 
 
-def _fact_pipeline():
+def test_an_agent_view_scopes_only_the_sessions_it_holds(store):
+    """Facts are shared by the project, but alice's view holds only her
+    session: bob's better match must not use up k1, and a query whose facts
+    are all bob's falls back to her whole snapshot."""
+    store.append_entries([
+        make_entry(entry_id="a1", session_id="s1", agent_id="alice",
+                   content="My dog food brand is Acme."),
+        make_entry(entry_id="b1", session_id="s2", agent_id="bob",
+                   content="Favourite dog parks is Riverside."),
+    ])
+    consolidation.run_consolidation_pass(store, consolidation.HeuristicExtractor(), "proj")
+    pipeline = RetrievalPipeline.from_store(
+        store, RetrievalConfig(stage1_k1=1), project="proj", agent_view="alice"
+    )
+    result = pipeline.retrieve("dog parks")
+    assert (result.scoped_session_ids, result.fallback_unscoped) == (["s1"], False)
+    assert [r.entry.id for r in result.ranked] == ["a1"]
+    result = pipeline.retrieve("riverside")
+    assert (result.scoped_session_ids, result.fallback_unscoped) == ([], True)
+    assert [r.entry.id for r in result.ranked] == ["a1"]
+
+
+def _fact_pipeline(k1=5):
     entries = [
         make_entry(entry_id=f"e{i}", session_id=f"s{i % 7}", content=f"{word} note {i}")
         for i, word in enumerate(["report", "lunch", "deadline", "bike", "soup"] * 6)
@@ -399,7 +433,47 @@ def _fact_pipeline():
                   session_ids=(f"s{i % 7}", f"s{(i * 3) % 7}"))
         for i, subject in enumerate(subjects)
     ]
-    return RetrievalPipeline(RetrievalConfig(stage1_k1=5), entries=entries, facts=facts)
+    return RetrievalPipeline(RetrievalConfig(stage1_k1=k1), entries=entries, facts=facts)
+
+
+def _record_builds(monkeypatch):
+    """Every ``lexical.build_index`` call from now on, as its list of doc ids."""
+    built = []
+    real = lexical.build_index
+
+    def recording(docs):
+        built.append([doc for doc, _ in docs])
+        return real(docs)
+
+    monkeypatch.setattr(lexical, "build_index", recording)
+    return built
+
+
+def test_unscoped_pipeline_indexes_the_snapshot_once_on_its_first_query(monkeypatch):
+    source = _fact_pipeline()
+    built = _record_builds(monkeypatch)
+    pipeline = RetrievalPipeline(
+        RetrievalConfig(stage1_k1=None), entries=source.entries, facts=source.facts
+    )
+    assert built == []
+    first = pipeline.retrieve("report friday")
+    assert built == [list(range(len(pipeline.entries)))]
+    again = pipeline.retrieve("report friday")
+    pipeline.retrieve("lunch soup nowhere")
+    assert len(built) == 1
+    assert pipeline._session_index == {}
+    assert _outputs(again) == _outputs(first)
+
+
+def test_a_scoped_pipeline_indexes_the_snapshot_only_when_a_query_falls_back(monkeypatch):
+    pipeline = _fact_pipeline()
+    built = _record_builds(monkeypatch)
+    assert pipeline.retrieve("report friday").scoped_session_ids
+    assert len(built) == len(pipeline._session_index) and pipeline._snapshot_pool is None
+    sessions = len(built)
+    for _ in range(2):
+        assert pipeline.retrieve("nowhere").fallback_unscoped
+    assert built[sessions:] == [list(range(len(pipeline.entries)))]
 
 
 def test_stage1_builds_postings_arrays_only_for_query_terms_and_once():
@@ -424,22 +498,31 @@ def _outputs(result):
     )
 
 
-def test_threads_on_cold_caches_match_serial_results():
+def _check_threads_on_cold_caches(k1):
     queries = [f"{a} {b}" for a in ("report", "lunch", "deadline", "bike", "soup")
                for b in ("friday", "blue", "note", "v1")] * 3
-    pipeline = _fact_pipeline()
+    queries += ["nowhere", "blue nowhere"] * 5  # no fact matches: fallbacks
+    pipeline = _fact_pipeline(k1)
     serial = [_outputs(pipeline.retrieve(q)) for q in queries]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            pipeline = _fact_pipeline()  # cold fact-term and session caches
+            pipeline = _fact_pipeline(k1)  # cold fact-term, session and snapshot caches
             with ThreadPoolExecutor(max_workers=4) as pool:
                 futures = [pool.submit(pipeline.retrieve, q) for q in queries]
                 results = [_outputs(f.result(timeout=60)) for f in futures]
             assert results == serial
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_threads_on_cold_caches_match_serial_results():
+    _check_threads_on_cold_caches(5)
+
+
+def test_threads_on_cold_unscoped_pipelines_match_serial_results():
+    _check_threads_on_cold_caches(None)
 
 
 def test_unscoped_pipeline_builds_no_fact_index(monkeypatch):

@@ -1,10 +1,10 @@
 """The retrieval fast path against a reference built from the definitions.
 
 Stage 1 walks the facts best-first from ``lexical.Bm25Columns``, score
-columns with a partial top-k, and stage 2 scores pools with
-``lexical.pool_scores`` over per-session indexes cached per snapshot. The
-stage-1 scope is also checked against a walk of ``lexical.rank``, the fully
-sorted list. The reference scores every fact and
+columns with a partial top-k, and stage 2 scores scoped pools with
+``lexical.pool_scores`` over per-session indexes cached per snapshot, and
+the whole snapshot with one ``Bm25Columns`` column. The stage-1 scope is
+also checked against a walk of ``lexical.rank``, the fully sorted list. The reference scores every fact and
 every pool entry with ``build_index`` + ``bm25_score``, then combines each
 candidate with ``composite_score`` and orders with ``rank_order``. Results
 must be equal with ``==``: ids, scopes and every ``ScoreBreakdown`` field.
@@ -42,6 +42,7 @@ from agentmem.retrieval import (
     RetrievalConfig,
     RetrievalPipeline,
     build_fact_index,
+    pack_context,
     rrf_fuse,
     stage1_scope,
     stage2_retrieve,
@@ -63,8 +64,9 @@ import gen  # noqa: E402
 import workloads  # noqa: E402
 
 
-def reference_scope(query, facts, k1):
-    """Stage 1 with every fact scored by ``bm25_score``."""
+def reference_scope(query, facts, k1, sessions=None):
+    """Stage 1 with every fact scored by ``bm25_score``, gathering only the
+    sessions in ``sessions`` when it is given."""
     if not facts:
         return []
     index = build_index([(f.id, f.search_text()) for f in facts])
@@ -78,6 +80,8 @@ def reference_scope(query, facts, k1):
         if score <= 0.0:
             break
         for session_id in sorted(by_id[fact_id].session_ids):
+            if sessions is not None and session_id not in sessions:
+                continue
             if session_id not in scoped:
                 scoped.append(session_id)
             if k1 is not None and len(scoped) >= k1:
@@ -163,17 +167,23 @@ def reference_ranking(pipeline, query, scoped):
     return ranked[: cfg.stage2_k]
 
 
+def pipeline_scope(pipeline, query):
+    """The reference stage 1 of a pipeline, over the sessions it holds."""
+    k1 = pipeline.cfg.stage1_k1
+    sessions = {e.session_id for e in pipeline.entries}
+    return [] if k1 is None else reference_scope(query, pipeline.facts, k1, sessions)
+
+
 def check_against_reference(pipeline, query):
     result = pipeline.retrieve(query)
-    k1 = pipeline.cfg.stage1_k1
-    scoped = [] if k1 is None else reference_scope(query, pipeline.facts, k1)
+    scoped = pipeline_scope(pipeline, query)
     assert result.scoped_session_ids == scoped
     got = [(r.entry.id, r.breakdown, r.fused_score) for r in result.ranked]
     assert got == reference_ranking(pipeline, query, scoped)
     sessions = {e.session_id for e in pipeline.entries}
     assert result.total_sessions == len(sessions)
-    assert result.fallback_unscoped == (k1 is not None and not scoped)
-    assert result.sessions_searched == (len(sessions & set(scoped)) if scoped else len(sessions))
+    assert result.fallback_unscoped == (pipeline.cfg.stage1_k1 is not None and not scoped)
+    assert result.sessions_searched == (len(scoped) if scoped else len(sessions))
     return result
 
 
@@ -188,8 +198,7 @@ def assert_plain_types(breakdown):
 def check_full_ranking(pipeline, query):
     """``stage2_retrieve`` on the reference's pool with k=None, against the
     reference's full order."""
-    k1 = pipeline.cfg.stage1_k1
-    scoped = [] if k1 is None else reference_scope(query, pipeline.facts, k1)
+    scoped = pipeline_scope(pipeline, query)
     scope = frozenset(scoped)
     pool = [e for e in pipeline.entries if not scope or e.session_id in scope]
     similarities = None
@@ -267,6 +276,123 @@ def test_retrieve_matches_reference_on_random_stores(
         for query in queries:
             check_against_reference(pipeline, query)
             check_full_ranking(pipeline, query)
+
+
+def whole_pool_reference(pipeline, query):
+    """Stage 2 over the whole snapshot by ``stage2_retrieve`` indexing the
+    pool itself: [(entry id, breakdown, fused score)] and the packed ids."""
+    cfg = pipeline.cfg
+    similarities = None
+    if cfg.mode != MODE_BM25:
+        vectors = pipeline.embedder.embed([query] + [e.content for e in pipeline.entries])
+        similarities = [float(np.dot(vectors[0], v)) for v in vectors[1:]]
+    ranked = stage2_retrieve(
+        tokenize(query),
+        pipeline.entries,
+        cfg,
+        decay=pipeline.decay,
+        tiers=pipeline.tiers,
+        now=pipeline.now,
+        similarities=similarities,
+    )
+    _, used = pack_context([r.entry for r in ranked], cfg.token_budget, cfg.include_timestamps)
+    return [(r.entry.id, r.breakdown, r.fused_score) for r in ranked], [e.id for e in used]
+
+
+def check_whole_pool(pipeline, query):
+    result = pipeline.retrieve(query)
+    assert result.scoped_session_ids == [] and result.sessions_searched == result.total_sessions
+    got = [(r.entry.id, r.breakdown, r.fused_score) for r in result.ranked]
+    assert (got, result.packed_entry_ids) == whole_pool_reference(pipeline, query)
+    for r in result.ranked:
+        assert_plain_types(r.breakdown)
+    return result
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pool=st.lists(
+        st.tuples(
+            TEXT,
+            st.sampled_from(["s1", "s2", "s3", "s4", "s5", "s6"]),
+            st.integers(0, 40),
+            st.sampled_from([-0.5, 0.0, 0.5]),
+            st.booleans(),
+        ),
+        max_size=20,
+    ),
+    queries=st.lists(
+        st.lists(st.sampled_from(WORDS + ["nowhere"]), min_size=1, max_size=3).map(" ".join),
+        min_size=1,
+        max_size=3,
+    ),
+    variant=st.sampled_from(list(Variant)),
+    mode=st.sampled_from(MODES),
+    stage2_k=st.sampled_from([1, 4, 100]),
+    token_budget=st.sampled_from([3, 12, 300]),
+)
+def test_whole_snapshot_pool_matches_stage2_indexing_its_own_pool(
+    pool, queries, variant, mode, stage2_k, token_budget
+):
+    """Unscoped queries, and the fallbacks of a scoped pipeline, score the
+    whole snapshot from its one index: every result equals ``stage2_retrieve``
+    given no raw BM25, which indexes the pool itself."""
+    entries = [
+        make_entry(entry_id=f"e{i}", content=content, session_id=sid, days_ago=days,
+                   cognitive_weight=cw, promoted=promoted)
+        for i, (content, sid, days, cw, promoted) in enumerate(pool)
+    ]
+    # The first fact matches words of the queries but names a session no
+    # snapshot holds, the second matches no query word.
+    facts = [
+        make_fact(fact_id="f1", subject="report friday", value="soup", session_ids=("s9",)),
+        make_fact(fact_id="f2", subject="zebra", value="quagga", session_ids=("s1",)),
+    ]
+    for k1 in (None, 2):
+        cfg = RetrievalConfig(
+            stage1_k1=k1, variant=variant, mode=mode, stage2_k=stage2_k, token_budget=token_budget
+        )
+        pipeline = RetrievalPipeline(
+            cfg, entries=entries, facts=facts, embedder=HashedBowEmbedder(16)
+        )
+        for _ in range(2):  # the second round reuses the snapshot's index and signals
+            for query in queries:
+                result = check_whole_pool(pipeline, query)
+                assert result.fallback_unscoped == (k1 is not None)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("k1", [None, 2])
+def test_an_empty_snapshot_ranks_nothing(mode, k1):
+    entries = [make_entry(entry_id="sys", content="[system] report", session_id="s1")]
+    facts = [make_fact(fact_id="f1", subject="report", value="friday", session_ids=("s1",))]
+    cfg = RetrievalConfig(stage1_k1=k1, mode=mode)
+    for kept in ([], entries):  # no entries, or only a system entry
+        pipeline = RetrievalPipeline(cfg, entries=kept, facts=facts, embedder=HashedBowEmbedder())
+        for _ in range(2):
+            result = pipeline.retrieve("report")
+            assert (result.ranked, result.packed_entry_ids, result.total_sessions) == ([], [], 0)
+            assert result.fallback_unscoped == (k1 is not None)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_ids_shared_across_sessions_raise_on_every_whole_pool_query(mode):
+    entries = [
+        make_entry(entry_id="x", content="report due friday", session_id="s1"),
+        make_entry(entry_id="y", content="soup for lunch", session_id="s1"),
+        make_entry(entry_id="x", content="blue bike", session_id="s2"),
+    ]
+    facts = [make_fact(fact_id="f1", subject="soup", value="lunch", session_ids=("s1",))]
+    for k1 in (None, 2):
+        cfg = RetrievalConfig(stage1_k1=k1, mode=mode)
+        pipeline = RetrievalPipeline(cfg, entries=entries, facts=facts, embedder=HashedBowEmbedder())
+        for query in ("report", "nowhere", "report"):
+            with pytest.raises(ValidationError, match="duplicate doc_id: 'x'"):
+                pipeline.retrieve(query)
+    # A scoped pool holds each id once, so it ranks.
+    scoped = RetrievalPipeline(RetrievalConfig(stage1_k1=2, mode=mode), entries=entries,
+                               facts=facts, embedder=HashedBowEmbedder())
+    assert {r.entry.id for r in scoped.retrieve("soup lunch").ranked} == {"x", "y"}
 
 
 SESSIONS = [f"s{i}" for i in range(12)]
@@ -414,9 +540,9 @@ def test_session_counts_for_scoped_unscoped_and_fallback_queries():
     ]
     scoped = RetrievalPipeline(RetrievalConfig(stage1_k1=3), entries=entries, facts=facts)
     result = scoped.retrieve("report")
-    # s4 holds only a system entry, so it is scoped but not searched.
+    # s4 holds only a system entry, which no snapshot keeps, so it is not scoped.
     assert (result.scoped_session_ids, result.total_sessions, result.sessions_searched) == (
-        ["s1", "s4"], 3, 1,
+        ["s1"], 3, 1,
     )
     fallback = scoped.retrieve("nowhere")
     assert (fallback.fallback_unscoped, fallback.total_sessions, fallback.sessions_searched) == (
