@@ -12,13 +12,12 @@ one index, from per-term postings arrays built the first time a query uses
 the term. Stage 1 scores the fact index this way and takes the facts
 best-first by partial selection, sorting only the top few.
 
-Stage 2 has two pools. A scoped pool, the entries of a few sessions, is
-scored by ``pool_scores`` over those sessions' indexes, as its N and
-document frequencies count only the pool. The whole snapshot, the pool of a
-query that stage 1 scopes to no session, is one index scored through
-``Bm25Columns``. ``rank`` is ``pool_scores`` fully sorted, and
-``bm25_score`` is the per-document reference all of them are tested
-against.
+Stage 2 scores both of its pools with ``pool_scores``. A scoped pool, the
+entries of a few sessions, is scored over those sessions' indexes, as its N
+and document frequencies count only the pool. The whole snapshot, the pool
+of a query that stage 1 scopes to no session, is one index. ``rank`` is
+``pool_scores`` fully sorted, and ``bm25_score`` is the per-document
+reference all of them are tested against.
 
 Scores are left unnormalised on purpose: downstream scoring applies its own
 normalisation variants, and the decay-bypass rule thresholds the raw value.
@@ -119,11 +118,12 @@ def pool_scores(
     ``==`` to ``bm25_score`` over one ``build_index`` of all their texts,
     as each document's sum runs over the query terms in the same order.
 
-    Scoped pools stay on dict postings rather than ``Bm25Columns``: their
-    N and document frequencies depend on which sessions are in the pool, and
-    a column over the whole snapshot, masked to the pool on every query,
-    would cost more than walking the pool's few hundred postings. A pool of
-    the whole snapshot is one index, scored through ``Bm25Columns``.
+    Stage 2 pools stay on dict postings rather than ``Bm25Columns``. A
+    scoped pool's N and document frequencies depend on which sessions are in
+    it, and a column over the whole snapshot, masked to the pool on every
+    query, would cost more than walking the pool's few hundred postings. A
+    pool of the whole snapshot is one index, whose matched postings are
+    walked the same way.
     """
     n = sum(index.doc_count for index in indexes)
     avg = sum(index.total_len for index in indexes) / n if n else 0.0

@@ -6,15 +6,15 @@ composite formula and returns the top k, greedily packed into a token budget.
 
 BM25 has one form for both tiers, ``lexical.Bm25Index``: stage 1 ranks the
 fact index through ``lexical.Bm25Columns``. Stage 2 has two pools, picked by
-what stage 1 returned. A scoped query ranks the entries of its sessions: a
-snapshot keeps one index per session, keyed by snapshot position, and the
-pool's raw BM25 is ``lexical.pool_scores`` over those sessions' indexes.
-With no scope (``k1`` None, or a query whose facts name no session the
-snapshot holds) the pool is the whole snapshot, whose raw BM25 is one
-``Bm25Columns`` column over a single index of every entry, so such a query
-builds no list as long as the snapshot. Stage 2 scores a pool as columns (``scoring.pool_signals``). The
-inputs no query changes, exp(-lambda * age), phi_cw, the tier multiplier and
-the timestamp, are kept per snapshot position, and a pool takes them by its
+what stage 1 returned. A scoped query ranks the entries of its sessions; a
+query with no scope (``k1`` None, or a query whose facts name no session the
+snapshot holds) ranks the whole snapshot. Both pools' raw BM25 is
+``lexical.pool_scores`` over indexes keyed by snapshot position: a snapshot
+keeps one index per session for scoped pools and one index of every entry
+for the whole pool, so an unscoped query walks one index and sorts nothing.
+Stage 2 scores a pool as columns (``scoring.pool_signals``). The inputs no
+query changes, exp(-lambda * age), phi_cw, the tier multiplier and the
+timestamp, are kept per snapshot position, and a pool takes them by its
 positions. Only raw BM25, dense similarity and scope membership are
 computed per query. ``ScoreBreakdown`` and ``RankedEntry`` are built only
 for the entries returned.
@@ -404,9 +404,9 @@ class RetrievalPipeline:
     snapshot when stage 1 scopes none: ``k1`` None, or a query whose facts
     name no session the snapshot holds. Each session's entries are indexed
     the first time the session enters a scoped pool; the whole snapshot is
-    indexed once, as one ``lexical.Bm25Columns``, the first time a query
-    needs it, so a pipeline that never falls back builds no snapshot index
-    and an unscoped one builds no session index.
+    indexed once, as one index, the first time a query needs it, so a
+    pipeline that never falls back builds no snapshot index and an unscoped
+    one builds no session index.
     """
 
     def __init__(
@@ -441,9 +441,9 @@ class RetrievalPipeline:
         # rows of _entry_signals, which now, decay and tiers fix.
         self._session_index: dict[str, lexical.Bm25Index] = {}
         self._signals = np.empty((len(self.entries), 4))
-        # The whole snapshot as one pool, once a query needs it: BM25 columns
-        # keyed by position, and the entry ids, None when two are equal.
-        self._snapshot_pool: tuple[lexical.Bm25Columns, list[str] | None] | None = None
+        # The whole snapshot as one pool, once a query needs it: its BM25
+        # index keyed by position, and the entry ids, None when two are equal.
+        self._snapshot_pool: tuple[lexical.Bm25Index, list[str] | None] | None = None
 
     @classmethod
     def from_store(
@@ -478,18 +478,17 @@ class RetrievalPipeline:
             positions = sorted(i for s in scoped for i in self._session_positions[s])
             pool = [self.entries[i] for i in positions]
         else:
-            pool = self.entries
+            positions, pool = range(len(self.entries)), self.entries
         latency["stage1"] = (time.perf_counter_ns() - t0) // 1000
 
         t1 = time.perf_counter_ns()
         similarities = None if cfg.mode == MODE_BM25 else self._similarities(query, pool)
         if scoped:
-            scores = lexical.pool_scores(query_tokens, self._session_indexes(scoped))
-            raw_bm25 = [scores.get(i, 0.0) for i in positions]
-            signals, ids = self._signals[positions], None
+            indexes, signals, ids = self._session_indexes(scoped), self._signals[positions], None
         else:
-            columns, ids = self._whole_snapshot_pool()
-            raw_bm25, signals = columns.scores(query_tokens), self._signals
+            index, ids = self._whole_snapshot_pool()
+            indexes, signals = [index], self._signals
+        scores = lexical.pool_scores(query_tokens, indexes)
         ranked = stage2_retrieve(
             query_tokens,
             pool,
@@ -499,7 +498,7 @@ class RetrievalPipeline:
             semantic_scope=frozenset(scoped),
             now=self.now,
             similarities=similarities,
-            raw_bm25=raw_bm25,
+            raw_bm25=[scores.get(i, 0.0) for i in positions],
             signals=signals,
             ids=ids,
         )
@@ -544,14 +543,13 @@ class RetrievalPipeline:
                 built[session] = lexical.build_index(docs)
         return [built[session] for session in sessions]
 
-    def _whole_snapshot_pool(self) -> tuple[lexical.Bm25Columns, list[str] | None]:
-        """The BM25 columns of one index over every entry, keyed by
-        position, and the entries' ids, None when two are equal so that
-        ``stage2_retrieve`` raises for them on every query. Built once per
-        snapshot together with every signal row, which are stored before
-        the columns; a snapshot whose signals raise stores nothing, so it
-        raises again on the next query. Two threads may build at once; both
-        store equal values."""
+    def _whole_snapshot_pool(self) -> tuple[lexical.Bm25Index, list[str] | None]:
+        """One BM25 index over every entry, keyed by position, and the
+        entries' ids, None when two are equal so that ``stage2_retrieve``
+        raises for them on every query. Built once per snapshot together
+        with every signal row, which are stored before the index; a snapshot
+        whose signals raise stores nothing, so it raises again on the next
+        query. Two threads may build at once; both store equal values."""
         built = self._snapshot_pool
         if built is None:
             rows = [_entry_signals(e, self.now, self.decay, self.tiers) for e in self.entries]
@@ -559,7 +557,7 @@ class RetrievalPipeline:
             ids = [e.id for e in self.entries]
             if rows:
                 self._signals[:] = rows
-            built = (lexical.Bm25Columns(index), ids if len(set(ids)) == len(ids) else None)
+            built = (index, ids if len(set(ids)) == len(ids) else None)
             self._snapshot_pool = built
         return built
 

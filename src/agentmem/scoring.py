@@ -399,15 +399,14 @@ def pool_signals(
     """Signal columns of a pool: ``decay`` holds each entry's
     exp(-lambda * age) before any bypass, ``phi_cw`` its ``cw_signal`` and
     ``multiplier`` its tier multiplier; ``in_scope`` marks entries of the
-    semantic scope. ``raw_bm25`` may be a list or a float array. BM25 is
-    normalised over the pool by ``normalise_scores``, on Python floats.
+    semantic scope. BM25 is normalised over the pool by ``normalise_scores``.
     """
-    raw = np.asarray(raw_bm25, dtype=float)
+    raw = np.array(raw_bm25, dtype=float)
     bm25_bypass = raw > decay_cfg.bypass_threshold
     return PoolSignals(
         phi_sem=similarity,
         phi_bm25_raw=raw,
-        phi_bm25=raw if variant is Variant.RAW else np.array(normalise_scores(raw.tolist(), variant)),
+        phi_bm25=raw if variant is Variant.RAW else np.array(normalise_scores(raw_bm25, variant)),
         phi_decay=np.where(bm25_bypass | in_scope, 1.0, decay),
         phi_cw=phi_cw,
         multiplier=multiplier,

@@ -1,10 +1,11 @@
 """The retrieval fast path against a reference built from the definitions.
 
 Stage 1 walks the facts best-first from ``lexical.Bm25Columns``, score
-columns with a partial top-k, and stage 2 scores scoped pools with
-``lexical.pool_scores`` over per-session indexes cached per snapshot, and
-the whole snapshot with one ``Bm25Columns`` column. The stage-1 scope is
-also checked against a walk of ``lexical.rank``, the fully sorted list. The reference scores every fact and
+columns with a partial top-k, and stage 2 scores its pools with
+``lexical.pool_scores``: a scoped pool over per-session indexes cached per
+snapshot, the whole snapshot over one index of every entry. The stage-1
+scope is also checked against a walk of ``lexical.rank``, the fully sorted
+list. The reference scores every fact and
 every pool entry with ``build_index`` + ``bm25_score``, then combines each
 candidate with ``composite_score`` and orders with ``rank_order``. Results
 must be equal with ``==``: ids, scopes and every ``ScoreBreakdown`` field.
