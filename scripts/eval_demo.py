@@ -10,7 +10,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from agentmem.evaluation import OracleReader, load_dataset, run_benchmark
+from agentmem.evaluation import OracleReader, load_dataset, run_ablation, run_benchmark
 from agentmem.retrieval import RetrievalConfig
 
 DEFAULT_DATASET = Path(__file__).resolve().parent.parent / "tests" / "data" / "synthetic20.jsonl"
@@ -30,16 +30,16 @@ def main() -> None:
 
     print("\n== stage-1 scoping sweep (retrieval mode) ==")
     print(f"{'k1':>6} {'acc':>7} {'mean sessions ratio':>21}")
-    for k1 in (1, 3, 5, 10, None):
-        cfg = RetrievalConfig(stage1_k1=k1)
-        report = run_benchmark(dataset, cfg, reader, mode="retrieval")
-        ratios = [r.trace["sessions_ratio"] for r in report.results]
-        label = "inf" if k1 is None else str(k1)
-        print(f"{label:>6} {report.overall.accuracy:>7.3f} {sum(ratios)/len(ratios):>21.3f}")
+    # One memory per question, re-ranked under each k1.
+    cells = [{"k1": k1} for k1 in (1, 3, 5, 10, None)]
+    rows = run_ablation(dataset, RetrievalConfig(), reader, cells)
+    for cell, row in zip(cells, rows):
+        ratios = [r.trace["sessions_ratio"] for r in row["report"].results]
+        label = "inf" if cell["k1"] is None else str(cell["k1"])
+        print(f"{label:>6} {row['acc']:>7.3f} {sum(ratios)/len(ratios):>21.3f}")
 
     print("\n== per-type breakdown (retrieval mode, defaults) ==")
-    report = run_benchmark(dataset, RetrievalConfig(), reader, mode="retrieval")
-    print(report.to_table())
+    print(rows[2]["report"].to_table())  # k1=5 is the default config
 
 
 if __name__ == "__main__":

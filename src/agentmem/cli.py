@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import tempfile
 import uuid
 from dataclasses import replace
 from pathlib import Path
@@ -39,10 +38,7 @@ EXIT_SERVICE = 4
 
 
 def _emit(args, record: dict) -> None:
-    if args.pretty:
-        print(json.dumps(record, indent=2, ensure_ascii=False, default=str))
-    else:
-        print(json.dumps(record, ensure_ascii=False, default=str))
+    print(json.dumps(record, indent=2 if args.pretty else None, ensure_ascii=False, default=str))
 
 
 def _load_config(args) -> EngineConfig:
@@ -95,6 +91,13 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _emit_all(args, records: list[dict]) -> None:
+    """Emit every record, and write them to --out as JSON lines."""
+    for record in records:
+        _emit(args, record)
+    _write_lines(args.out, [json.dumps(r, ensure_ascii=False, default=str) for r in records])
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -142,6 +145,16 @@ def _embedder(cfg: EngineConfig):
             cfg.embedder.url, dimension=cfg.embedder.dimension, timeout=cfg.embedder.timeout
         )
     return HashedBowEmbedder()
+
+
+def _memory(cfg: EngineConfig, args) -> dict:
+    """The keywords that build and rank each question's memory in evaluation."""
+    return {
+        "extractor": _extractor(cfg, args.extractor),
+        "decay": cfg.decay,
+        "tiers": cfg.tiers,
+        "embedder": _embedder(cfg),
+    }
 
 
 def cmd_retrieve(args) -> int:
@@ -214,16 +227,12 @@ def cmd_eval(args) -> int:
     _retrieval_cfg(cfg, args)
     dataset = evaluation.load_dataset(args.dataset)
     reader = _reader(cfg, args.reader)
-    extractor = _extractor(cfg, args.extractor)
     report = evaluation.run_benchmark(
         dataset,
         cfg.retrieval,
         reader,
         mode=args.mode,
-        decay=cfg.decay,
-        tiers=cfg.tiers,
-        extractor=extractor,
-        embedder=_embedder(cfg),
+        **_memory(cfg, args),
         attribute_on_eval=args.attribute,
         attribution_cfg=cfg.attribution,
         config_echo={"seed": cfg.seed},
@@ -242,31 +251,18 @@ def cmd_ablate(args) -> int:
     cfg = _load_config(args)
     dataset = evaluation.load_dataset(args.dataset)
     reader = _reader(cfg, args.reader)
-    extractor = _extractor(cfg, args.extractor)
     if args.grid == "default":
         cells = evaluation.default_cells()
     else:
-        axes = {}
-        if args.grid_k:
-            axes["k"] = args.grid_k
-        if args.grid_budget:
-            axes["budget"] = args.grid_budget
-        if args.grid_k1:
-            axes["k1"] = [parse_stage1_k1(v) for v in args.grid_k1]
-        if args.grid_variant:
-            axes["variant"] = args.grid_variant
+        flags = _flags(args, ("grid_k", "grid_budget", "grid_k1", "grid_variant"))
+        axes = {name.removeprefix("grid_"): values for name, values in flags.items()}
+        if "k1" in axes:
+            axes["k1"] = [parse_stage1_k1(v) for v in axes["k1"]]
         if not axes:
             raise ValidationError("no ablation axes given; use --grid default or axis flags")
         cells = evaluation.grid_cells(axes)
-    rows = evaluation.run_ablation(
-        dataset, cfg.retrieval, reader, cells, extractor=extractor, decay=cfg.decay, tiers=cfg.tiers
-    )
-    lines = []
-    for row in rows:
-        record = {k: v for k, v in row.items() if k != "report"}
-        lines.append(json.dumps(record, ensure_ascii=False, default=str))
-        _emit(args, record)
-    _write_lines(args.out, lines)
+    rows = evaluation.run_ablation(dataset, cfg.retrieval, reader, cells, **_memory(cfg, args))
+    _emit_all(args, [{k: v for k, v in row.items() if k != "report"} for row in rows])
     return EXIT_OK
 
 
@@ -278,44 +274,20 @@ def cmd_train(args) -> int:
 
     dataset = evaluation.load_dataset(args.dataset)
     reader = _reader(cfg, args.reader)
-    extractor = _extractor(cfg, args.extractor)
-    embedder = _embedder(cfg)
 
-    # Materialise each question's corpus once; episodes only re-rank the
-    # in-memory snapshots, so each temporary store goes once it is loaded.
-    snapshots = {}
-    for question in dataset:
-        with tempfile.TemporaryDirectory(prefix="agentmem-train-") as tmp:
-            store = MemoryStore(tmp)
-            evaluation.ingest_question(store, question)
-            if extractor is not None:
-                run_consolidation_pass(store, extractor, evaluation.BENCH_PROJECT)
-            snapshots[question.question_id] = (
-                store.load_entries(evaluation.BENCH_PROJECT).entries,
-                store.load_facts().facts,
-            )
+    # One memory per question; each episode re-ranks its pipeline under the
+    # sampled weights.
+    memories = evaluation.question_memories(dataset, cfg.retrieval, **_memory(cfg, args))
+    pipelines = {question.question_id: pipeline for question, _, pipeline in memories}
 
     def pipeline_factory(weights):
-        def run(question):
-            entries, facts = snapshots[question.question_id]
-            pipeline = RetrievalPipeline(
-                replace(cfg.retrieval, weights=weights),
-                entries=entries,
-                facts=facts,
-                decay=cfg.decay,
-                tiers=cfg.tiers,
-                embedder=embedder,
-                now=question.question_date,
-            )
-            return pipeline.retrieve(question.question).packed_context
-
-        return run
+        episode_cfg = replace(cfg.retrieval, weights=weights)
+        return lambda q: pipelines[q.question_id].retrieve(q.question, episode_cfg).packed_context
 
     final_weights, log = learning.train(
         dataset, pipeline_factory, reader, train_cfg, seed=cfg.seed
     )
 
-    lines = [json.dumps(record, ensure_ascii=False) for record in log]
     final_record = {
         "record": "final",
         "weights": final_weights.as_list(),
@@ -326,11 +298,7 @@ def cmd_train(args) -> int:
             "question_count": train_cfg.question_count,
         },
     }
-    lines.append(json.dumps(final_record, ensure_ascii=False))
-    _write_lines(args.out, lines)
-    for record in log:
-        _emit(args, record)
-    _emit(args, final_record)
+    _emit_all(args, [*log, final_record])
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ import math
 import string
 import tempfile
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -25,7 +25,6 @@ from .config import RETRIEVAL_ALIASES, load
 from .consolidation import Extractor, HeuristicExtractor, run_consolidation_pass
 from .errors import ValidationError
 from .retrieval import (
-    MODE_BM25,
     Embedder,
     HashedBowEmbedder,
     RetrievalConfig,
@@ -359,6 +358,43 @@ def ingest_question(store: MemoryStore, question: BenchmarkQuestion) -> None:
     store.append_entries(entries)
 
 
+def question_memories(
+    dataset: Sequence[BenchmarkQuestion],
+    cfg: RetrievalConfig,
+    mode: str = MODE_RETRIEVAL,
+    *,
+    extractor: Extractor | None = HeuristicExtractor(),
+    decay: DecayConfig | None = None,
+    tiers: TierConfig | None = None,
+    embedder: Embedder | None = None,
+) -> Iterator[tuple[BenchmarkQuestion, MemoryStore, RetrievalPipeline | None]]:
+    """Build each question's memory once: yield (question, store, pipeline).
+    The store is fresh, from the question's haystack, and with ``extractor``
+    set, outside no_retrieval mode, its semantic tier is filled before any
+    question text is seen; it lives until the next question is drawn. In
+    retrieval mode the pipeline snapshots it with ``cfg`` as its default
+    config, ranking dense and hybrid configs with ``embedder`` or a
+    ``HashedBowEmbedder``; in other modes it is None."""
+    for question in dataset:
+        with tempfile.TemporaryDirectory(prefix="agentmem-eval-") as tmp:
+            store = MemoryStore(tmp)
+            ingest_question(store, question)
+            if extractor is not None and mode != MODE_NO_RETRIEVAL:
+                run_consolidation_pass(store, extractor, BENCH_PROJECT)
+            pipeline = None
+            if mode == MODE_RETRIEVAL:
+                pipeline = RetrievalPipeline.from_store(
+                    store,
+                    cfg,
+                    project=BENCH_PROJECT,
+                    decay=decay,
+                    tiers=tiers,
+                    embedder=embedder or HashedBowEmbedder(),
+                    now=question.question_date,
+                )
+            yield question, store, pipeline
+
+
 def run_benchmark(
     dataset: Sequence[BenchmarkQuestion],
     cfg: RetrievalConfig,
@@ -373,61 +409,34 @@ def run_benchmark(
     attribution_cfg: attribution_mod.AttributionConfig | None = None,
     config_echo: dict | None = None,
 ) -> EvalReport:
-    """Evaluate every question: build its memory, retrieve (per mode), read,
-    score. Each question gets a fresh store materialised from its haystack;
-    with ``extractor`` set, the semantic tier is pre-populated once per corpus
-    before any question text is seen.
+    """Evaluate every question on its own memory (``question_memories``):
+    retrieve (per mode), read, score. With ``attribute_on_eval`` a retrieval
+    answer's reward is credited to the retrieved entries' cognitive weights
+    in the question's store, after its pipeline has snapshotted them.
     """
     if mode not in EVAL_MODES:
         raise ValidationError(f"mode must be one of {EVAL_MODES}")
-    results: list[QuestionResult] = []
-    for question in dataset:
-        with tempfile.TemporaryDirectory(prefix="agentmem-eval-") as tmp:
-            store = MemoryStore(tmp)
-            ingest_question(store, question)
-            if extractor is not None and mode != MODE_NO_RETRIEVAL:
-                run_consolidation_pass(store, extractor, BENCH_PROJECT)
-            results.append(
-                _evaluate_question(
-                    store,
-                    question,
-                    cfg,
-                    reader,
-                    mode,
-                    decay=decay,
-                    tiers=tiers,
-                    embedder=embedder,
-                    attribute_on_eval=attribute_on_eval,
-                    attribution_cfg=attribution_cfg,
-                )
-            )
-    report_config = {
-        "mode": mode,
-        "retrieval": cfg.to_dict(),
-        "reader": getattr(reader, "name", type(reader).__name__),
-        "extractor": getattr(extractor, "name", type(extractor).__name__)
-        if extractor is not None
-        else None,
-        "prompt_template": PROMPT_TEMPLATE,
-        "attribute_on_eval": attribute_on_eval,
-    }
-    if config_echo:
-        report_config.update(config_echo)
-    return _aggregate(results, report_config)
+    memories = question_memories(
+        dataset, cfg, mode, extractor=extractor, decay=decay, tiers=tiers, embedder=embedder
+    )
+    results = [
+        _evaluate_question(
+            store, pipeline, question, cfg, reader, mode, attribute_on_eval, attribution_cfg
+        )
+        for question, store, pipeline in memories
+    ]
+    return _report(results, cfg, reader, mode, extractor, attribute_on_eval, config_echo)
 
 
 def _evaluate_question(
     store: MemoryStore,
+    pipeline: RetrievalPipeline | None,
     question: BenchmarkQuestion,
     cfg: RetrievalConfig,
     reader: Reader,
     mode: str,
-    *,
-    decay: DecayConfig | None,
-    tiers: TierConfig | None,
-    embedder: Embedder | None,
-    attribute_on_eval: bool,
-    attribution_cfg: attribution_mod.AttributionConfig | None,
+    attribute_on_eval: bool = False,
+    attribution_cfg: attribution_mod.AttributionConfig | None = None,
 ) -> QuestionResult:
     trace: dict = {"mode": mode}
     retrieved_entries: list[EpisodicEntry] = []
@@ -443,18 +452,7 @@ def _evaluate_question(
         context = oracle_context(gold_sessions, gold_facts)
         trace["gold_session_ids"] = gold_ids
     else:
-        if embedder is None and cfg.mode != MODE_BM25:
-            embedder = HashedBowEmbedder()
-        pipeline = RetrievalPipeline.from_store(
-            store,
-            cfg,
-            project=BENCH_PROJECT,
-            decay=decay,
-            tiers=tiers,
-            embedder=embedder,
-            now=question.question_date,
-        )
-        result = pipeline.retrieve(question.question)
+        result = pipeline.retrieve(question.question, cfg)
         context = result.packed_context
         retrieved_entries = [r.entry for r in result.ranked]
         trace.update(
@@ -506,7 +504,15 @@ def _evaluate_question(
     )
 
 
-def _aggregate(results: list[QuestionResult], config: dict) -> EvalReport:
+def _report(
+    results: list[QuestionResult],
+    cfg: RetrievalConfig,
+    reader: Reader,
+    mode: str,
+    extractor: Extractor | None,
+    attribute_on_eval: bool = False,
+    config_echo: dict | None = None,
+) -> EvalReport:
     def summarise(subset: list[QuestionResult]) -> Aggregate:
         n = len(subset)
         correct = sum(r.em for r in subset)
@@ -518,6 +524,17 @@ def _aggregate(results: list[QuestionResult], config: dict) -> EvalReport:
     per_type: dict[str, Aggregate] = {}
     for qtype in sorted({r.question_type for r in results}):
         per_type[qtype] = summarise([r for r in results if r.question_type == qtype])
+    config = {
+        "mode": mode,
+        "retrieval": cfg.to_dict(),
+        "reader": getattr(reader, "name", type(reader).__name__),
+        "extractor": getattr(extractor, "name", type(extractor).__name__)
+        if extractor is not None
+        else None,
+        "prompt_template": PROMPT_TEMPLATE,
+        "attribute_on_eval": attribute_on_eval,
+        **(config_echo or {}),
+    }
     return EvalReport(
         results=results, per_type=per_type, overall=summarise(results), config=config
     )
@@ -571,24 +588,37 @@ def run_ablation(
     base_cfg: RetrievalConfig,
     reader: Reader,
     cells: Sequence[dict],
-    **benchmark_kwargs,
+    *,
+    extractor: Extractor | None = HeuristicExtractor(),
+    decay: DecayConfig | None = None,
+    tiers: TierConfig | None = None,
+    embedder: Embedder | None = None,
 ) -> list[dict]:
-    """One benchmark run per cell; returns machine-readable rows with the
-    full report attached."""
+    """Each cell re-ranks one memory per question (``question_memories``) in
+    retrieval mode, and no cell attributes. Returns one machine-readable row
+    per cell with its full report attached, whose results equal
+    ``run_benchmark`` under the cell's config apart from latencies."""
     if not cells:
         raise ValidationError("ablation grid is empty")
+    overrides = [{k: v for k, v in cell.items() if k != "label"} for cell in cells]
+    configs = [apply_cell(base_cfg, cell) for cell in overrides]
+    per_cell: list[list[QuestionResult]] = [[] for _ in cells]
+    memories = question_memories(
+        dataset, base_cfg, extractor=extractor, decay=decay, tiers=tiers, embedder=embedder
+    )
+    for question, store, pipeline in memories:
+        for results, cfg in zip(per_cell, configs):
+            results.append(
+                _evaluate_question(store, pipeline, question, cfg, reader, MODE_RETRIEVAL)
+            )
     rows = []
-    for overrides in cells:
-        overrides = dict(overrides)
-        label = overrides.pop("label", None) or ",".join(
-            f"{k}={v}" for k, v in sorted(overrides.items())
-        ) or "full"
-        cell_cfg = apply_cell(base_cfg, overrides)
-        report = run_benchmark(dataset, cell_cfg, reader, **benchmark_kwargs)
+    for cell, changed, cfg, results in zip(cells, overrides, configs, per_cell):
+        label = cell.get("label") or ",".join(f"{k}={v}" for k, v in sorted(changed.items()))
+        report = _report(results, cfg, reader, MODE_RETRIEVAL, extractor)
         rows.append(
             {
-                "cell": label,
-                "overrides": overrides,
+                "cell": label or "full",
+                "overrides": changed,
                 "n": report.overall.n,
                 "acc": report.overall.accuracy,
                 "f1": report.overall.f1,

@@ -34,9 +34,7 @@ class WeightPolicy:
             raise ValidationError("sigma must be nonnegative")
 
     def free_mean(self) -> np.ndarray:
-        return np.array(
-            [self.mean.w_bm25, self.mean.w_decay, self.mean.w_cw, self.mean.w_tier]
-        )
+        return _free(self.mean)
 
 
 @dataclass

@@ -395,18 +395,18 @@ def oracle_context(
 
 
 class RetrievalPipeline:
-    """Immutable snapshot of one project's memory plus the scoring config.
+    """Immutable snapshot of one project's memory plus a default config.
 
     Construction snapshots the entry and fact sets, so retrieval concurrent
     with a consolidation pass sees either the pre-pass or post-pass tier,
-    never a torn state. It indexes the facts up front when stage 1 is on.
-    Stage 2's pool is the entries of the scoped sessions, or the whole
-    snapshot when stage 1 scopes none: ``k1`` None, or a query whose facts
-    name no session the snapshot holds. Each session's entries are indexed
-    the first time the session enters a scoped pool; the whole snapshot is
-    indexed once, as one index, the first time a query needs it, so a
-    pipeline that never falls back builds no snapshot index and an unscoped
-    one builds no session index.
+    never a torn state. ``retrieve`` ranks under the config it is given, or
+    ``self.cfg``; no cache depends on the config, only on the snapshot, now,
+    decay and tiers. The facts are indexed when ``self.cfg`` scopes, else
+    when a query's config first does. Stage 2 ranks the entries of the
+    scoped sessions, or the whole snapshot when stage 1 scopes none (``k1``
+    None, or a query whose facts name no session the snapshot holds). A
+    session is indexed the first time it enters a pool, the whole snapshot
+    as one index the first time a query needs it.
     """
 
     def __init__(
@@ -459,8 +459,8 @@ class RetrievalPipeline:
         facts = store.load_facts()
         return cls(cfg, entries=loaded.entries, facts=facts.facts, **kwargs)
 
-    def retrieve(self, query: str) -> RetrievalResult:
-        cfg = self.cfg
+    def retrieve(self, query: str, cfg: RetrievalConfig | None = None) -> RetrievalResult:
+        cfg = cfg or self.cfg
         query_tokens = lexical.tokenize(query)
         total_sessions = len(self._session_positions)
         latency: dict[str, int] = {}
@@ -469,8 +469,11 @@ class RetrievalPipeline:
         scoping_disabled = cfg.stage1_k1 is None
         scoped: list[str] = []
         if not scoping_disabled and self.facts:
+            index = self._fact_index
+            if index is None:  # two threads may build it; both store equal values
+                index = self._fact_index = build_fact_index(self.facts)
             scoped = stage1_scope(
-                query_tokens, self.facts, cfg.stage1_k1, self._fact_index, self._session_positions
+                query_tokens, self.facts, cfg.stage1_k1, index, self._session_positions
             )
         fallback_unscoped = not scoping_disabled and not scoped
         if scoped:
@@ -482,7 +485,7 @@ class RetrievalPipeline:
         latency["stage1"] = (time.perf_counter_ns() - t0) // 1000
 
         t1 = time.perf_counter_ns()
-        similarities = None if cfg.mode == MODE_BM25 else self._similarities(query, pool)
+        similarities = None if cfg.mode == MODE_BM25 else self._similarities(query, pool, cfg.mode)
         if scoped:
             indexes, signals, ids = self._session_indexes(scoped), self._signals[positions], None
         else:
@@ -561,14 +564,14 @@ class RetrievalPipeline:
             self._snapshot_pool = built
         return built
 
-    def _similarities(self, query: str, pool: Sequence[EpisodicEntry]) -> list[float]:
+    def _similarities(self, query: str, pool: Sequence[EpisodicEntry], mode: str) -> list[float]:
         """Cosine of each pool entry to the query, from one embed call.
 
         Each is its own dot product, as a matrix product may sum in another
         order. Embedder failures propagate; there is no lexical fallback.
         """
         if self.embedder is None:
-            raise ValidationError(f"mode {self.cfg.mode!r} requires an embedder")
+            raise ValidationError(f"mode {mode!r} requires an embedder")
         if not pool:
             return []
         vectors = self.embedder.embed([query] + [e.content for e in pool])

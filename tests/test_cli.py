@@ -5,6 +5,7 @@ import json
 import pytest
 
 from agentmem.cli import main
+from agentmem.retrieval import RetrievalPipeline
 from conftest import SYNTHETIC20
 
 
@@ -362,3 +363,32 @@ def test_ablate_default_grid(tmp_path, capsys):
     assert labels[0] == "full"
     assert "-decay" in labels and "k=2" in labels and "budget=600" in labels
     assert len(out.read_text().splitlines()) == len(records)
+
+
+def test_ablate_ranks_with_the_configured_embedder(tmp_path, capsys):
+    config = tmp_path / "engine.yaml"
+    config.write_text(
+        "retrieval: {mode: dense}\nembedder: {url: 'http://127.0.0.1:9', timeout: 0.2}\n"
+    )
+    code = main(["--config", str(config), "ablate", "--dataset", str(SYNTHETIC20), "--k", "2"])
+    assert code == 4
+
+
+def test_train_builds_one_pipeline_per_question_not_per_episode(tmp_path, capsys, monkeypatch):
+    dataset = tmp_path / "four.jsonl"
+    dataset.write_text("".join(SYNTHETIC20.read_text().splitlines(keepends=True)[:4]))
+    built = []
+    init = RetrievalPipeline.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RetrievalPipeline, "__init__", counting)
+    code, records = run_cli(
+        capsys, "train", "--dataset", str(dataset), "--epochs", "2", "--batch-size", "2",
+    )
+    assert code == 0
+    batches = [r for r in records if "batch" in r]
+    assert len(batches) == 4 and all(r["failures"] == 0 for r in batches)  # 8 episodes
+    assert len(built) == 4

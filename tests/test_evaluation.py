@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from agentmem import evaluation
 from agentmem.errors import ValidationError
 from agentmem.evaluation import (
     BenchmarkQuestion,
@@ -23,7 +26,7 @@ from agentmem.evaluation import (
     token_f1,
     wilson_ci,
 )
-from agentmem.retrieval import RetrievalConfig
+from agentmem.retrieval import RetrievalConfig, RetrievalPipeline
 from agentmem.scoring import Variant, WeightVector
 from conftest import SYNTHETIC20, make_entry
 
@@ -334,3 +337,47 @@ def test_variant_sweep_identical_traces_under_bm25_only(synthetic20):
         report = run_benchmark(synthetic20[:6], cfg, OracleReader(), mode="retrieval")
         traces.append([r.trace["ranked_ids"] for r in report.results])
     assert all(t == traces[0] for t in traces[1:])
+
+
+def _without_latency(results):
+    return [
+        replace(r, trace={k: v for k, v in r.trace.items() if k != "latency_micros"})
+        for r in results
+    ]
+
+
+@pytest.mark.parametrize("base, cells", [
+    (RetrievalConfig(), default_cells()),
+    # An unscoped base pipeline builds the fact index for the k1=3 cell.
+    (RetrievalConfig(stage1_k1=None), grid_cells({"k1": [None, 3]})),
+])
+def test_each_ablation_row_equals_run_benchmark_of_its_cell(synthetic20, base, cells):
+    rows = run_ablation(synthetic20[:4], base, OracleReader(), cells)
+    assert len(rows) == len(cells)
+    for cell, row in zip(cells, rows):
+        overrides = {k: v for k, v in cell.items() if k != "label"}
+        expected = run_benchmark(synthetic20[:4], apply_cell(base, overrides), OracleReader())
+        report = row["report"]
+        assert _without_latency(report.results) == _without_latency(expected.results)
+        assert report.config == expected.config
+        assert (row["acc"], row["f1"], row["n"]) == (
+            expected.overall.accuracy, expected.overall.f1, expected.overall.n
+        )
+
+
+def test_an_ablation_builds_each_question_memory_once(synthetic20, monkeypatch):
+    calls = Counter()
+    ingest, from_store = evaluation.ingest_question, RetrievalPipeline.from_store
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(evaluation, "ingest_question", counted("ingest", ingest))
+    monkeypatch.setattr(RetrievalPipeline, "from_store", counted("from_store", from_store))
+    rows = run_ablation(synthetic20[:2], RetrievalConfig(), OracleReader(), default_cells())
+    assert len(rows) == 12
+    assert calls == {"ingest": 2, "from_store": 2}

@@ -498,11 +498,13 @@ def _outputs(result):
     )
 
 
-def _check_threads_on_cold_caches(k1):
+def _check_threads_on_cold_caches(k1, cfg=None):
+    """Threads querying fresh pipelines built with ``k1`` under ``cfg`` get
+    the serial results of a pipeline built with ``cfg``."""
     queries = [f"{a} {b}" for a in ("report", "lunch", "deadline", "bike", "soup")
                for b in ("friday", "blue", "note", "v1")] * 3
     queries += ["nowhere", "blue nowhere"] * 5  # no fact matches: fallbacks
-    pipeline = _fact_pipeline(k1)
+    pipeline = _fact_pipeline(k1 if cfg is None else cfg.stage1_k1)
     serial = [_outputs(pipeline.retrieve(q)) for q in queries]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -510,7 +512,7 @@ def _check_threads_on_cold_caches(k1):
         for _ in range(5):
             pipeline = _fact_pipeline(k1)  # cold fact-term, session and snapshot caches
             with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(pipeline.retrieve, q) for q in queries]
+                futures = [pool.submit(pipeline.retrieve, q, cfg) for q in queries]
                 results = [_outputs(f.result(timeout=60)) for f in futures]
             assert results == serial
     finally:
@@ -523,6 +525,11 @@ def test_threads_on_cold_caches_match_serial_results():
 
 def test_threads_on_cold_unscoped_pipelines_match_serial_results():
     _check_threads_on_cold_caches(None)
+
+
+def test_threads_scoping_cold_unscoped_pipelines_match_serial_results():
+    # The pipelines hold no fact index: the first scoped queries build it.
+    _check_threads_on_cold_caches(None, RetrievalConfig(stage1_k1=5))
 
 
 def test_unscoped_pipeline_builds_no_fact_index(monkeypatch):

@@ -53,6 +53,7 @@ from agentmem.scoring import (
     SEMANTIC,
     Candidate,
     Variant,
+    WeightVector,
     composite_score,
     normalise_scores,
     rank_order,
@@ -230,35 +231,29 @@ WORDS = ["report", "deadline", "friday", "soup", "lunch", "bike", "blue", "the"]
 TEXT = st.lists(st.sampled_from(WORDS), max_size=6).map(" ".join)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    pool=st.lists(
-        st.tuples(
-            TEXT,
-            st.sampled_from(["s1", "s2", "s3", "s4"]),
-            st.integers(0, 40),
-            st.sampled_from([-0.5, 0.0, 0.5]),
-            st.booleans(),
-        ),
-        max_size=14,
+POOL = st.lists(
+    st.tuples(
+        TEXT,
+        st.sampled_from(["s1", "s2", "s3", "s4"]),
+        st.integers(0, 40),
+        st.sampled_from([-0.5, 0.0, 0.5]),
+        st.booleans(),
     ),
-    facts=st.lists(
-        st.tuples(TEXT, TEXT, st.sets(st.sampled_from(["s1", "s2", "s3", "s4", "s9"]), min_size=1)),
-        max_size=6,
-    ),
-    queries=st.lists(
-        st.lists(st.sampled_from(WORDS + ["nowhere"]), min_size=1, max_size=3).map(" ".join),
-        min_size=1,
-        max_size=3,
-    ),
-    variant=st.sampled_from(list(Variant)),
-    k1=st.sampled_from([None, 1, 3]),
-    mode=st.sampled_from(MODES),
-    stage2_k=st.sampled_from([1, 4, 100]),  # 100 is larger than any pool
+    max_size=14,
 )
-def test_retrieve_matches_reference_on_random_stores(
-    pool, facts, queries, variant, k1, mode, stage2_k
-):
+FACTS = st.lists(
+    st.tuples(TEXT, TEXT, st.sets(st.sampled_from(["s1", "s2", "s3", "s4", "s9"]), min_size=1)),
+    max_size=6,
+)
+QUERIES = st.lists(
+    st.lists(st.sampled_from(WORDS + ["nowhere"]), min_size=1, max_size=3).map(" ".join),
+    min_size=1,
+    max_size=3,
+)
+
+
+def random_store(pool, facts):
+    """The entries, with one system entry, and the facts drawn as POOL and FACTS."""
     entries = [
         make_entry(entry_id=f"e{i}", content=content, session_id=sid, days_ago=days,
                    cognitive_weight=cw, promoted=promoted)
@@ -269,6 +264,23 @@ def test_retrieve_matches_reference_on_random_stores(
         make_fact(fact_id=f"f{i}", subject=subject, value=value, session_ids=sessions)
         for i, (subject, value, sessions) in enumerate(facts)
     ]
+    return entries, fact_list
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pool=POOL,
+    facts=FACTS,
+    queries=QUERIES,
+    variant=st.sampled_from(list(Variant)),
+    k1=st.sampled_from([None, 1, 3]),
+    mode=st.sampled_from(MODES),
+    stage2_k=st.sampled_from([1, 4, 100]),  # 100 is larger than any pool
+)
+def test_retrieve_matches_reference_on_random_stores(
+    pool, facts, queries, variant, k1, mode, stage2_k
+):
+    entries, fact_list = random_store(pool, facts)
     cfg = RetrievalConfig(stage1_k1=k1, variant=variant, mode=mode, stage2_k=stage2_k)
     pipeline = RetrievalPipeline(
         cfg, entries=entries, facts=fact_list, embedder=HashedBowEmbedder(16)
@@ -277,6 +289,45 @@ def test_retrieve_matches_reference_on_random_stores(
         for query in queries:
             check_against_reference(pipeline, query)
             check_full_ranking(pipeline, query)
+
+
+CONFIGS = st.builds(
+    RetrievalConfig,
+    stage1_k1=st.sampled_from([None, 1, 3]),
+    stage2_k=st.sampled_from([1, 4, 100]),
+    token_budget=st.sampled_from([3, 12, 300]),
+    weights=st.sampled_from(
+        [WeightVector.default(), WeightVector.default().without("decay"), DENSE_WEIGHTS]
+    ),
+    variant=st.sampled_from(list(Variant)),
+    mode=st.sampled_from(MODES),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pool=POOL,
+    facts=FACTS,
+    queries=QUERIES,
+    base=CONFIGS,
+    configs=st.lists(CONFIGS, min_size=1, max_size=5),
+)
+def test_one_pipeline_ranks_each_config_as_a_pipeline_built_with_it(
+    pool, facts, queries, base, configs
+):
+    """Per-call configs share the caches that the configs before them
+    filled, the fact index too when ``base`` does not scope; every result
+    field but the latencies equals a fresh pipeline's: ranked ids, every
+    breakdown field, fused scores, scopes and packed ids and context."""
+    entries, fact_list = random_store(pool, facts)
+    embedder = HashedBowEmbedder(16)
+    shared = RetrievalPipeline(base, entries=entries, facts=fact_list, embedder=embedder)
+    for cfg in configs:
+        fresh = RetrievalPipeline(cfg, entries=entries, facts=fact_list, embedder=embedder)
+        for query in queries:
+            got, want = shared.retrieve(query, cfg), fresh.retrieve(query)
+            assert replace(got, latency_micros={}) == replace(want, latency_micros={})
+    assert shared.cfg == base
 
 
 def whole_pool_reference(pipeline, query):
