@@ -275,14 +275,21 @@ def cmd_train(args) -> int:
     dataset = evaluation.load_dataset(args.dataset)
     reader = _reader(cfg, args.reader)
 
-    # One memory per question; each episode re-ranks its pipeline under the
-    # sampled weights.
-    memories = evaluation.question_memories(dataset, cfg.retrieval, **_memory(cfg, args))
-    pipelines = {question.question_id: pipeline for question, _, pipeline in memories}
+    # One memory per question, built the first time an episode draws it, as
+    # training samples only question_count questions; each episode re-ranks
+    # its question's pipeline under the sampled weights.
+    memory = _memory(cfg, args)
+    pipelines: dict[str, RetrievalPipeline] = {}
+
+    def pipeline_of(question) -> RetrievalPipeline:
+        if question.question_id not in pipelines:
+            [(_, _, pipeline)] = evaluation.question_memories([question], cfg.retrieval, **memory)
+            pipelines[question.question_id] = pipeline
+        return pipelines[question.question_id]
 
     def pipeline_factory(weights):
         episode_cfg = replace(cfg.retrieval, weights=weights)
-        return lambda q: pipelines[q.question_id].retrieve(q.question, episode_cfg).packed_context
+        return lambda q: pipeline_of(q).retrieve(q.question, episode_cfg).packed_context
 
     final_weights, log = learning.train(
         dataset, pipeline_factory, reader, train_cfg, seed=cfg.seed

@@ -12,12 +12,15 @@ one index, from per-term postings arrays built the first time a query uses
 the term. Stage 1 scores the fact index this way and takes the facts
 best-first by partial selection, sorting only the top few.
 
-Stage 2 scores both of its pools with ``pool_scores``. A scoped pool, the
-entries of a few sessions, is scored over those sessions' indexes, as its N
-and document frequencies count only the pool. The whole snapshot, the pool
-of a query that stage 1 scopes to no session, is one index. ``rank`` is
-``pool_scores`` fully sorted, and ``bm25_score`` is the per-document
-reference all of them are tested against.
+Stage 2 has two pools. A scoped pool, the entries of a few sessions, is
+scored by ``pool_scores`` over those sessions' indexes, as its N and
+document frequencies count only the pool. The whole snapshot, the pool of a
+query that stage 1 scopes to no session, is one index keyed by snapshot
+position, scored by ``position_scores`` straight into a list by position.
+Its N and average length are fixed for the life of the snapshot, so each
+document's length norm is computed once (``length_norms``) and kept with
+the index. ``rank`` is ``pool_scores`` fully sorted, and ``bm25_score`` is
+the per-document reference all of them are tested against.
 
 Scores are left unnormalised on purpose: downstream scoring applies its own
 normalisation variants, and the decay-bypass rule thresholds the raw value.
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter, defaultdict
+from collections import defaultdict
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -77,7 +80,10 @@ def build_index(docs: Sequence[tuple[Hashable, str]]) -> Bm25Index:
             raise ValidationError(f"duplicate doc_id: {doc_id!r}")
         tokens = tokenize(text)
         doc_len[doc_id] = len(tokens)
-        for term, f in Counter(tokens).items():
+        counts: dict[str, int] = {}
+        for token in tokens:
+            counts[token] = counts.get(token, 0) + 1
+        for term, f in counts.items():
             postings[term][doc_id] = f
     return Bm25Index(len(doc_len), sum(doc_len.values()), doc_len, dict(postings))
 
@@ -118,12 +124,12 @@ def pool_scores(
     ``==`` to ``bm25_score`` over one ``build_index`` of all their texts,
     as each document's sum runs over the query terms in the same order.
 
-    Stage 2 pools stay on dict postings rather than ``Bm25Columns``. A
-    scoped pool's N and document frequencies depend on which sessions are in
-    it, and a column over the whole snapshot, masked to the pool on every
-    query, would cost more than walking the pool's few hundred postings. A
-    pool of the whole snapshot is one index, whose matched postings are
-    walked the same way.
+    Scoped stage-2 pools stay on dict postings rather than ``Bm25Columns``.
+    A scoped pool's N and document frequencies depend on which sessions are
+    in it, and a column over the whole snapshot, masked to the pool on every
+    query, would cost more than walking the pool's few hundred postings. The
+    whole-snapshot pool is scored by ``position_scores`` instead, which
+    walks the same postings in the same order into a list.
     """
     n = sum(index.doc_count for index in indexes)
     avg = sum(index.total_len for index in indexes) / n if n else 0.0
@@ -138,6 +144,42 @@ def pool_scores(
             for doc, f in postings.items():
                 length_norm = k1 * (1.0 - b + (b * doc_len[doc] / avg if avg > 0 else 0.0))
                 scores[doc] = scores.get(doc, 0.0) + weight * f * (k1 + 1.0) / (f + length_norm)
+    return scores
+
+
+def length_norms(index: Bm25Index) -> list[float]:
+    """``K1 * (1 - B + B * dl / avg)`` of each document of an index keyed by
+    the positions 0..N-1, in position order, or ``K1 * (1 - B)`` when avg is
+    0. Each is the value ``pool_scores`` computes for the document over that
+    index alone. Documents of one length share one float, so the list costs
+    a pointer per document."""
+    avg = index.avg_doc_len
+    by_len = {
+        dl: K1 * (1.0 - B + (B * dl / avg if avg > 0 else 0.0))
+        for dl in set(index.doc_len.values())
+    }
+    return [by_len[index.doc_len[i]] for i in range(index.doc_count)]
+
+
+def position_scores(
+    query_tokens: Iterable[str], index: Bm25Index, length_norm: Sequence[float]
+) -> list[float]:
+    """Raw BM25 of every document of an index keyed by the positions
+    0..N-1, as a list by position; ``length_norm`` is ``length_norms(index)``.
+    Each value is ``==`` to ``pool_scores(query_tokens, [index]).get(i, 0.0)``:
+    the walk visits the same postings in the same order with the same
+    operations, reading each length norm instead of recomputing it.
+    """
+    n = index.doc_count
+    scores = [0.0] * n
+    k1_plus_1 = K1 + 1.0
+    for term in dict.fromkeys(query_tokens):
+        postings = index.postings.get(term)
+        if not postings:
+            continue
+        weight = _idf(n, len(postings))
+        for doc, f in postings.items():
+            scores[doc] += weight * f * k1_plus_1 / (f + length_norm[doc])
     return scores
 
 

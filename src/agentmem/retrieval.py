@@ -8,10 +8,13 @@ BM25 has one form for both tiers, ``lexical.Bm25Index``: stage 1 ranks the
 fact index through ``lexical.Bm25Columns``. Stage 2 has two pools, picked by
 what stage 1 returned. A scoped query ranks the entries of its sessions; a
 query with no scope (``k1`` None, or a query whose facts name no session the
-snapshot holds) ranks the whole snapshot. Both pools' raw BM25 is
-``lexical.pool_scores`` over indexes keyed by snapshot position: a snapshot
-keeps one index per session for scoped pools and one index of every entry
-for the whole pool, so an unscoped query walks one index and sorts nothing.
+snapshot holds) ranks the whole snapshot. A snapshot keeps its BM25
+indexes keyed by snapshot position: one per session for scoped pools, whose
+raw BM25 is ``lexical.pool_scores`` over their sessions' indexes, and one of
+every entry for the whole pool, with each entry's length norm. Those never
+change, as the whole pool's N and average length are the snapshot's, so an
+unscoped query walks one index's postings of its terms straight into a list
+by position (``lexical.position_scores``) and sorts nothing.
 Stage 2 scores a pool as columns (``scoring.pool_signals``). The inputs no
 query changes, exp(-lambda * age), phi_cw, the tier multiplier and the
 timestamp, are kept per snapshot position, and a pool takes them by its
@@ -406,7 +409,11 @@ class RetrievalPipeline:
     scoped sessions, or the whole snapshot when stage 1 scopes none (``k1``
     None, or a query whose facts name no session the snapshot holds). A
     session is indexed the first time it enters a pool, the whole snapshot
-    as one index the first time a query needs it.
+    as one index the first time a query needs it. A scoped pool is scored by
+    ``lexical.pool_scores`` over its sessions' indexes, as its N and average
+    length change with the sessions in it; the whole snapshot's are fixed,
+    so its length norms are kept with its index and each query is scored by
+    ``lexical.position_scores`` into a list by position.
     """
 
     def __init__(
@@ -442,8 +449,9 @@ class RetrievalPipeline:
         self._session_index: dict[str, lexical.Bm25Index] = {}
         self._signals = np.empty((len(self.entries), 4))
         # The whole snapshot as one pool, once a query needs it: its BM25
-        # index keyed by position, and the entry ids, None when two are equal.
-        self._snapshot_pool: tuple[lexical.Bm25Index, list[str] | None] | None = None
+        # index keyed by position, its length norms, and the entry ids, None
+        # when two are equal.
+        self._snapshot_pool: tuple[lexical.Bm25Index, list[float], list[str] | None] | None = None
 
     @classmethod
     def from_store(
@@ -487,11 +495,13 @@ class RetrievalPipeline:
         t1 = time.perf_counter_ns()
         similarities = None if cfg.mode == MODE_BM25 else self._similarities(query, pool, cfg.mode)
         if scoped:
-            indexes, signals, ids = self._session_indexes(scoped), self._signals[positions], None
+            scores = lexical.pool_scores(query_tokens, self._session_indexes(scoped))
+            raw_bm25 = [scores.get(i, 0.0) for i in positions]
+            signals, ids = self._signals[positions], None
         else:
-            index, ids = self._whole_snapshot_pool()
-            indexes, signals = [index], self._signals
-        scores = lexical.pool_scores(query_tokens, indexes)
+            index, length_norm, ids = self._whole_snapshot_pool()
+            raw_bm25 = lexical.position_scores(query_tokens, index, length_norm)
+            signals = self._signals
         ranked = stage2_retrieve(
             query_tokens,
             pool,
@@ -501,7 +511,7 @@ class RetrievalPipeline:
             semantic_scope=frozenset(scoped),
             now=self.now,
             similarities=similarities,
-            raw_bm25=[scores.get(i, 0.0) for i in positions],
+            raw_bm25=raw_bm25,
             signals=signals,
             ids=ids,
         )
@@ -546,13 +556,14 @@ class RetrievalPipeline:
                 built[session] = lexical.build_index(docs)
         return [built[session] for session in sessions]
 
-    def _whole_snapshot_pool(self) -> tuple[lexical.Bm25Index, list[str] | None]:
-        """One BM25 index over every entry, keyed by position, and the
-        entries' ids, None when two are equal so that ``stage2_retrieve``
-        raises for them on every query. Built once per snapshot together
-        with every signal row, which are stored before the index; a snapshot
-        whose signals raise stores nothing, so it raises again on the next
-        query. Two threads may build at once; both store equal values."""
+    def _whole_snapshot_pool(self) -> tuple[lexical.Bm25Index, list[float], list[str] | None]:
+        """One BM25 index over every entry, keyed by position, its length
+        norms (``lexical.length_norms``), and the entries' ids, None when two
+        are equal so that ``stage2_retrieve`` raises for them on every
+        query. Built once per snapshot together with every signal row, which
+        are stored before the index; a snapshot whose signals raise stores
+        nothing, so it raises again on the next query. Two threads may build
+        at once; both store equal values."""
         built = self._snapshot_pool
         if built is None:
             rows = [_entry_signals(e, self.now, self.decay, self.tiers) for e in self.entries]
@@ -560,7 +571,7 @@ class RetrievalPipeline:
             ids = [e.id for e in self.entries]
             if rows:
                 self._signals[:] = rows
-            built = (index, ids if len(set(ids)) == len(ids) else None)
+            built = (index, lexical.length_norms(index), ids if len(set(ids)) == len(ids) else None)
             self._snapshot_pool = built
         return built
 

@@ -375,6 +375,8 @@ def test_ablate_ranks_with_the_configured_embedder(tmp_path, capsys):
 
 
 def test_train_builds_one_pipeline_per_question_not_per_episode(tmp_path, capsys, monkeypatch):
+    """Two epochs of batches of two: 8 episodes over the four questions, or
+    4 over the two that a question count of 2 samples."""
     dataset = tmp_path / "four.jsonl"
     dataset.write_text("".join(SYNTHETIC20.read_text().splitlines(keepends=True)[:4]))
     built = []
@@ -385,10 +387,13 @@ def test_train_builds_one_pipeline_per_question_not_per_episode(tmp_path, capsys
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(RetrievalPipeline, "__init__", counting)
-    code, records = run_cli(
-        capsys, "train", "--dataset", str(dataset), "--epochs", "2", "--batch-size", "2",
-    )
-    assert code == 0
-    batches = [r for r in records if "batch" in r]
-    assert len(batches) == 4 and all(r["failures"] == 0 for r in batches)  # 8 episodes
-    assert len(built) == 4
+    for question_count, pipelines in (([], 4), (["--question-count", "2"], 2)):
+        built.clear()
+        code, records = run_cli(
+            capsys, "train", "--dataset", str(dataset), "--epochs", "2", "--batch-size", "2",
+            *question_count,
+        )
+        assert code == 0
+        batches = [r for r in records if "batch" in r]
+        assert len(batches) == pipelines and all(r["failures"] == 0 for r in batches)
+        assert len(built) == pipelines

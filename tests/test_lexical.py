@@ -8,7 +8,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agentmem.errors import NotFoundError, ValidationError
-from agentmem.lexical import Bm25Columns, bm25_score, build_index, pool_scores, rank, tokenize
+from agentmem.lexical import (
+    K1,
+    Bm25Columns,
+    B,
+    bm25_score,
+    build_index,
+    length_norms,
+    pool_scores,
+    position_scores,
+    rank,
+    tokenize,
+)
 
 TWO_DOC_CORPUS = [("d1", "apple banana"), ("d2", "cherry date")]
 
@@ -191,6 +202,21 @@ def test_pool_scores_equal_bm25_score_over_the_pool(texts, query, cuts):
     scores = pool_scores(query, indexes)
     expected = {doc_id: bm25_score(idx, query, doc_id) for doc_id, _ in docs}
     assert scores == {doc_id: s for doc_id, s in expected.items() if s > 0.0}
+
+
+@settings(max_examples=80, deadline=None)
+@given(texts=CORPUS, query=QUERY)
+@example(*ORDER_SENSITIVE)
+@example([], ["a"])  # empty corpus
+@example(["", "", ""], ["a", "z"])  # every document empty: avg 0
+@example(["a a b", "", "b c a", ""], ["a", "z", "a", "b", "z"])  # repeated and unknown terms
+def test_position_scores_equal_pool_scores_at_every_position(texts, query):
+    idx = build_index([(i, text) for i, text in enumerate(texts)])
+    norms = length_norms(idx)
+    expected = pool_scores(query, [idx])
+    assert position_scores(query, idx, norms) == [expected.get(i, 0.0) for i in range(len(texts))]
+    if idx.avg_doc_len == 0:
+        assert norms == [K1 * (1 - B)] * len(texts)
 
 
 @settings(max_examples=40, deadline=None)

@@ -476,6 +476,28 @@ def test_a_scoped_pipeline_indexes_the_snapshot_only_when_a_query_falls_back(mon
     assert built[sessions:] == [list(range(len(pipeline.entries)))]
 
 
+def test_length_norms_are_built_once_per_snapshot_with_its_index(monkeypatch):
+    normed = []
+    real = lexical.length_norms
+
+    def recording(index):
+        normed.append(index)
+        return real(index)
+
+    monkeypatch.setattr(lexical, "length_norms", recording)
+    scoped = _fact_pipeline()
+    for query in ("report friday", "lunch soup blue", "deadline v1 note"):
+        assert scoped.retrieve(query).scoped_session_ids
+    assert normed == []
+    unscoped = _fact_pipeline(None)
+    for query in ("report friday", "nowhere", "report friday"):
+        unscoped.retrieve(query)
+    assert len(normed) == 1 and normed[0] is unscoped._snapshot_pool[0]
+    for _ in range(2):
+        assert scoped.retrieve("nowhere").fallback_unscoped
+    assert len(normed) == 2 and normed[1] is scoped._snapshot_pool[0]
+
+
 def test_stage1_builds_postings_arrays_only_for_query_terms_and_once():
     pipeline = _fact_pipeline()
     columns = pipeline._fact_index.bm25
