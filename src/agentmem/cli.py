@@ -277,15 +277,17 @@ def cmd_train(args) -> int:
 
     # One memory per question, built the first time an episode draws it, as
     # training samples only question_count questions; each episode re-ranks
-    # its question's pipeline under the sampled weights.
+    # its question's pipeline under the sampled weights. Episodes draw the
+    # dataset's own question objects, and the memo is keyed by object, as a
+    # dataset may repeat a question_id.
     memory = _memory(cfg, args)
-    pipelines: dict[str, RetrievalPipeline] = {}
+    pipelines: dict[int, RetrievalPipeline] = {}
 
     def pipeline_of(question) -> RetrievalPipeline:
-        if question.question_id not in pipelines:
+        if id(question) not in pipelines:
             [(_, _, pipeline)] = evaluation.question_memories([question], cfg.retrieval, **memory)
-            pipelines[question.question_id] = pipeline
-        return pipelines[question.question_id]
+            pipelines[id(question)] = pipeline
+        return pipelines[id(question)]
 
     def pipeline_factory(weights):
         episode_cfg = replace(cfg.retrieval, weights=weights)

@@ -9,7 +9,13 @@ of the pass's facts. Extractors are question-blind by construction: the
 interface only ever sees the session id and transcript.
 
 The built-in extractor is pure pattern matching (no model call) with a fixed
-coarse relation vocabulary: kv, is_a, prefers, mentioned_in.
+coarse relation vocabulary: kv, is_a, prefers, mentioned_in. Most lines match
+none of the copula, preference and entity patterns, so each is tried only on
+a line that passes a cheaper test the pattern implies: a whitespace-delimited
+"is" for the copula, the substring "prefers" or "likes" for preferences, and
+an uppercase letter (``str.islower`` false) for entities. A line that fails
+such a test cannot match, so the drafts are those of trying every pattern on
+every line.
 """
 
 from __future__ import annotations
@@ -35,6 +41,9 @@ MAX_FIELD_TOKENS = 12
 _ENTITY_RE = re.compile(r"\b([A-Z][a-zA-Z0-9]*(?:\s+[A-Z][a-zA-Z0-9]*)+)\b")
 _IS_RE = re.compile(r"^(.+?)\s+is\s+(.+)$")
 _PREFERS_RE = re.compile(r"^(.+?)\s+(?:prefers|likes)\s+(.+)$")
+# A line _IS_RE matches contains this; a linear search for it is cheaper than
+# the match that fails on most lines.
+_IS_HINT_RE = re.compile(r"\sis\s")
 
 
 @dataclass(frozen=True)
@@ -79,14 +88,15 @@ def extract_facts_heuristic(session_id: str, text: str) -> list[FactDraft]:
         if ":" in line:
             head, _, tail = line.partition(":")
             emit(head, RELATION_KV, tail)
-        match = _IS_RE.match(line)
+        match = _IS_HINT_RE.search(line) and _IS_RE.match(line)
         if match:
             emit(match.group(1), RELATION_IS_A, match.group(2))
-        match = _PREFERS_RE.match(line)
+        match = ("prefers" in line or "likes" in line) and _PREFERS_RE.match(line)
         if match:
             emit(match.group(1), RELATION_PREFERS, match.group(2))
-        for entity in _ENTITY_RE.findall(line):
-            emit(entity, RELATION_MENTIONED_IN, session_id)
+        if not line.islower():  # True only when no letter is uppercase
+            for entity in _ENTITY_RE.findall(line):
+                emit(entity, RELATION_MENTIONED_IN, session_id)
     return drafts
 
 

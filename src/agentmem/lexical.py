@@ -1,8 +1,14 @@
 """Tokenisation and raw Okapi BM25 scoring over inverted indexes.
 
+``tokenize`` takes the lowercased alphanumeric runs of a text, ``[^\\W_]+``.
+Every memory build tokenises every entry and fact, so ASCII text, where that
+class is exactly ``[0-9a-z]`` after lowercasing, is split by a byte table
+instead of the regex; other text goes through the regex.
+
 ``Bm25Index`` holds postings, ``term -> {doc_id: term frequency}``, plus each
 document's token length; a term's document frequency is the size of its
-postings. ``pool_scores`` scores the documents of several indexes as one
+postings. ``build_index`` counts each token straight into its postings in
+one pass. ``pool_scores`` scores the documents of several indexes as one
 corpus, walking only the postings of the query terms, so its cost grows with
 the matched postings, not with the corpus. A document that shares no query
 term scores exactly 0 and is left out.
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import math
 import re
+import string
 from collections import defaultdict
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -46,13 +53,25 @@ _FIRST_CUT = 16
 
 # Word characters minus underscore: lowercased alphanumeric runs.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# Every byte but 0-9 and a-z to a space. Within ASCII, [^\W_] is exactly
+# [0-9A-Za-z], and lowercasing leaves no A-Z.
+_ASCII_TABLE = bytes(
+    b if chr(b) in string.digits + string.ascii_lowercase else 0x20 for b in range(256)
+)
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on non-alphanumeric runs; empty tokens dropped.
 
     "The Eiffel Tower!" -> ["the", "eiffel", "tower"]; "k1=1.5" -> ["k1", "1", "5"].
+
+    ASCII text, which is all the text of the benchmark workloads, skips the
+    regex: its bytes other than 0-9 and a-z become spaces and ``split``
+    cuts on the runs of them, giving the same tokens as ``_TOKEN_RE``.
+    Other text goes through ``_TOKEN_RE`` itself.
     """
+    if text.isascii():
+        return text.lower().encode().translate(_ASCII_TABLE).decode().split()
     return _TOKEN_RE.findall(text.lower())
 
 
@@ -80,11 +99,11 @@ def build_index(docs: Sequence[tuple[Hashable, str]]) -> Bm25Index:
             raise ValidationError(f"duplicate doc_id: {doc_id!r}")
         tokens = tokenize(text)
         doc_len[doc_id] = len(tokens)
-        counts: dict[str, int] = {}
+        # A term enters the postings, and doc_id a term's postings, at the
+        # token's first occurrence: the order a count per document gives.
         for token in tokens:
-            counts[token] = counts.get(token, 0) + 1
-        for term, f in counts.items():
-            postings[term][doc_id] = f
+            p = postings[token]
+            p[doc_id] = p.get(doc_id, 0) + 1
     return Bm25Index(len(doc_len), sum(doc_len.values()), doc_len, dict(postings))
 
 

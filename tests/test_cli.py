@@ -374,19 +374,25 @@ def test_ablate_ranks_with_the_configured_embedder(tmp_path, capsys):
     assert code == 4
 
 
-def test_train_builds_one_pipeline_per_question_not_per_episode(tmp_path, capsys, monkeypatch):
+@pytest.fixture
+def built(monkeypatch):
+    """The RetrievalPipelines constructed while the test runs."""
+    pipelines = []
+    init = RetrievalPipeline.__init__
+
+    def counting(self, *args, **kwargs):
+        pipelines.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RetrievalPipeline, "__init__", counting)
+    return pipelines
+
+
+def test_train_builds_one_pipeline_per_question_not_per_episode(tmp_path, capsys, built):
     """Two epochs of batches of two: 8 episodes over the four questions, or
     4 over the two that a question count of 2 samples."""
     dataset = tmp_path / "four.jsonl"
     dataset.write_text("".join(SYNTHETIC20.read_text().splitlines(keepends=True)[:4]))
-    built = []
-    init = RetrievalPipeline.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(RetrievalPipeline, "__init__", counting)
     for question_count, pipelines in (([], 4), (["--question-count", "2"], 2)):
         built.clear()
         code, records = run_cli(
@@ -397,3 +403,16 @@ def test_train_builds_one_pipeline_per_question_not_per_episode(tmp_path, capsys
         batches = [r for r in records if "batch" in r]
         assert len(batches) == pipelines and all(r["failures"] == 0 for r in batches)
         assert len(built) == pipelines
+
+
+def test_train_builds_one_pipeline_per_question_when_ids_repeat(tmp_path, capsys, built):
+    """Two questions that share a question_id keep their own haystacks."""
+    records = [json.loads(line) for line in SYNTHETIC20.read_text().splitlines()[:2]]
+    records[1]["question_id"] = records[0]["question_id"]
+    dataset = tmp_path / "same-id.jsonl"
+    dataset.write_text("".join(json.dumps(record) + "\n" for record in records))
+    code, _ = run_cli(
+        capsys, "train", "--dataset", str(dataset), "--epochs", "1", "--batch-size", "2"
+    )
+    assert code == 0
+    assert len(built) == 2

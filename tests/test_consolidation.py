@@ -5,11 +5,17 @@ import time
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from agentmem import store as store_module
 from agentmem.consolidation import (
+    _ENTITY_RE,
+    _IS_RE,
+    _PREFERS_RE,
     FactDraft,
     HeuristicExtractor,
+    _trim,
     extract_facts_heuristic,
     run_consolidation_pass,
     schedule,
@@ -55,6 +61,55 @@ def test_fields_capped_at_twelve_tokens():
     long_tail = " ".join(f"w{i}" for i in range(30))
     drafts = extract_facts_heuristic("s1", f"note: {long_tail}")
     assert len(drafts[0].value.split()) == 12
+
+
+def unfiltered_extract(session_id, text):
+    """extract_facts_heuristic with every pattern tried on every line."""
+    drafts, seen = [], set()
+
+    def emit(subject, relation, value):
+        subject, value = _trim(subject), _trim(value)
+        key = (subject, relation, value)
+        if subject and value and key not in seen:
+            seen.add(key)
+            drafts.append(FactDraft(*key))
+
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        if ":" in line:
+            head, _, tail = line.partition(":")
+            emit(head, "kv", tail)
+        for pattern, relation in ((_IS_RE, "is_a"), (_PREFERS_RE, "prefers")):
+            match = pattern.match(line)
+            if match:
+                emit(match.group(1), relation, match.group(2))
+        for entity in _ENTITY_RE.findall(line):
+            emit(entity, "mentioned_in", session_id)
+    return drafts
+
+
+EXTRACTOR_WORDS = st.sampled_from(
+    ["is", "IS", "this", "isn't", "likes", "dislikes", "prefers", "preferred", "Alice",
+     "New York", "tea", "a:", ":", "x:y", "Big Apple City", "café", "Élan", "ǅx", "42"]
+)
+# ASCII and Unicode spaces \s matches, and line breaks splitlines cuts on.
+EXTRACTOR_GAPS = st.sampled_from(
+    [" ", " ", "  ", "\t", "\u00a0", "\u2003", "\u3000", "\x0b", "\x1f", "\n", "\x85",
+     "\u2028", "", "\r\n"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=st.lists(st.tuples(EXTRACTOR_WORDS, EXTRACTOR_GAPS), max_size=16))
+@example([("Alice", "\u00a0"), ("is", "\u3000"), ("tea", "")])
+@example([("Alice", "\t"), ("likes", "\u2003"), ("tea", "\x85"), ("bob", " ")])
+@example([("this", " "), ("dislikes", " "), ("preferred", "\u2028"), ("is", " ")])
+@example([("Big", "\u00a0"), ("Apple", "\x85"), ("New", "\t"), ("York", "")])
+def test_prefiltered_extractor_equals_trying_every_pattern_on_every_line(parts):
+    text = "".join(word + gap for word, gap in parts)
+    assert extract_facts_heuristic("s1", text) == unfiltered_extract("s1", text)
 
 
 # -- consolidation pass ---------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from agentmem.errors import NotFoundError, ValidationError
 from agentmem.lexical import (
+    _TOKEN_RE,
     K1,
     Bm25Columns,
     B,
@@ -51,6 +52,77 @@ def test_tokenize_empty():
 
 def test_tokenize_splits_on_symbol_runs():
     assert tokenize("k1=1.5") == ["k1", "1", "5"]
+
+
+# Mostly ASCII: letters of both cases, digits, underscores, punctuation and
+# the control characters str.split() and \s treat as whitespace, with a few
+# non-ASCII letters, digits and spaces mixed in.
+TOKEN_TEXT = st.one_of(
+    st.text(
+        st.sampled_from(
+            "aZz09_-.,:;!?'\"()[]{}/\\@#$%^&*=+|~` \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x7f\x00"
+            "AbcXyM\u00e9\u00df\u0130\u0663\u00a0\u3000\u2028"
+        ),
+        max_size=40,
+    ),
+    st.text(max_size=40),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=TOKEN_TEXT)
+@example("naïve_café")
+@example("İstanbul")
+@example("Straße")
+@example("١٢٣")
+@example("a\u00a0b")
+@example("a\u3000b")
+@example("a b")
+@example("")
+def test_tokenize_equals_the_regex_on_ascii_and_unicode_text(text):
+    assert tokenize(text) == _TOKEN_RE.findall(text.lower())
+
+
+def two_pass_build_index(docs):
+    """build_index as it was written first: count each document's tokens,
+    then add the counts to the postings."""
+    doc_len, postings = {}, {}
+    for doc_id, text in docs:
+        tokens = tokenize(text)
+        doc_len[doc_id] = len(tokens)
+        counts = {}
+        for token in tokens:
+            counts[token] = counts.get(token, 0) + 1
+        for term, f in counts.items():
+            postings.setdefault(term, {})[doc_id] = f
+    return doc_len, postings
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    texts=st.lists(
+        st.lists(st.sampled_from(["a", "B", "c1", "é", "a_b", "x-y", "Zz"]), max_size=12).map(
+            " ".join
+        ),
+        max_size=12,
+    ),
+    ids=st.sampled_from(["str", "int", "reversed"]),
+)
+def test_build_index_equals_the_two_pass_reference(texts, ids):
+    keys = {
+        "str": [f"d{i}" for i in range(len(texts))],
+        "int": list(range(len(texts))),
+        "reversed": list(range(len(texts)))[::-1],
+    }[ids]
+    docs = list(zip(keys, texts))
+    index = build_index(docs)
+    doc_len, postings = two_pass_build_index(docs)
+    assert list(index.doc_len.items()) == list(doc_len.items())
+    assert index.doc_count == len(doc_len)
+    assert index.total_len == sum(doc_len.values())
+    assert [(term, list(d.items())) for term, d in index.postings.items()] == [
+        (term, list(d.items())) for term, d in postings.items()
+    ]
 
 
 def test_build_index_statistics():
