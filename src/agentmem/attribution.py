@@ -84,7 +84,9 @@ def apply_attribution(
     reward: float,
     cfg: AttributionConfig = AttributionConfig(),
 ) -> list[tuple[str, float]]:
-    """Apply the clipped update to every retrieved entry; empty list is a no-op.
+    """Apply the clipped update to every retrieved entry with one ledger
+    append, so an unknown entry id writes none of the deltas; an empty list
+    is a no-op.
 
     Returns (entry_id, new cognitive weight) pairs in input order.
     """
@@ -93,7 +95,5 @@ def apply_attribution(
     outcome = compute_attribution(
         answer_text, [(e.id, e.content) for e in entries], reward, cfg
     )
-    return [
-        (entry_id, store.apply_cw_delta(entry_id, delta, reward))
-        for entry_id, delta in zip(outcome.entry_ids, outcome.deltas)
-    ]
+    weights = store.apply_cw_deltas(zip(outcome.entry_ids, outcome.deltas), reward)
+    return list(zip(outcome.entry_ids, weights))

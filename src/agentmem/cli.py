@@ -195,6 +195,7 @@ def cmd_retrieve(args) -> int:
             "fallback_unscoped": result.fallback_unscoped,
             "packed_token_count": result.packed_token_count,
             "latency_micros": result.latency_micros,
+            "skipped_lines": pipeline.skipped_lines,
             "config": {"retrieval": cfg.retrieval.to_dict()},
         },
     )

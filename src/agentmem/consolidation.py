@@ -157,14 +157,15 @@ def run_consolidation_pass(
         except Exception as exc:  # failure isolated to this session
             report.failures.append((session_id, str(exc)))
             continue
+        session_ids = frozenset({session_id})
         session_facts = [
-            SemanticFact(
-                id=fact_id_for(session_id, draft),
-                subject=draft.subject,
-                relation=draft.relation,
-                value=draft.value,
-                session_ids=frozenset({session_id}),
-                created_at=now,
+            SemanticFact(  # positional, in field order: the cheaper call
+                fact_id_for(session_id, draft),
+                draft.subject,
+                draft.relation,
+                draft.value,
+                session_ids,
+                now,
             )
             for draft in drafts
         ]

@@ -344,15 +344,16 @@ def ingest_question(store: MemoryStore, question: BenchmarkQuestion) -> None:
     """Materialise a question's haystack as one entry per turn."""
     entries = []
     for session in question.sessions:
+        session_id, date = session.session_id, session.date
         for idx, turn in enumerate(session.turns):
             entries.append(
-                EpisodicEntry(
-                    id=f"{session.session_id}-{idx:03d}",
-                    timestamp=session.date + timedelta(minutes=idx),
-                    session_id=session.session_id,
-                    agent_id=BENCH_AGENT,
-                    project=BENCH_PROJECT,
-                    content=f"{turn.role}: {turn.content}",
+                EpisodicEntry(  # positional, in field order: the cheaper call
+                    f"{session_id}-{idx:03d}",
+                    date + timedelta(minutes=idx),
+                    session_id,
+                    BENCH_AGENT,
+                    BENCH_PROJECT,
+                    f"{turn.role}: {turn.content}",
                 )
             )
     store.append_entries(entries)

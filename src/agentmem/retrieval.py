@@ -413,7 +413,8 @@ class RetrievalPipeline:
     ``lexical.pool_scores`` over its sessions' indexes, as its N and average
     length change with the sessions in it; the whole snapshot's are fixed,
     so its length norms are kept with its index and each query is scored by
-    ``lexical.position_scores`` into a list by position.
+    ``lexical.position_scores`` into a list by position. ``skipped_lines``
+    counts the entry and fact lines that ``from_store``'s loads skipped.
     """
 
     def __init__(
@@ -433,6 +434,7 @@ class RetrievalPipeline:
         self.embedder = embedder
         self.entries = [e for e in entries if not e.system]
         self.facts = list(facts)
+        self.skipped_lines = {"entries": 0, "facts": 0}
         self.now = now or max(
             (e.timestamp for e in self.entries), default=datetime.now(timezone.utc)
         )
@@ -465,7 +467,9 @@ class RetrievalPipeline:
     ) -> "RetrievalPipeline":
         loaded = store.load_entries(project, agent_view=agent_view)
         facts = store.load_facts()
-        return cls(cfg, entries=loaded.entries, facts=facts.facts, **kwargs)
+        pipeline = cls(cfg, entries=loaded.entries, facts=facts.facts, **kwargs)
+        pipeline.skipped_lines = {"entries": loaded.skipped, "facts": facts.skipped}
+        return pipeline
 
     def retrieve(self, query: str, cfg: RetrievalConfig | None = None) -> RetrievalResult:
         cfg = cfg or self.cfg

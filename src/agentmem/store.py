@@ -26,13 +26,17 @@ Every load and every id check stats the files first. Bytes another writer
 appended are parsed from the view's offset on that next use, and a file that
 shrank or was replaced is parsed again from its start; an unterminated last
 line is parsed on every use and never kept. The instance's own appends extend
-its views with the objects just written, so it never parses them back. A file
-that is cut and regrown past the view's offset between two uses is not
-noticed unless the byte before the offset is no longer a newline: files are
-append-only.
+its views with the very objects just written, so it never parses them back; a
+timestamp whose tzinfo is not ``timezone.utc`` is kept as a parse of its line
+returns it, normalised to UTC. A file that is cut and regrown past the view's
+offset between two uses is not noticed unless the byte before the offset is
+no longer a newline: files are append-only.
 
-One store instance serialises its readers and writers through a lock; loads
-return fresh value objects, never the views' own.
+Entries and facts are immutable values, checked once at construction, so a
+record that exists writes a line that its parse accepts. Loads hand out the
+views' own objects: an entry gets one new object only where a ledger changed
+its promotion or cognitive weight. One store instance serialises its readers
+and writers through a lock.
 """
 
 from __future__ import annotations
@@ -41,9 +45,10 @@ import copy
 import json
 import os
 import threading
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from dataclasses import dataclass
+from datetime import date, datetime, timezone
 from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 
@@ -51,15 +56,16 @@ from .errors import NotFoundError, StorageError, ValidationError
 
 SYSTEM_PREFIX = "[system]"
 
-# For field values of unusual types: json.dumps with non-default options
-# builds a new encoder per call. Entry and fact lines keep their text as UTF-8;
-# ledger lines are ASCII.
-_encode_text = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+# For ledger field values of unusual types: json.dumps with non-default
+# options builds a new encoder per call. Ledger lines are ASCII.
 _encode_ascii = json.JSONEncoder(separators=(",", ":")).encode
 
-# A loaded field must have its JSON type exactly: a cast would load a wrong
+# A record field must have its JSON type exactly: a cast would load a wrong
 # value, and a bool is not a number.
 _NUMBER = (int, float)
+
+# SemanticFact's default created_at: the time of construction.
+_NOW: datetime = object()  # type: ignore[assignment]
 
 _APPEND_FLAGS = os.O_RDWR | os.O_APPEND | os.O_CREAT
 
@@ -79,124 +85,151 @@ def parse_timestamp(value: str | datetime) -> datetime:
             raise ValidationError(f"malformed timestamp: {value!r}") from exc
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+    try:
+        return ts.astimezone(timezone.utc)
+    except OverflowError as exc:  # e.g. 0001-01-01T00:00:00+05:00
+        raise ValidationError(f"timestamp out of range in UTC: {value!r}") from exc
 
 
-def _json(value, ascii: bool = False) -> str:
-    """``value`` as ``json.dumps(value, ensure_ascii=ascii, separators=(",", ":"))``
-    writes it; the common field types skip building an encoder."""
+def _as_written(ts: datetime) -> datetime:
+    """``ts`` as a parse of its written form returns it: in UTC. Raises
+    ValidationError if ``ts`` is no datetime or that form does not parse."""
+    if not isinstance(ts, datetime):
+        raise ValidationError(f"malformed timestamp: {ts!r}")
+    return ts if ts.tzinfo is timezone.utc else parse_timestamp(ts.isoformat())
+
+
+def _json(value) -> str:
+    """``value`` as ``json.dumps(value, separators=(",", ":"))`` writes it; the
+    common field types skip building an encoder."""
     kind = type(value)
     if kind is str:
-        return encode_basestring_ascii(value) if ascii else encode_basestring(value)
+        return encode_basestring_ascii(value)
     if kind is float and value - value == 0.0:  # finite
         return float.__repr__(value)
     if kind is int:
         return int.__repr__(value)
     if kind is bool:
         return "true" if value else "false"
-    return (_encode_ascii if ascii else _encode_text)(value)
+    return _encode_ascii(value)
 
 
 def _fact_line(fact: "SemanticFact", created_at: str) -> str:
-    session_ids = ",".join([_json(s) for s in sorted(fact.session_ids)])
+    # Construction made every text field a str: each is encoded directly,
+    # kept as UTF-8 (ensure_ascii=False).
+    text = encode_basestring
+    id, subject, relation, value, session_ids, _ = fact
+    session_ids = ",".join(map(text, sorted(session_ids)))
     return (
-        f'{{"id":{_json(fact.id)},"subject":{_json(fact.subject)},'
-        f'"relation":{_json(fact.relation)},"value":{_json(fact.value)},'
+        f'{{"id":{text(id)},"subject":{text(subject)},'
+        f'"relation":{text(relation)},"value":{text(value)},'
         f'"session_ids":[{session_ids}],"created_at":"{created_at}"}}'
     )
 
 
 def _promotion_line(entry_id: str, fact_id: str, promoted_at: str) -> str:
     return (
-        f'{{"entry_id":{_json(entry_id, True)},"fact_id":{_json(fact_id, True)},'
+        f'{{"entry_id":{_json(entry_id)},"fact_id":{_json(fact_id)},'
         f'"promoted_at":"{promoted_at}"}}'
     )
 
 
-@dataclass
-class EpisodicEntry:
-    """One append-only memory record.
+class EpisodicEntry(namedtuple(
+    "_EntryFields",
+    "id timestamp session_id agent_id project content tokens promoted cognitive_weight",
+)):
+    """One append-only memory record: an immutable value, checked once here.
 
-    ``tokens`` is the whitespace token count of the content, computed at
-    construction when not supplied. ``system`` is derived from the content
-    prefix and never persisted.
+    Construction accepts exactly what a parse of the record's line accepts:
+    every text field a ``str``, ``timestamp`` a datetime, ``tokens`` an
+    ``int``, ``promoted`` a bool and ``cognitive_weight`` an int or float in
+    [-1, 1]; a bool is never a number. ``tokens`` is the whitespace token
+    count of the content when negative or not supplied. ``system`` is derived
+    from the content prefix and never persisted. ``_make`` and ``_replace``
+    skip the checks; the store uses them only on values already checked.
     """
 
-    id: str
-    timestamp: datetime
-    session_id: str
-    agent_id: str
-    project: str
-    content: str
-    tokens: int = -1
-    promoted: bool = False
-    cognitive_weight: float = 0.0
-    system: bool = field(default=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.tokens < 0:
-            self.tokens = len(self.content.split())
-        if not -1.0 <= self.cognitive_weight <= 1.0:
-            raise ValidationError(f"cognitive_weight out of range: {self.cognitive_weight}")
-        if not isinstance(self.promoted, bool):
-            raise ValidationError(f"promoted must be a bool: {self.promoted!r}")
-        self.system = self.content.startswith(SYSTEM_PREFIX)
+    def __new__(cls, id: str, timestamp: datetime, session_id: str, agent_id: str,
+                project: str, content: str, tokens: int = -1, promoted: bool = False,
+                cognitive_weight: float = 0.0) -> "EpisodicEntry":
+        if not (
+            type(id) is type(session_id) is type(agent_id) is type(project) is type(content)
+            is str
+            and type(tokens) is int
+            and type(promoted) is bool
+            and type(cognitive_weight) in _NUMBER
+            and isinstance(timestamp, datetime)
+        ):
+            raise ValidationError(f"mistyped field in entry {id!r}")
+        if not -1.0 <= cognitive_weight <= 1.0:
+            raise ValidationError(f"cognitive_weight out of range: {cognitive_weight!r}")
+        if timestamp.tzinfo is not timezone.utc:
+            _as_written(timestamp)
+        if tokens < 0:
+            tokens = len(content.split())
+        return tuple.__new__(cls, (id, timestamp, session_id, agent_id, project, content,
+                                   tokens, promoted, cognitive_weight))
+
+    @property
+    def system(self) -> bool:
+        return self.content.startswith(SYSTEM_PREFIX)
 
     def to_line(self) -> str:
+        # Construction fixed each field's type, so each is encoded directly:
+        # text as UTF-8 (ensure_ascii=False), and a finite int or float's
+        # repr is its JSON.
+        text = encode_basestring
+        id, timestamp, session_id, agent_id, project, content, tokens, promoted, weight = self
         return (
-            f'{{"id":{_json(self.id)},"timestamp":"{self.timestamp.isoformat()}",'
-            f'"session_id":{_json(self.session_id)},"agent_id":{_json(self.agent_id)},'
-            f'"project":{_json(self.project)},"content":{_json(self.content)},'
-            f'"tokens":{_json(self.tokens)},"promoted":{_json(self.promoted)},'
-            f'"cognitive_weight":{_json(self.cognitive_weight)}}}'
+            f'{{"id":{text(id)},"timestamp":"{timestamp.isoformat()}",'
+            f'"session_id":{text(session_id)},"agent_id":{text(agent_id)},'
+            f'"project":{text(project)},"content":{text(content)},'
+            f'"tokens":{tokens!r},"promoted":{"true" if promoted else "false"},'
+            f'"cognitive_weight":{weight!r}}}'
         )
 
     @classmethod
     def from_dict(cls, record: dict) -> "EpisodicEntry":
-        entry_id, session_id, agent_id, project, content = (
-            record["id"], record["session_id"], record["agent_id"], record["project"],
-            record["content"],
-        )
-        tokens, weight = record["tokens"], record["cognitive_weight"]
-        if not (
-            type(entry_id) is type(session_id) is type(agent_id) is type(project)
-            is type(content) is str
-            and type(tokens) is int
-            and type(weight) in _NUMBER
-        ):
-            raise ValidationError(f"mistyped field in entry line {entry_id!r}")
         # Positional, in field order: on this per-line path, keyword
         # arguments cost about a third of the parse.
         return cls(
-            entry_id,
-            parse_timestamp(record["timestamp"]),
-            session_id,
-            agent_id,
-            project,
-            content,
-            tokens,
-            record["promoted"],
-            weight,
+            record["id"], parse_timestamp(record["timestamp"]), record["session_id"],
+            record["agent_id"], record["project"], record["content"], record["tokens"],
+            record["promoted"], record["cognitive_weight"],
         )
 
 
-@dataclass
-class SemanticFact:
-    """Distilled subject/relation/value triple linked to its source sessions."""
+class SemanticFact(namedtuple(
+    "_FactFields", "id subject relation value session_ids created_at"
+)):
+    """Distilled subject/relation/value triple linked to its source sessions.
 
-    id: str
-    subject: str
-    relation: str
-    value: str
-    session_ids: frozenset[str]
-    created_at: datetime = field(default_factory=utc_now)
+    An immutable value, checked once here as ``EpisodicEntry`` is: the text
+    fields are ``str``, ``session_ids`` a non-empty collection of ``str``
+    (kept as a frozenset) and ``created_at`` a datetime, the current time
+    when not supplied.
+    """
 
-    def __post_init__(self) -> None:
-        if isinstance(self.session_ids, (str, dict)):  # would load as its characters or keys
-            raise ValidationError(f"session_ids must be a collection: {self.session_ids!r}")
-        self.session_ids = frozenset(self.session_ids)
-        if not self.session_ids or not all(isinstance(s, str) for s in self.session_ids):
-            raise ValidationError(f"session_ids must be non-empty strings: {self.session_ids}")
+    __slots__ = ()
+
+    def __new__(cls, id: str, subject: str, relation: str, value: str,
+                session_ids: Iterable[str], created_at: datetime = _NOW) -> "SemanticFact":
+        if not type(id) is type(subject) is type(relation) is type(value) is str:
+            raise ValidationError(f"mistyped field in fact {id!r}")
+        try:
+            if isinstance(session_ids, (str, dict)):  # would load as its characters or keys
+                raise TypeError
+            session_ids = frozenset(session_ids)
+        except TypeError as exc:
+            raise ValidationError(f"session_ids must be a collection: {session_ids!r}") from exc
+        if not session_ids or any(type(s) is not str for s in session_ids):
+            raise ValidationError(f"session_ids must be non-empty strings: {session_ids!r}")
+        if created_at is _NOW:
+            created_at = utc_now()
+        _as_written(created_at)
+        return tuple.__new__(cls, (id, subject, relation, value, session_ids, created_at))
 
     def search_text(self) -> str:
         return f"{self.subject} {self.relation} {self.value}"
@@ -206,18 +239,9 @@ class SemanticFact:
 
     @classmethod
     def from_dict(cls, record: dict) -> "SemanticFact":
-        fact_id, subject, relation, value = (
-            record["id"], record["subject"], record["relation"], record["value"]
-        )
-        if not type(fact_id) is type(subject) is type(relation) is type(value) is str:
-            raise ValidationError(f"mistyped field in fact line {fact_id!r}")
         return cls(  # positional, in field order, as in EpisodicEntry.from_dict
-            fact_id,
-            subject,
-            relation,
-            value,
-            record["session_ids"],
-            parse_timestamp(record["created_at"]),
+            record["id"], record["subject"], record["relation"], record["value"],
+            record["session_ids"], parse_timestamp(record["created_at"]),
         )
 
 
@@ -230,8 +254,8 @@ class CwLedgerRecord:
 
     def to_line(self) -> str:
         return (
-            f'{{"entry_id":{_json(self.entry_id, True)},"delta":{_json(self.delta, True)},'
-            f'"reward":{_json(self.reward, True)},"applied_at":"{self.applied_at.isoformat()}"}}'
+            f'{{"entry_id":{_json(self.entry_id)},"delta":{_json(self.delta)},'
+            f'"reward":{_json(self.reward)},"applied_at":"{self.applied_at.isoformat()}"}}'
         )
 
 
@@ -298,22 +322,13 @@ def _cw_delta(record: dict) -> tuple[str, float]:
     return _ledger_entry_id(record), delta
 
 
-def _as_parsed(parse: Callable[[dict], object], records: Iterable[dict]) -> list | None:
-    """What ``parse`` returns for each record, which is what a parse of its
-    line returns; None if a line of them would be skipped."""
-    try:
-        return [parse(record) for record in records]
-    except _BAD_LINE:
-        return None
-
-
 class _View:
     """What the complete lines of one JSONL file hold, up to byte ``offset``.
 
     ``inode`` tells a replaced file from a grown one. ``add`` folds one line
     into the view's ``state`` and counts it in ``skipped`` if it cannot;
-    ``extend`` folds values that a parse of lines returned. Callers hold the
-    store's lock.
+    ``extend`` folds values equal to what a parse of lines returns. Callers
+    hold the store's lock.
     """
 
     full = True  # a view that parses each line completely
@@ -471,9 +486,9 @@ class _PromotedView(_View):
 class MemoryStore:
     """Filesystem-backed store rooted at a workspace directory.
 
-    Loads return fresh value objects with the cognitive-weight and promotion
-    ledgers already applied, equal to what a new instance would load; another
-    writer's appends are seen from the next load or write on.
+    Loads return the views' immutable records with the cognitive-weight and
+    promotion ledgers already applied, equal to what a new instance would load;
+    another writer's appends are seen from the next load or write on.
     """
 
     def __init__(self, workspace: str | Path):
@@ -535,12 +550,13 @@ class MemoryStore:
                 if entry_id not in known:
                     raise NotFoundError(f"unknown entry_id: {entry_id!r}")
 
-    def _append(self, view: _View, lines: list[str], values: list | None) -> None:
+    def _append(self, view: _View, lines: list[str], values: Sequence) -> None:
         """Append ``lines`` to ``view``'s file. When the write began at the
-        view's offset, or the file was empty, fold ``values`` (what a parse of
-        the lines returns) into the view; otherwise its next sync parses them."""
+        view's offset, or the file was empty, fold ``values`` (equal to what a
+        parse of the lines returns) into the view; otherwise its next sync
+        parses them."""
         written = self._append_lines(view.path, lines)
-        if written is None or values is None:
+        if written is None:
             return
         inode, start, stop = written
         if start == 0:
@@ -621,25 +637,26 @@ class MemoryStore:
         for entry in entries:
             if not entry.project:
                 raise ValidationError("entry.project must be non-empty")
-            if not isinstance(entry.timestamp, datetime):
-                raise ValidationError(f"malformed timestamp: {entry.timestamp!r}")
             if entry.cognitive_weight != 0.0:
                 raise ValidationError("new entries must start with cognitive_weight 0")
         with self._lock:
             known = self._known_entry_ids()
             ids: set[str] = set()
-            by_view: dict[_RecordView, tuple[list[EpisodicEntry], list[str]]] = {}
+            by_day: dict[date, tuple[list[EpisodicEntry], list[str]]] = {}
             for entry in entries:
                 if entry.id in known or entry.id in ids:
                     raise ValidationError(f"duplicate entry id: {entry.id!r}")
                 ids.add(entry.id)
-                day = entry.timestamp.astimezone(timezone.utc).date().isoformat()
-                batch, lines = by_view.setdefault(self._day_view(f"{day}.jsonl"), ([], []))
-                batch.append(entry)
-                lines.append(entry.to_line())
-            for view, (batch, lines) in by_view.items():
-                parsed = _as_parsed(EpisodicEntry.from_dict, map(vars, batch))
-                self._append(view, lines, parsed)
+                day = entry.timestamp.astimezone(timezone.utc).date()
+                group = by_day.get(day)
+                if group is None:
+                    group = by_day[day] = ([], [])
+                group[1].append(entry.to_line())
+                if entry.timestamp.tzinfo is not timezone.utc:  # kept as the line parses
+                    entry = entry._replace(timestamp=_as_written(entry.timestamp))
+                group[0].append(entry)
+            for day, (batch, lines) in by_day.items():
+                self._append(self._day_view(f"{day.isoformat()}.jsonl"), lines, batch)
         return [e.id for e in entries]
 
     def load_entries(
@@ -669,21 +686,15 @@ class MemoryStore:
                         and (session_filter is None or entry.session_id in session_filter)
                         and (agent_view is None or entry.agent_id == agent_view)
                     ):
-                        # A copy, so a caller's edits never reach the view. The
-                        # constructor keeps the attributes in the instance's
-                        # inline values, which later reads find about 3x faster
-                        # than in a __dict__ filled by update() (CPython 3.11).
-                        entries.append(EpisodicEntry(
-                            entry.id,
-                            entry.timestamp,
-                            entry.session_id,
-                            entry.agent_id,
-                            entry.project,
-                            entry.content,
-                            entry.tokens,
-                            entry.promoted or entry.id in promoted,
-                            weights.get(entry.id, entry.cognitive_weight),
-                        ))
+                        entry_id = entry.id
+                        if entry_id in weights or (entry_id in promoted and not entry.promoted):
+                            # The ledgers' values are valid: no check is re-run.
+                            entry = EpisodicEntry._make((
+                                *entry[:7],
+                                entry.promoted or entry_id in promoted,
+                                weights.get(entry_id, entry.cognitive_weight),
+                            ))
+                        entries.append(entry)
         return LoadedEntries(entries=entries, skipped=skipped)
 
     # -- semantic tier ----------------------------------------------------
@@ -706,37 +717,52 @@ class MemoryStore:
                 if fact.id not in known:
                     fresh.setdefault(fact.id, fact)
             # A pass gives all its facts one created_at: format it once.
-            lines, last, stamp = [], None, ""
+            lines, values, last, stamp = [], [], None, ""
             for fact in fresh.values():
-                if fact.created_at is not last:
-                    last, stamp = fact.created_at, fact.created_at.isoformat()
+                created_at = fact.created_at
+                if created_at is not last:
+                    last, stamp = created_at, created_at.isoformat()
                 lines.append(_fact_line(fact, stamp))
-            self._append(view, lines, _as_parsed(SemanticFact.from_dict, map(vars, fresh.values())))
+                if created_at.tzinfo is not timezone.utc:  # kept as the line parses
+                    fact = fact._replace(created_at=_as_written(created_at))
+                values.append(fact)
+            self._append(view, lines, values)
         return len(fresh)
 
     def load_facts(self) -> LoadedFacts:
         with self._lock:
             view = self._facts.with_tail(self._facts.sync(full=True))
-            facts = [  # copies, built as in load_entries
-                SemanticFact(f.id, f.subject, f.relation, f.value, f.session_ids, f.created_at)
-                for f in view.values
-            ]
+            facts = list(view.values)
         return LoadedFacts(facts=facts, skipped=view.skipped)
 
     # -- sidecar ledgers ----------------------------------------------------
 
     def apply_cw_delta(self, entry_id: str, delta: float, reward: float) -> float:
         """Clip-update one entry's cognitive weight via the append-only ledger."""
+        return self.apply_cw_deltas([(entry_id, delta)], reward)[0]
+
+    def apply_cw_deltas(self, pairs: Iterable[tuple[str, float]], reward: float) -> list[float]:
+        """Clip-update the weight of each (entry_id, delta) in order, with one
+        append to the ledger; return each entry's new weight in order. An
+        unknown entry id or a delta that is not a number raises before
+        anything is written."""
+        pairs = list(pairs)
+        for _, delta in pairs:
+            if type(delta) not in _NUMBER:
+                raise ValidationError(f"delta must be a number: {delta!r}")
         with self._lock:
-            self._require_entries([entry_id])
+            self._require_entries(entry_id for entry_id, _ in pairs)
             weights = self._weights.read().state
-            new_value = _clip(weights.get(entry_id, 0.0) + delta)
-            record = CwLedgerRecord(
-                entry_id=entry_id, delta=delta, reward=reward, applied_at=utc_now()
-            )
-            parsed = _as_parsed(_cw_delta, [{"entry_id": entry_id, "delta": delta}])
-            self._append(self._weights, [record.to_line()], parsed)
-        return new_value
+            folded: dict[str, float] = {}
+            new_values = []
+            for entry_id, delta in pairs:
+                value = _clip(folded.get(entry_id, weights.get(entry_id, 0.0)) + delta)
+                folded[entry_id] = value
+                new_values.append(value)
+            applied_at = utc_now()
+            lines = [CwLedgerRecord(i, d, reward, applied_at).to_line() for i, d in pairs]
+            self._append(self._weights, lines, pairs)
+        return new_values
 
     def promote(self, entry_id: str, fact_id: str) -> None:
         self.promote_many([(entry_id, fact_id)])

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from agentmem.attribution import (
@@ -10,7 +10,8 @@ from agentmem.attribution import (
     compute_attribution,
     jaccard_attribution,
 )
-from agentmem.errors import ValidationError
+from agentmem.errors import NotFoundError, ValidationError
+from agentmem.store import MemoryStore
 from conftest import make_entry
 
 CFG = AttributionConfig()
@@ -79,6 +80,45 @@ def test_applies_through_store_and_clips(store):
     for _ in range(15):
         apply_attribution(store, store.load_entries("proj").entries, "paris", 1.0, CFG)
     assert store.load_entries("proj").entries[0].cognitive_weight == 1.0
+
+
+def test_an_unknown_entry_writes_no_delta(store):
+    store.append_entries([make_entry(entry_id="e0", content="paris notes"),
+                          make_entry(entry_id="e1", content="paris trip")])
+    entries = [*store.load_entries("proj").entries, make_entry(entry_id="e2", content="paris")]
+    with pytest.raises(NotFoundError):
+        apply_attribution(store, entries, "paris", 1.0, CFG)
+    assert not store.cw_ledger_path.exists()
+    assert [e.cognitive_weight for e in MemoryStore(store.root).load_entries("proj")] == [0.0, 0.0]
+
+
+def test_one_append_folds_repeats_and_clips_in_order(store):
+    store.append_entries([make_entry(entry_id="e0"), make_entry(entry_id="e1")])
+    pairs = [("e0", 0.8), ("e0", 0.5), ("e1", -0.7), ("e1", -0.6), ("e0", -0.25)]
+    assert store.apply_cw_deltas(pairs, 1.0) == [0.8, 1.0, -0.7, -1.0, 0.75]
+    assert len(store.cw_ledger_path.read_text().splitlines()) == 5
+    with pytest.raises(ValidationError):
+        store.apply_cw_deltas([("e0", 0.1), ("e1", True)], 1.0)  # a bool is not a delta
+    assert store.apply_cw_deltas([], 1.0) == []
+    assert len(store.cw_ledger_path.read_text().splitlines()) == 5
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pairs=st.lists(
+    st.tuples(st.sampled_from(["e0", "e1", "e2"]),
+              st.one_of(st.floats(-1.5, 1.5), st.integers(-2, 2))),
+    max_size=8,
+))
+def test_one_batch_equals_one_call_per_pair(tmp_path_factory, frozen_clock, pairs):
+    batch, each = (MemoryStore(tmp_path_factory.mktemp("cw")) for _ in range(2))
+    for store in (batch, each):
+        store.append_entries([make_entry(entry_id=f"e{i}") for i in range(3)])
+        store.apply_cw_delta("e0", 0.9, 1.0)  # a weight the pairs start from
+    assert batch.apply_cw_deltas(pairs, -0.5) == [each.apply_cw_delta(i, d, -0.5) for i, d in pairs]
+    assert batch.cw_ledger_path.read_bytes() == each.cw_ledger_path.read_bytes()
+    weights = [[(e.id, e.cognitive_weight) for e in s.load_entries("proj")]
+               for s in (batch, each, MemoryStore(batch.root))]
+    assert weights[0] == weights[1] == weights[2]
 
 
 TEXTS = st.lists(

@@ -71,6 +71,25 @@ def test_retrieve_skips_a_fact_line_with_mistyped_session_ids(tmp_path, capsys):
     assert records[-1]["scoped_session_ids"] == ["s1"]
 
 
+def test_retrieve_summary_counts_the_skipped_lines(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    run_cli(
+        capsys, "--workspace", str(ws), "append", "--project", "p", "--session", "s1",
+        "--agent", "a", "--content", "the quarterly report deadline is friday",
+    )
+    (day_file,) = (ws / "memory" / "episodic").glob("*.jsonl")
+    facts = ws / "memory" / "semantic" / "facts.jsonl"
+    facts.parent.mkdir(parents=True)
+    for path in (day_file, facts):
+        with path.open("a") as handle:
+            handle.write("{not json\n")
+    code, records = run_cli(
+        capsys, "--workspace", str(ws), "retrieve", "--project", "p", "--query", "quarterly report",
+    )
+    assert code == 0
+    assert records[-1]["skipped_lines"] == {"entries": 1, "facts": 1}
+
+
 def test_append_outcome_failure_writes_negative_deltas(tmp_path, capsys):
     ws = str(tmp_path / "ws")
     run_cli(

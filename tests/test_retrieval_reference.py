@@ -526,7 +526,8 @@ def test_out_of_range_cognitive_weight_raises_through_retrieve():
         make_entry(entry_id="e1", content="report due friday"),
         make_entry(entry_id="e2", content="soup for lunch"),
     ]
-    entries[1].cognitive_weight = 1.5  # set after the entry's own range check
+    # _replace skips the entry's own range check, so only scoring can catch it.
+    entries[1] = entries[1]._replace(cognitive_weight=1.5)
     pipeline = RetrievalPipeline(RetrievalConfig(stage1_k1=None), entries=entries, facts=[])
     for _ in range(2):  # the entry's signals are not kept after the failure
         with pytest.raises(ValidationError):

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import json
 import shutil
-from datetime import timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -94,10 +94,8 @@ def test_project_must_be_nonempty(store):
 
 
 def test_new_entries_must_start_neutral(store):
-    entry = make_entry()
-    entry.cognitive_weight = 0.25
     with pytest.raises(ValidationError):
-        store.append_entry(entry)
+        store.append_entry(make_entry(cognitive_weight=0.25))
 
 
 def test_agent_privacy(store):
@@ -431,6 +429,97 @@ def test_older_fact_lines_with_source_entry_ids_still_load(store):
 def test_fact_requires_sessions():
     with pytest.raises(ValidationError):
         SemanticFact(id="f", subject="a", relation="kv", value="b", session_ids=frozenset())
+
+
+# -- construction accepts exactly what a parse accepts ---------------------------
+
+_WRONG = st.one_of(st.none(), st.booleans(), st.integers(-2, 2), st.floats(-2.0, 2.0))
+_OFFSET = st.builds(
+    timezone, st.timedeltas(min_value=-timedelta(hours=23), max_value=timedelta(hours=23))
+)
+_WHEN = st.one_of(
+    st.datetimes(),  # naive
+    st.datetimes(timezones=st.just(timezone.utc)),
+    st.datetimes(timezones=_OFFSET),
+    st.datetimes(min_value=datetime(9999, 12, 31), timezones=_OFFSET),  # near the range's ends
+    st.datetimes(max_value=datetime(1, 1, 2), timezones=_OFFSET),
+)
+# (valid, wrong) values per field, in field order.
+_TEXT_FIELD = (st.text(max_size=4), _WRONG)
+_WHEN_FIELD = (_WHEN, st.one_of(st.none(), st.booleans(), st.integers(0, 2)))
+_ENTRY_FIELDS = [
+    _TEXT_FIELD, _WHEN_FIELD, _TEXT_FIELD, _TEXT_FIELD, _TEXT_FIELD, _TEXT_FIELD,
+    (st.integers(-3, 2**70), st.one_of(_WRONG.filter(lambda v: type(v) is not int), st.text())),
+    (st.booleans(), st.one_of(_WRONG.filter(lambda v: type(v) is not bool), st.text())),
+    (st.one_of(st.floats(-1.0, 1.0), st.integers(-1, 1)),
+     st.one_of(st.floats(), st.integers(-5, 5), st.booleans(), st.none(), st.text())),
+]
+_FACT_FIELDS = [
+    _TEXT_FIELD, _TEXT_FIELD, _TEXT_FIELD, _TEXT_FIELD,
+    (st.one_of(st.lists(st.text(max_size=3), min_size=1, max_size=3),
+               st.frozensets(st.text(max_size=3), min_size=1, max_size=3)),
+     st.one_of(st.just([]), st.text(max_size=3), _WRONG,
+               st.lists(st.one_of(st.text(max_size=3), _WRONG), min_size=1, max_size=3),
+               st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))),
+    _WHEN_FIELD,
+]
+
+
+@st.composite
+def _field_values(draw, fields) -> tuple:
+    """A value for every field, at most two of them drawn from the wrong ones."""
+    wrong = draw(st.sets(st.integers(0, len(fields) - 1), max_size=2))
+    return tuple(draw(field[i in wrong]) for i, field in enumerate(fields))
+
+
+def _as_kept(record):
+    """``record`` as the store keeps it: its timestamp as a parse of the
+    written form returns it, in UTC."""
+    name = "timestamp" if isinstance(record, EpisodicEntry) else "created_at"
+    return record._replace(**{name: store_mod.parse_timestamp(getattr(record, name).isoformat())})
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    case=st.one_of(
+        st.tuples(st.just(EpisodicEntry), _field_values(_ENTRY_FIELDS)),
+        st.tuples(st.just(SemanticFact), _field_values(_FACT_FIELDS)),
+    )
+)
+def test_construction_accepts_exactly_what_a_parse_accepts(case):
+    """Either construction and from_dict both raise ValidationError, or both
+    build the record and its line parses back to it, field types included."""
+    cls, values = case
+    # A line carries a timestamp as its ISO-8601 text.
+    record = {
+        name: value.isoformat() if isinstance(value, datetime) else value
+        for name, value in zip(cls._fields, values)
+    }
+    try:
+        built = cls(*values)
+    except ValidationError:
+        with pytest.raises(ValidationError):
+            cls.from_dict(record)
+        return
+    kept = _as_kept(built)
+    assert cls.from_dict(record) == kept
+    parsed = cls.from_dict(json.loads(built.to_line().encode("utf-8").decode("utf-8")))
+    assert parsed == kept
+    assert [type(v) for v in parsed] == [type(v) for v in kept]
+
+
+def test_a_line_whose_instant_has_no_utc_datetime_is_skipped(store):
+    store.append_entry(make_entry(entry_id="e1"))
+    (path,) = store.episodic_dir.glob("*.jsonl")
+    line = json.loads(path.read_text())
+    line.update(id="e0", timestamp="0001-01-01T00:00:00+05:00")
+    with path.open("a") as handle:
+        handle.write(json.dumps(line) + "\n")
+    loaded = MemoryStore(store.root).load_entries("proj")
+    assert ([e.id for e in loaded], loaded.skipped) == (["e1"], 1)
+    with pytest.raises(ValidationError):
+        EpisodicEntry("e0", datetime(1, 1, 1, tzinfo=timezone(timedelta(hours=5))), "s1", "a",
+                      "proj", "early")
 
 
 def test_fact_append_order_preserved(store):

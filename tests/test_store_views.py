@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from datetime import timedelta, timezone
 from pathlib import Path
 
@@ -23,6 +24,7 @@ import agentmem
 from agentmem.consolidation import HeuristicExtractor, run_consolidation_pass
 from agentmem.errors import NotFoundError, ValidationError
 from agentmem.evaluation import BENCH_PROJECT, ingest_question, load_dataset
+from agentmem.retrieval import RetrievalConfig, RetrievalPipeline
 from agentmem.store import EpisodicEntry, MemoryStore, SemanticFact
 from conftest import BASE_TS, SYNTHETIC20, make_entry, make_fact
 
@@ -126,13 +128,12 @@ def test_own_appends_are_never_parsed_back(store, monkeypatch):
     )
 
 
-def test_an_entry_whose_line_would_be_skipped_is_left_to_the_parse(store):
-    weird = make_entry(entry_id="w1", cognitive_weight=0)
-    weird.tokens = True  # written as true: the parse skips the line
-    store.append_entries([make_entry(entry_id="e1"), weird])
+def test_an_entry_whose_line_would_be_skipped_cannot_be_constructed(store):
+    with pytest.raises(ValidationError):
+        make_entry(entry_id="w1", tokens=True)  # would be written as true, which a parse skips
+    store.append_entries([make_entry(entry_id="e1", cognitive_weight=0)])
     loaded = store.load_entries("proj")
-    assert ([e.id for e in loaded], loaded.skipped) == (["e1"], 1)
-    store.apply_cw_delta("w1", 0.1, 1.0)  # its id still parses
+    assert ([e.id for e in loaded], loaded.skipped) == (["e1"], 0)
     _assert_like_fresh(store)
 
 
@@ -142,20 +143,66 @@ def test_timestamps_are_normalised_as_a_parse_normalises_them(store):
         EpisodicEntry("naive", BASE_TS.replace(tzinfo=None), "s1", "a", "proj", "naive time"),
         EpisodicEntry("plus2", BASE_TS.astimezone(plus_two), "s1", "a", "proj", "offset time"),
     ])
-    fact = make_fact(fact_id="f1")
-    fact.created_at = BASE_TS.astimezone(plus_two)
-    store.append_fact(fact)
+    store.append_fact(
+        SemanticFact("f1", "alice", "is_a", "engineer", {"s1"}, BASE_TS.astimezone(plus_two))
+    )
     assert {e.timestamp.tzinfo for e in store.load_entries("proj")} == {timezone.utc}
     assert store.load_facts().facts[0].created_at.tzinfo is timezone.utc
     _assert_like_fresh(store)
 
 
-def test_loads_return_copies(store):
+def test_loaded_records_cannot_be_changed(store):
     store.append_entry(make_entry(entry_id="e1"))
     store.append_fact(make_fact(fact_id="f1"))
-    store.load_entries("proj").entries[0].content = "changed"
-    store.load_facts().facts[0].value = "changed"
+    with pytest.raises(AttributeError):
+        store.load_entries("proj").entries[0].content = "changed"
+    with pytest.raises(AttributeError):
+        store.load_facts().facts[0].value = "changed"
     _assert_like_fresh(store)
+
+
+def test_loads_hand_out_the_written_objects(store):
+    written = [make_entry(entry_id=f"e{i}") for i in range(3)]
+    fact = make_fact(fact_id="f1")
+    store.append_entries(written)
+    store.append_fact(fact)
+    store.apply_cw_delta("e1", 0.5, 1.0)
+    first, second = store.load_entries("proj").entries, store.load_entries("proj").entries
+    assert [a is b is w for a, b, w in zip(first, second, written)] == [True, False, True]
+    assert (second[1].id, second[1].cognitive_weight) == ("e1", 0.5)
+    assert store.load_facts().facts[0] is fact
+    _assert_like_fresh(store)
+
+
+def test_a_question_builds_each_record_once_and_each_entry_once_more_when_promoted(
+    tmp_path, monkeypatch
+):
+    built: Counter = Counter()
+    for cls in (EpisodicEntry, SemanticFact):
+        # Every way to build a record: the checked constructor, and _make,
+        # which _replace and the store's ledger copies go through.
+        new, make = cls.__new__, cls._make.__func__
+
+        def counting_new(klass, *args, _new=new, **kwargs):
+            built[klass] += 1
+            return _new(klass, *args, **kwargs)
+
+        def counting_make(klass, iterable, _make=make):
+            built[klass] += 1
+            return _make(klass, iterable)
+
+        monkeypatch.setattr(cls, "__new__", staticmethod(counting_new))
+        monkeypatch.setattr(cls, "_make", classmethod(counting_make))
+    question = load_dataset(SYNTHETIC20)[0]
+    store = MemoryStore(tmp_path / "ws")
+    ingest_question(store, question)
+    run_consolidation_pass(store, HeuristicExtractor(), BENCH_PROJECT)
+    pipeline = RetrievalPipeline.from_store(store, RetrievalConfig(), project=BENCH_PROJECT)
+    entries = sum(len(s.turns) for s in question.sessions)
+    assert len(pipeline.entries) == entries > 0
+    assert all(e.promoted for e in pipeline.entries)
+    assert built[EpisodicEntry] <= 2 * entries
+    assert built[SemanticFact] == len(pipeline.facts) > 0
 
 
 # -- two instances, interleaved ----------------------------------------------------
@@ -343,8 +390,7 @@ def test_frozen_clock_writes_are_byte_identical(tmp_path, frozen_clock):
 def test_every_written_line_equals_json_dumps(tmp_path_factory, frozen_clock, entries, facts,
                                               promoted, deltas):
     store = MemoryStore(tmp_path_factory.mktemp("lines"))
-    for entry, flag in zip(entries, promoted):
-        entry.promoted = flag
+    entries = [EpisodicEntry(*e[:7], flag, e.cognitive_weight) for e, flag in zip(entries, promoted)]
     store.append_entries(entries)
     store.append_facts(facts)
     store.promote_many([(e.id, facts[0].id) for e in entries])
