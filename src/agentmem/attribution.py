@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, is_finite_number
 from .lexical import tokenize
 from .store import EpisodicEntry, MemoryStore
 
@@ -30,8 +30,8 @@ class AttributionConfig:
     alpha: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValidationError("alpha must be > 0")
+        if not (is_finite_number(self.alpha) and self.alpha > 0):
+            raise ValidationError(f"alpha must be finite and > 0: {self.alpha!r}")
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from typing import get_type_hints
 import yaml
 
 from .attribution import AttributionConfig
-from .errors import ValidationError
+from .errors import ValidationError, is_count, is_finite_number
 from .retrieval import RetrievalConfig, parse_stage1_k1
 from .scoring import DecayConfig, TierConfig, Variant, WeightVector
 
@@ -46,10 +46,12 @@ class TrainConfig:
     question_count: int = 100
 
     def __post_init__(self) -> None:
-        if min(self.epochs, self.batch_size, self.question_count) < 1:
-            raise ValidationError("epochs, batch_size, question_count must be >= 1")
-        if self.clip_epsilon <= 0 or self.step_size <= 0:
-            raise ValidationError("clip_epsilon and step_size must be > 0")
+        counts = (self.epochs, self.batch_size, self.question_count)
+        if not all(is_count(n) and n >= 1 for n in counts):
+            raise ValidationError(f"epochs, batch_size, question_count must be integers >= 1: {counts}")
+        sizes = (self.clip_epsilon, self.step_size)
+        if not all(is_finite_number(x) and x > 0 for x in sizes):
+            raise ValidationError(f"clip_epsilon and step_size must be finite and > 0: {sizes}")
 
 
 @dataclass(frozen=True)

@@ -13,20 +13,27 @@ corpus, walking only the postings of the query terms, so its cost grows with
 the matched postings, not with the corpus. A document that shares no query
 term scores exactly 0 and is left out.
 
-``Bm25Columns`` gives the same sums as a numpy column over every document of
-one index, from per-term postings arrays built the first time a query uses
-the term. Stage 1 scores the fact index this way and takes the facts
-best-first by partial selection, sorting only the top few.
+Two indexes never change for the life of a retrieval snapshot: its fact
+index and its whole-snapshot entry index. Their N, average length and every
+document frequency are fixed, so each posting's contribution, ``idf * tf *
+(K1 + 1) / (tf + length norm)``, is the same float on every query: the
+per-posting "impact" of Anh & Moffat (SIGIR 2006). ``Bm25Columns`` and
+``Bm25Positions`` compute a term's contributions the first time a query
+uses the term, keep them, and only add them on every later query, so a
+snapshot that answers one query pays what a walk of the postings costs, and
+each query after it pays for its new terms only. ``Bm25Columns`` gives the
+sums as a numpy column over every document, sorted by id: stage 1 scores
+the fact index this way and takes the facts best-first by partial
+selection, sorting only the top few. ``Bm25Positions`` adds them into a
+list by position: stage 2 scores the whole snapshot, the pool of a query
+that stage 1 scopes to no session, this way.
 
-Stage 2 has two pools. A scoped pool, the entries of a few sessions, is
-scored by ``pool_scores`` over those sessions' indexes, as its N and
-document frequencies count only the pool. The whole snapshot, the pool of a
-query that stage 1 scopes to no session, is one index keyed by snapshot
-position, scored by ``position_scores`` straight into a list by position.
-Its N and average length are fixed for the life of the snapshot, so each
-document's length norm is computed once (``length_norms``) and kept with
-the index. ``rank`` is ``pool_scores`` fully sorted, and ``bm25_score`` is
-the per-document reference all of them are tested against.
+A scoped stage-2 pool, the entries of a few sessions, is scored by
+``pool_scores`` over those sessions' indexes and keeps nothing: its N and
+document frequencies count only the sessions in it, so a contribution holds
+for one pool only. ``rank`` is ``pool_scores`` fully sorted, and
+``bm25_score`` is the per-document reference all of them are tested
+against.
 
 Scores are left unnormalised on purpose: downstream scoring applies its own
 normalisation variants, and the decay-bypass rule thresholds the raw value.
@@ -145,10 +152,9 @@ def pool_scores(
 
     Scoped stage-2 pools stay on dict postings rather than ``Bm25Columns``.
     A scoped pool's N and document frequencies depend on which sessions are
-    in it, and a column over the whole snapshot, masked to the pool on every
-    query, would cost more than walking the pool's few hundred postings. The
-    whole-snapshot pool is scored by ``position_scores`` instead, which
-    walks the same postings in the same order into a list.
+    in it, so no contribution can be kept across pools, and a column over
+    the whole snapshot, masked to the pool on every query, would cost more
+    than walking the pool's few hundred postings.
     """
     n = sum(index.doc_count for index in indexes)
     avg = sum(index.total_len for index in indexes) / n if n else 0.0
@@ -166,40 +172,60 @@ def pool_scores(
     return scores
 
 
-def length_norms(index: Bm25Index) -> list[float]:
-    """``K1 * (1 - B + B * dl / avg)`` of each document of an index keyed by
-    the positions 0..N-1, in position order, or ``K1 * (1 - B)`` when avg is
-    0. Each is the value ``pool_scores`` computes for the document over that
-    index alone. Documents of one length share one float, so the list costs
-    a pointer per document."""
+def _length_norms(index: Bm25Index, doc_ids: Iterable[Hashable]) -> list[float]:
+    """``K1 * (1 - B + B * dl / avg)`` of each of ``doc_ids``, in their order,
+    or ``K1 * (1 - B)`` when avg is 0: the float ``pool_scores`` computes for
+    the document over ``index`` alone. Documents of one length share one
+    float."""
     avg = index.avg_doc_len
     by_len = {
         dl: K1 * (1.0 - B + (B * dl / avg if avg > 0 else 0.0))
         for dl in set(index.doc_len.values())
     }
-    return [by_len[index.doc_len[i]] for i in range(index.doc_count)]
+    return [by_len[index.doc_len[doc]] for doc in doc_ids]
 
 
-def position_scores(
-    query_tokens: Iterable[str], index: Bm25Index, length_norm: Sequence[float]
-) -> list[float]:
-    """Raw BM25 of every document of an index keyed by the positions
-    0..N-1, as a list by position; ``length_norm`` is ``length_norms(index)``.
-    Each value is ``==`` to ``pool_scores(query_tokens, [index]).get(i, 0.0)``:
-    the walk visits the same postings in the same order with the same
-    operations, reading each length norm instead of recomputing it.
+class Bm25Positions:
+    """BM25 of one ``Bm25Index`` keyed by the positions 0..N-1, as a list by
+    position. Each value is ``==`` to ``pool_scores(query_tokens,
+    [index]).get(i, 0.0)``: the same contributions are added in the same
+    order, each the float ``pool_scores`` computes for that posting.
+
+    N, the average length and every df are fixed for the life of the index,
+    so a term's contribution to each document of its postings is too: it is
+    computed the first time a query uses the term, kept as ``{position:
+    contribution}``, and each later query only adds it. Two threads may
+    build one term at once; both store equal values.
     """
-    n = index.doc_count
-    scores = [0.0] * n
-    k1_plus_1 = K1 + 1.0
-    for term in dict.fromkeys(query_tokens):
-        postings = index.postings.get(term)
-        if not postings:
-            continue
-        weight = _idf(n, len(postings))
-        for doc, f in postings.items():
-            scores[doc] += weight * f * k1_plus_1 / (f + length_norm[doc])
-    return scores
+
+    def __init__(self, index: Bm25Index):
+        self.index = index
+        self._length_norm = _length_norms(index, range(index.doc_count))
+        self._terms: dict[str, dict[int, float]] = {}
+
+    def _contributions(self, term: str) -> dict[int, float] | None:
+        contributions = self._terms.get(term)
+        if contributions is None:
+            postings = self.index.postings.get(term)
+            if postings is None:
+                return None
+            weight = _idf(self.index.doc_count, len(postings))
+            k1_plus_1, length_norm = K1 + 1.0, self._length_norm
+            contributions = {
+                doc: weight * f * k1_plus_1 / (f + length_norm[doc]) for doc, f in postings.items()
+            }
+            self._terms[term] = contributions
+        return contributions
+
+    def scores(self, query_tokens: Iterable[str]) -> list[float]:
+        """Raw BM25 of every document, in position order."""
+        scores = [0.0] * self.index.doc_count
+        for term in dict.fromkeys(query_tokens):
+            contributions = self._contributions(term)
+            if contributions is not None:
+                for doc, contribution in contributions.items():
+                    scores[doc] += contribution
+        return scores
 
 
 def rank(index: Bm25Index, query_tokens: Iterable[str]) -> list[tuple[Hashable, float]]:
@@ -215,49 +241,45 @@ class Bm25Columns:
     """BM25 of one ``Bm25Index`` as a float column over its documents, which
     are kept in sorted-id order. Each score is ``==`` to ``pool_scores`` over
     that index alone: every document's sum runs over the query terms in the
-    same order, with the same operations.
+    same order, adding the same contributions.
 
-    A term's postings become (positions, term frequencies) arrays the first
-    time a query uses it, and are kept for the life of the index. Two threads
-    may build one term at once; both store equal arrays.
+    As in ``Bm25Positions``, a term's contributions are fixed for the life of
+    the index. They become (positions, contributions) arrays the first time a
+    query uses the term and are kept; each later query only adds them into
+    its column. Two threads may build one term at once; both store equal
+    arrays.
     """
 
     def __init__(self, index: Bm25Index):
         self.index = index
         self.doc_ids = sorted(index.doc_len)
         self._position = {doc: i for i, doc in enumerate(self.doc_ids)}
-        doc_len = np.array([index.doc_len[doc] for doc in self.doc_ids], dtype=float)
-        avg = index.avg_doc_len
-        relative = B * doc_len / avg if avg > 0 else np.zeros(len(doc_len))
-        self._length_norm = K1 * (1.0 - B + relative)
+        self._length_norm = np.array(_length_norms(index, self.doc_ids))
         self._terms: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _postings(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
+    def _contributions(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
         arrays = self._terms.get(term)
         if arrays is None:
             postings = self.index.postings.get(term)
             if postings is None:
                 return None
             position = self._position
-            arrays = (
-                np.fromiter((position[doc] for doc in postings), np.intp, len(postings)),
-                np.fromiter(postings.values(), float, len(postings)),
-            )
+            positions = np.fromiter((position[doc] for doc in postings), np.intp, len(postings))
+            tf = np.fromiter(postings.values(), float, len(postings))
+            weight = _idf(self.index.doc_count, len(postings))
+            arrays = (positions, weight * tf * (K1 + 1.0) / (tf + self._length_norm[positions]))
             self._terms[term] = arrays
         return arrays
 
     def scores(self, query_tokens: Iterable[str]) -> np.ndarray:
         """Raw BM25 of every document, in ``doc_ids`` order. Every
-        contribution is > 0, so the nonzero scores are exactly the matches."""
-        n = self.index.doc_count
-        scores = np.zeros(n)
+        contribution is > 0, so the positive scores are exactly the matches."""
+        scores = np.zeros(self.index.doc_count)
         for term in dict.fromkeys(query_tokens):
-            arrays = self._postings(term)
-            if arrays is None:
-                continue
-            positions, tf = arrays
-            weight = _idf(n, len(positions))
-            scores[positions] += weight * tf * (K1 + 1.0) / (tf + self._length_norm[positions])
+            arrays = self._contributions(term)
+            if arrays is not None:
+                positions, contributions = arrays
+                scores[positions] += contributions
         return scores
 
     def ranked(self, query_tokens: Iterable[str]) -> Iterator[tuple[Hashable, float]]:
@@ -268,7 +290,7 @@ class Bm25Columns:
         4x as many; what a step sorted is a prefix of the next one's order.
         """
         scores = self.scores(query_tokens)
-        matched = np.flatnonzero(scores)
+        matched = np.flatnonzero(scores > 0.0)
         values = scores[matched]
         done, m = 0, _FIRST_CUT
         while done < len(matched):

@@ -11,10 +11,12 @@ query with no scope (``k1`` None, or a query whose facts name no session the
 snapshot holds) ranks the whole snapshot. A snapshot keeps its BM25
 indexes keyed by snapshot position: one per session for scoped pools, whose
 raw BM25 is ``lexical.pool_scores`` over their sessions' indexes, and one of
-every entry for the whole pool, with each entry's length norm. Those never
-change, as the whole pool's N and average length are the snapshot's, so an
-unscoped query walks one index's postings of its terms straight into a list
-by position (``lexical.position_scores``) and sorts nothing.
+every entry for the whole pool, scored by ``lexical.Bm25Positions`` straight
+into a list by position, with nothing sorted. The fact index and the whole
+pool never change within a snapshot, so each keeps every query term's
+per-document BM25 contributions from the first query that uses the term on;
+a scoped pool's N and document frequencies change with its sessions, so it
+keeps none.
 Stage 2 scores a pool as columns (``scoring.pool_signals``). The inputs no
 query changes, exp(-lambda * age), phi_cw, the tier multiplier and the
 timestamp, are kept per snapshot position, and a pool takes them by its
@@ -42,7 +44,7 @@ from typing import Protocol
 import numpy as np
 
 from . import lexical, scoring
-from .errors import ValidationError
+from .errors import ValidationError, is_count
 from .scoring import (
     DecayConfig,
     ScoreBreakdown,
@@ -92,14 +94,12 @@ class RetrievalConfig:
     include_timestamps: bool = False
 
     def __post_init__(self) -> None:
-        if self.stage1_k1 is not None and self.stage1_k1 < 1:
-            raise ValidationError("stage1_k1 must be >= 1 or None")
-        if self.stage2_k < 1:
-            raise ValidationError("stage2_k must be >= 1")
-        if self.token_budget < 1:
-            raise ValidationError("token_budget must be >= 1")
-        if self.rrf_k < 1:
-            raise ValidationError("rrf_k must be >= 1")
+        if not (self.stage1_k1 is None or is_count(self.stage1_k1) and self.stage1_k1 >= 1):
+            raise ValidationError(f"stage1_k1 must be an integer >= 1 or None: {self.stage1_k1!r}")
+        for name in ("stage2_k", "token_budget", "rrf_k"):
+            value = getattr(self, name)
+            if not (is_count(value) and value >= 1):
+                raise ValidationError(f"{name} must be an integer >= 1: {value!r}")
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}")
         object.__setattr__(self, "variant", Variant(self.variant))
@@ -197,8 +197,9 @@ class RetrievalResult:
 @dataclass(frozen=True)
 class FactIndex:
     """Stage 1's view of a fact set: BM25 columns and the facts by id. The
-    columns cache each query term's postings arrays, so one index serves a
-    snapshot's queries."""
+    columns keep each query term's per-fact BM25 contributions from the
+    first query that uses the term on, so a snapshot's later queries only
+    add them."""
 
     bm25: lexical.Bm25Columns
     by_id: dict[str, SemanticFact]
@@ -412,8 +413,8 @@ class RetrievalPipeline:
     as one index the first time a query needs it. A scoped pool is scored by
     ``lexical.pool_scores`` over its sessions' indexes, as its N and average
     length change with the sessions in it; the whole snapshot's are fixed,
-    so its length norms are kept with its index and each query is scored by
-    ``lexical.position_scores`` into a list by position. ``skipped_lines``
+    so it is scored by one ``lexical.Bm25Positions``, which keeps each
+    term's contributions for the snapshot's later queries. ``skipped_lines``
     counts the entry and fact lines that ``from_store``'s loads skipped.
     """
 
@@ -451,9 +452,9 @@ class RetrievalPipeline:
         self._session_index: dict[str, lexical.Bm25Index] = {}
         self._signals = np.empty((len(self.entries), 4))
         # The whole snapshot as one pool, once a query needs it: its BM25
-        # index keyed by position, its length norms, and the entry ids, None
+        # scorer over an index keyed by position, and the entry ids, None
         # when two are equal.
-        self._snapshot_pool: tuple[lexical.Bm25Index, list[float], list[str] | None] | None = None
+        self._snapshot_pool: tuple[lexical.Bm25Positions, list[str] | None] | None = None
 
     @classmethod
     def from_store(
@@ -503,8 +504,8 @@ class RetrievalPipeline:
             raw_bm25 = [scores.get(i, 0.0) for i in positions]
             signals, ids = self._signals[positions], None
         else:
-            index, length_norm, ids = self._whole_snapshot_pool()
-            raw_bm25 = lexical.position_scores(query_tokens, index, length_norm)
+            bm25, ids = self._whole_snapshot_pool()
+            raw_bm25 = bm25.scores(query_tokens)
             signals = self._signals
         ranked = stage2_retrieve(
             query_tokens,
@@ -560,14 +561,14 @@ class RetrievalPipeline:
                 built[session] = lexical.build_index(docs)
         return [built[session] for session in sessions]
 
-    def _whole_snapshot_pool(self) -> tuple[lexical.Bm25Index, list[float], list[str] | None]:
-        """One BM25 index over every entry, keyed by position, its length
-        norms (``lexical.length_norms``), and the entries' ids, None when two
-        are equal so that ``stage2_retrieve`` raises for them on every
-        query. Built once per snapshot together with every signal row, which
-        are stored before the index; a snapshot whose signals raise stores
-        nothing, so it raises again on the next query. Two threads may build
-        at once; both store equal values."""
+    def _whole_snapshot_pool(self) -> tuple[lexical.Bm25Positions, list[str] | None]:
+        """``lexical.Bm25Positions`` over one BM25 index of every entry,
+        keyed by position, and the entries' ids, None when two are equal so
+        that ``stage2_retrieve`` raises for them on every query. Built once
+        per snapshot together with every signal row, which are stored before
+        the index; a snapshot whose signals raise stores nothing, so it
+        raises again on the next query. Two threads may build at once; both
+        store equal values."""
         built = self._snapshot_pool
         if built is None:
             rows = [_entry_signals(e, self.now, self.decay, self.tiers) for e in self.entries]
@@ -575,7 +576,7 @@ class RetrievalPipeline:
             ids = [e.id for e in self.entries]
             if rows:
                 self._signals[:] = rows
-            built = (index, lexical.length_norms(index), ids if len(set(ids)) == len(ids) else None)
+            built = (lexical.Bm25Positions(index), ids if len(set(ids)) == len(ids) else None)
             self._snapshot_pool = built
         return built
 

@@ -33,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, is_finite_number
 
 _SUM_TOL = 1e-9
 
@@ -55,8 +55,8 @@ class WeightVector:
 
     def __post_init__(self) -> None:
         values = self.as_list()
-        if any(v < 0 for v in values):
-            raise ValidationError(f"weights must be nonnegative: {values}")
+        if not all(is_finite_number(v) and v >= 0 for v in values):
+            raise ValidationError(f"weights must be finite and nonnegative: {values}")
         total = sum(values)
         if abs(total - 1.0) > _SUM_TOL:
             raise ValidationError(f"weights must sum to 1, got {total!r}")
@@ -113,8 +113,10 @@ class DecayConfig:
     bypass_threshold: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.lambda_per_day <= 0:
-            raise ValidationError("lambda_per_day must be > 0")
+        if not (is_finite_number(self.lambda_per_day) and self.lambda_per_day > 0):
+            raise ValidationError(f"lambda_per_day must be finite and > 0: {self.lambda_per_day!r}")
+        if not is_finite_number(self.bypass_threshold):
+            raise ValidationError(f"bypass_threshold must be finite: {self.bypass_threshold!r}")
 
 
 @dataclass(frozen=True)
@@ -124,8 +126,9 @@ class TierConfig:
     procedural: float = 1.4
 
     def __post_init__(self) -> None:
-        if min(self.episodic, self.semantic, self.procedural) < 1.0:
-            raise ValidationError("tier multipliers must be >= 1")
+        multipliers = (self.episodic, self.semantic, self.procedural)
+        if not all(is_finite_number(m) and m >= 1.0 for m in multipliers):
+            raise ValidationError(f"tier multipliers must be finite and >= 1: {multipliers}")
 
     def multiplier(self, tier: str) -> float:
         try:

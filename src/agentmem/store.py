@@ -52,7 +52,7 @@ from datetime import date, datetime, timezone
 from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 
-from .errors import NotFoundError, StorageError, ValidationError
+from .errors import NotFoundError, StorageError, ValidationError, is_finite_number
 
 SYSTEM_PREFIX = "[system]"
 
@@ -99,6 +99,21 @@ def _as_written(ts: datetime) -> datetime:
     return ts if ts.tzinfo is timezone.utc else parse_timestamp(ts.isoformat())
 
 
+def _require_utf8(*texts: str) -> None:
+    """Raise ValidationError for a text that UTF-8 cannot encode: one that
+    holds a lone surrogate, which no line can carry."""
+    for text in texts:
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValidationError(f"text is not UTF-8 encodable: {text!r}") from None
+
+
+def _encode(lines: Iterable[str]) -> bytes:
+    """``lines`` as the bytes of a JSONL append, one ``\n`` after each."""
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
 def _json(value) -> str:
     """``value`` as ``json.dumps(value, separators=(",", ":"))`` writes it; the
     common field types skip building an encoder."""
@@ -141,10 +156,12 @@ class EpisodicEntry(namedtuple(
     """One append-only memory record: an immutable value, checked once here.
 
     Construction accepts exactly what a parse of the record's line accepts:
-    every text field a ``str``, ``timestamp`` a datetime, ``tokens`` an
-    ``int``, ``promoted`` a bool and ``cognitive_weight`` an int or float in
-    [-1, 1]; a bool is never a number. ``tokens`` is the whitespace token
-    count of the content when negative or not supplied. ``system`` is derived
+    every text field a ``str`` that UTF-8 can encode (no lone surrogate),
+    ``timestamp`` a datetime, ``tokens`` an ``int``, ``promoted`` a bool and
+    ``cognitive_weight`` an int or float in [-1, 1]; a bool is never a
+    number. Only text that is not ASCII can hold a surrogate, so ASCII text
+    skips the encoding check. ``tokens`` is the whitespace token count of
+    the content when negative or not supplied. ``system`` is derived
     from the content prefix and never persisted. ``_make`` and ``_replace``
     skip the checks; the store uses them only on values already checked.
     """
@@ -165,6 +182,11 @@ class EpisodicEntry(namedtuple(
             raise ValidationError(f"mistyped field in entry {id!r}")
         if not -1.0 <= cognitive_weight <= 1.0:
             raise ValidationError(f"cognitive_weight out of range: {cognitive_weight!r}")
+        if not (
+            content.isascii() and id.isascii() and session_id.isascii() and agent_id.isascii()
+            and project.isascii()
+        ):
+            _require_utf8(id, session_id, agent_id, project, content)
         if timestamp.tzinfo is not timezone.utc:
             _as_written(timestamp)
         if tokens < 0:
@@ -207,9 +229,9 @@ class SemanticFact(namedtuple(
     """Distilled subject/relation/value triple linked to its source sessions.
 
     An immutable value, checked once here as ``EpisodicEntry`` is: the text
-    fields are ``str``, ``session_ids`` a non-empty collection of ``str``
-    (kept as a frozenset) and ``created_at`` a datetime, the current time
-    when not supplied.
+    fields are ``str`` that UTF-8 can encode, ``session_ids`` a non-empty
+    collection of such ``str`` (kept as a frozenset) and ``created_at`` a
+    datetime, the current time when not supplied.
     """
 
     __slots__ = ()
@@ -224,8 +246,13 @@ class SemanticFact(namedtuple(
             session_ids = frozenset(session_ids)
         except TypeError as exc:
             raise ValidationError(f"session_ids must be a collection: {session_ids!r}") from exc
-        if not session_ids or any(type(s) is not str for s in session_ids):
-            raise ValidationError(f"session_ids must be non-empty strings: {session_ids!r}")
+        # One pass checks each session id's type and takes the ASCII fast path.
+        if not session_ids or not all(type(s) is str and s.isascii() for s in session_ids):
+            if not session_ids or any(type(s) is not str for s in session_ids):
+                raise ValidationError(f"session_ids must be non-empty strings: {session_ids!r}")
+            _require_utf8(*session_ids)
+        if not (subject.isascii() and relation.isascii() and value.isascii() and id.isascii()):
+            _require_utf8(id, subject, relation, value)
         if created_at is _NOW:
             created_at = utc_now()
         _as_written(created_at)
@@ -317,7 +344,7 @@ def _ledger_entry_id(record: dict) -> str:
 
 def _cw_delta(record: dict) -> tuple[str, float]:
     delta = record["delta"]
-    if type(delta) not in _NUMBER:
+    if not is_finite_number(delta):  # json.loads reads NaN and Infinity as floats
         raise ValidationError(f"mistyped delta: {delta!r}")
     return _ledger_entry_id(record), delta
 
@@ -550,12 +577,12 @@ class MemoryStore:
                 if entry_id not in known:
                     raise NotFoundError(f"unknown entry_id: {entry_id!r}")
 
-    def _append(self, view: _View, lines: list[str], values: Sequence) -> None:
-        """Append ``lines`` to ``view``'s file. When the write began at the
-        view's offset, or the file was empty, fold ``values`` (equal to what a
-        parse of the lines returns) into the view; otherwise its next sync
-        parses them."""
-        written = self._append_lines(view.path, lines)
+    def _append(self, view: _View, data: bytes, values: Sequence) -> None:
+        """Append the lines ``data`` (see ``_encode``) to ``view``'s file.
+        When the write began at the view's offset, or the file was empty,
+        fold ``values`` (equal to what a parse of the lines returns) into the
+        view; otherwise its next sync parses them."""
+        written = self._append_lines(view.path, data)
         if written is None:
             return
         inode, start, stop = written
@@ -568,12 +595,11 @@ class MemoryStore:
         view.offset = stop
 
     @staticmethod
-    def _append_lines(path: Path, lines: Sequence[str]) -> tuple[int, int, int] | None:
-        """Append ``lines`` in one write, first ending a torn last line, and
+    def _append_lines(path: Path, data: bytes) -> tuple[int, int, int] | None:
+        """Append ``data`` in one write, first ending a torn last line, and
         return the file's inode and the byte range the lines took (None if
         there were none). The parent directories are made only when the file
         cannot be opened without them."""
-        data = "".join(line + "\n" for line in lines).encode("utf-8")
         if not data:
             return None
         try:
@@ -632,7 +658,8 @@ class MemoryStore:
         An id that is already stored or repeated in the batch raises
         ValidationError before anything is written. Stored means on a line
         of a day file when this call syncs the day views, so an id that
-        another writer appended before is seen.
+        another writer appended before is seen. Every day's lines are
+        encoded before the first write.
         """
         for entry in entries:
             if not entry.project:
@@ -655,8 +682,9 @@ class MemoryStore:
                 if entry.timestamp.tzinfo is not timezone.utc:  # kept as the line parses
                     entry = entry._replace(timestamp=_as_written(entry.timestamp))
                 group[0].append(entry)
-            for day, (batch, lines) in by_day.items():
-                self._append(self._day_view(f"{day.isoformat()}.jsonl"), lines, batch)
+            encoded = [(day, batch, _encode(lines)) for day, (batch, lines) in by_day.items()]
+            for day, batch, data in encoded:
+                self._append(self._day_view(f"{day.isoformat()}.jsonl"), data, batch)
         return [e.id for e in entries]
 
     def load_entries(
@@ -726,7 +754,7 @@ class MemoryStore:
                 if created_at.tzinfo is not timezone.utc:  # kept as the line parses
                     fact = fact._replace(created_at=_as_written(created_at))
                 values.append(fact)
-            self._append(view, lines, values)
+            self._append(view, _encode(lines), values)
         return len(fresh)
 
     def load_facts(self) -> LoadedFacts:
@@ -744,12 +772,14 @@ class MemoryStore:
     def apply_cw_deltas(self, pairs: Iterable[tuple[str, float]], reward: float) -> list[float]:
         """Clip-update the weight of each (entry_id, delta) in order, with one
         append to the ledger; return each entry's new weight in order. An
-        unknown entry id or a delta that is not a number raises before
-        anything is written."""
+        unknown entry id, or a delta or reward that is not a finite number,
+        raises before anything is written."""
         pairs = list(pairs)
         for _, delta in pairs:
-            if type(delta) not in _NUMBER:
-                raise ValidationError(f"delta must be a number: {delta!r}")
+            if not is_finite_number(delta):
+                raise ValidationError(f"delta must be a finite number: {delta!r}")
+        if not is_finite_number(reward):
+            raise ValidationError(f"reward must be a finite number: {reward!r}")
         with self._lock:
             self._require_entries(entry_id for entry_id, _ in pairs)
             weights = self._weights.read().state
@@ -761,7 +791,7 @@ class MemoryStore:
                 new_values.append(value)
             applied_at = utc_now()
             lines = [CwLedgerRecord(i, d, reward, applied_at).to_line() for i, d in pairs]
-            self._append(self._weights, lines, pairs)
+            self._append(self._weights, _encode(lines), pairs)
         return new_values
 
     def promote(self, entry_id: str, fact_id: str) -> None:
@@ -775,7 +805,7 @@ class MemoryStore:
             self._require_entries(entry_id for entry_id, _ in pairs)
             promoted_at = utc_now().isoformat()
             lines = [_promotion_line(entry_id, fact_id, promoted_at) for entry_id, fact_id in pairs]
-            self._append(self._promoted, lines, [entry_id for entry_id, _ in pairs])
+            self._append(self._promoted, _encode(lines), [entry_id for entry_id, _ in pairs])
 
     def promoted_entry_ids(self) -> set[str]:
         with self._lock:

@@ -198,3 +198,69 @@ def test_readme_config_block_loads_to_the_defaults():
     block = re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)
     cfg = EngineConfig.from_dict(yaml.safe_load(block))
     assert replace(cfg, seed=0, workspace=Path("workspace")) == EngineConfig()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("raw", [
+    {"weights": [NAN, 0.35, 0.25, 0.25, 0.15]},
+    {"weights": [0.0, INF, 0.25, 0.25, 0.15]},
+])
+def test_weight_vector_takes_only_finite_weights(raw):
+    with pytest.raises(ValidationError):
+        EngineConfig.from_dict(raw)
+    with pytest.raises(ValidationError):
+        WeightVector(*raw["weights"])
+
+
+@pytest.mark.parametrize("raw", [
+    {"lambda_per_day": NAN}, {"lambda_per_day": INF}, {"bypass_threshold": NAN},
+    {"bypass_threshold": -INF},
+])
+def test_decay_config_takes_only_finite_numbers(raw):
+    with pytest.raises(ValidationError):
+        EngineConfig.from_dict({"decay": raw})
+    with pytest.raises(ValidationError):
+        DecayConfig(**raw)
+
+
+@pytest.mark.parametrize("raw", [
+    {"procedural": INF}, {"semantic": NAN}, {"episodic": True}, {"procedural": 10**400},
+])
+def test_tier_config_takes_only_finite_numbers(raw):
+    with pytest.raises(ValidationError):
+        TierConfig(**raw)
+
+
+@pytest.mark.parametrize("alpha", [NAN, INF, True])
+def test_attribution_config_takes_only_a_finite_alpha(alpha):
+    with pytest.raises(ValidationError):
+        AttributionConfig(alpha=alpha)
+
+
+@pytest.mark.parametrize("raw", [
+    {"clip_epsilon": NAN}, {"step_size": INF}, {"epochs": True}, {"question_count": 2.0},
+])
+def test_train_config_takes_finite_sizes_and_integer_counts(raw):
+    with pytest.raises(ValidationError):
+        TrainConfig(**raw)
+
+
+@pytest.mark.parametrize("raw", [
+    {"stage2_k": 2.5}, {"stage1_k1": True}, {"stage1_k1": 2.0}, {"token_budget": INF},
+    {"rrf_k": False},
+])
+def test_retrieval_config_takes_only_integer_counts(raw):
+    with pytest.raises(ValidationError):
+        RetrievalConfig(**raw)
+
+
+def test_yaml_nan_and_inf_are_rejected(tmp_path):
+    path = tmp_path / "engine.yaml"
+    for text in ("decay: {lambda_per_day: .nan}\n", "tiers: {procedural: .inf}\n",
+                 "attribution: {alpha: .nan}\n", "train: {clip_epsilon: .nan}\n",
+                 "weights: [.nan, 0.35, 0.25, 0.25, 0.15]\n"):
+        path.write_text(text)
+        with pytest.raises(ValidationError):
+            EngineConfig.from_file(path)

@@ -12,12 +12,11 @@ from agentmem.lexical import (
     _TOKEN_RE,
     K1,
     Bm25Columns,
+    Bm25Positions,
     B,
     bm25_score,
     build_index,
-    length_norms,
     pool_scores,
-    position_scores,
     rank,
     tokenize,
 )
@@ -284,11 +283,11 @@ def test_pool_scores_equal_bm25_score_over_the_pool(texts, query, cuts):
 @example(["a a b", "", "b c a", ""], ["a", "z", "a", "b", "z"])  # repeated and unknown terms
 def test_position_scores_equal_pool_scores_at_every_position(texts, query):
     idx = build_index([(i, text) for i, text in enumerate(texts)])
-    norms = length_norms(idx)
+    positions = Bm25Positions(idx)
     expected = pool_scores(query, [idx])
-    assert position_scores(query, idx, norms) == [expected.get(i, 0.0) for i in range(len(texts))]
+    assert positions.scores(query) == [expected.get(i, 0.0) for i in range(len(texts))]
     if idx.avg_doc_len == 0:
-        assert norms == [K1 * (1 - B)] * len(texts)
+        assert positions._length_norm == [K1 * (1 - B)] * len(texts)
 
 
 @settings(max_examples=40, deadline=None)
@@ -319,6 +318,34 @@ def test_columns_equal_pool_scores_and_rank(texts, query):
         (doc_id, expected.get(doc_id, 0.0)) for doc_id in columns.doc_ids
     ]
     assert list(columns.ranked(query)) == rank(idx, query)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    texts=st.lists(st.lists(st.sampled_from("abcdefg"), max_size=6).map(" ".join), max_size=40),
+    queries=st.lists(QUERY, min_size=2, max_size=6),
+)
+@example(ORDER_SENSITIVE[0], [ORDER_SENSITIVE[1], ["b", "z"], ORDER_SENSITIVE[1], ["f", "d", "f"]])
+@example(["", "a"], [["a"], ["z", "a"], ["a", "a"]])
+def test_cached_contributions_score_each_query_of_a_sequence_as_a_fresh_index(texts, queries):
+    """One ``Bm25Columns`` and one ``Bm25Positions`` answer a sequence of
+    queries with repeated, overlapping and unknown terms, so later queries
+    read back contributions that earlier ones cached. Each result equals
+    ``pool_scores`` over a fresh index, and ``ranked`` equals ``rank``."""
+    columns = Bm25Columns(build_index([(f"d{i}", text) for i, text in enumerate(texts)]))
+    positions = Bm25Positions(build_index([(i, text) for i, text in enumerate(texts)]))
+    for query in queries:
+        by_id = build_index([(f"d{i}", text) for i, text in enumerate(texts)])
+        expected = pool_scores(query, [by_id])
+        scores = columns.scores(query)
+        assert [(doc_id, scores[i]) for i, doc_id in enumerate(columns.doc_ids)] == [
+            (doc_id, expected.get(doc_id, 0.0)) for doc_id in columns.doc_ids
+        ]
+        assert list(columns.ranked(query)) == rank(by_id, query)
+        by_position = pool_scores(query, [build_index(list(enumerate(texts)))])
+        assert positions.scores(query) == [by_position.get(i, 0.0) for i in range(len(texts))]
+    used = {term for query in queries for term in query if term in columns.index.postings}
+    assert columns._terms.keys() == positions._terms.keys() == used
 
 
 @pytest.mark.parametrize("size", [15, 16, 17, 64, 65, 300])

@@ -478,13 +478,13 @@ def test_a_scoped_pipeline_indexes_the_snapshot_only_when_a_query_falls_back(mon
 
 def test_length_norms_are_built_once_per_snapshot_with_its_index(monkeypatch):
     normed = []
-    real = lexical.length_norms
+    real = lexical.Bm25Positions
 
     def recording(index):
         normed.append(index)
         return real(index)
 
-    monkeypatch.setattr(lexical, "length_norms", recording)
+    monkeypatch.setattr(lexical, "Bm25Positions", recording)
     scoped = _fact_pipeline()
     for query in ("report friday", "lunch soup blue", "deadline v1 note"):
         assert scoped.retrieve(query).scoped_session_ids
@@ -492,10 +492,10 @@ def test_length_norms_are_built_once_per_snapshot_with_its_index(monkeypatch):
     unscoped = _fact_pipeline(None)
     for query in ("report friday", "nowhere", "report friday"):
         unscoped.retrieve(query)
-    assert len(normed) == 1 and normed[0] is unscoped._snapshot_pool[0]
+    assert len(normed) == 1 and normed[0] is unscoped._snapshot_pool[0].index
     for _ in range(2):
         assert scoped.retrieve("nowhere").fallback_unscoped
-    assert len(normed) == 2 and normed[1] is scoped._snapshot_pool[0]
+    assert len(normed) == 2 and normed[1] is scoped._snapshot_pool[0].index
 
 
 def test_stage1_builds_postings_arrays_only_for_query_terms_and_once():
@@ -510,6 +510,16 @@ def test_stage1_builds_postings_arrays_only_for_query_terms_and_once():
     assert all(columns._terms[t] is arrays for t, arrays in built.items())
     pipeline.retrieve("lunch")
     assert set(columns._terms) == {"report", "friday", "lunch"}
+    # The whole snapshot keeps its contributions the same way.
+    unscoped = _fact_pipeline(None)
+    first = unscoped.retrieve("report note nowhere report")
+    bm25 = unscoped._snapshot_pool[0]
+    assert set(bm25._terms) == {"report", "note"}  # "nowhere" is in no entry
+    built = dict(bm25._terms)
+    again = unscoped.retrieve("report note nowhere report")
+    assert bm25._terms.keys() == built.keys()
+    assert all(bm25._terms[t] is contributions for t, contributions in built.items())
+    assert _outputs(again) == _outputs(first)
 
 
 def _outputs(result):

@@ -238,10 +238,15 @@ def test_mistyped_field_is_a_skipped_line(store, path_of, key, value):
         (lambda s: s.cw_ledger_path, store_mod._cw_delta, {"entry_id": "e1", "delta": "0.5"}),
         (lambda s: s.cw_ledger_path, store_mod._cw_delta, {"entry_id": "e1", "delta": True}),
         (lambda s: s.cw_ledger_path, store_mod._cw_delta, {"entry_id": ["e1"], "delta": 0.5}),
+        (lambda s: s.cw_ledger_path, store_mod._cw_delta, {"entry_id": "e1", "delta": float("nan")}),
+        (lambda s: s.cw_ledger_path, store_mod._cw_delta, {"entry_id": "e1", "delta": float("inf")}),
+        (lambda s: s.cw_ledger_path, store_mod._cw_delta, {"entry_id": "e1", "delta": -float("inf")}),
+        (lambda s: s.cw_ledger_path, store_mod._cw_delta, {"entry_id": "e1", "delta": 10**400}),
         (lambda s: s.promotions_path, store_mod._ledger_entry_id, {"entry_id": ["e1"]}),
         (lambda s: s.promotions_path, store_mod._ledger_entry_id, {"entry_id": 1}),
     ],
-    ids=["delta-string", "delta-bool", "cw-entry_id-list", "promotion-entry_id-list",
+    ids=["delta-string", "delta-bool", "cw-entry_id-list", "delta-nan", "delta-inf",
+         "delta-minus-inf", "delta-beyond-float", "promotion-entry_id-list",
          "promotion-entry_id-int"],
 )
 def test_mistyped_ledger_line_is_skipped(store, path_of, parse, record):
@@ -282,6 +287,10 @@ _TEXT = st.text(
 _UTC = st.datetimes(timezones=st.just(timezone.utc))
 
 
+def _has_surrogate(*texts: str) -> bool:
+    return any("\ud800" <= c <= "\udfff" for text in texts for c in text)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     text=st.lists(_TEXT, min_size=6, max_size=6),
@@ -292,21 +301,31 @@ _UTC = st.datetimes(timezones=st.just(timezone.utc))
     numbers=st.lists(st.floats(), min_size=2, max_size=2),
 )
 def test_to_line_equals_the_json_dumps_it_replaced(text, ts, tokens, weight, promoted, numbers):
+    """Every record's line is the ``json.dumps`` it replaced. A record whose
+    text holds a lone surrogate, which no line can carry, cannot be built."""
     entry_id, session_id, agent_id, content, subject, value = text
-    entry = EpisodicEntry(entry_id, ts, session_id, agent_id, "p\u2028\"", content,
-                          tokens=tokens, promoted=promoted, cognitive_weight=weight)
-    assert entry.to_line() == json.dumps(
-        {"id": entry_id, "timestamp": ts.isoformat(), "session_id": session_id,
-         "agent_id": agent_id, "project": "p\u2028\"", "content": content, "tokens": tokens,
-         "promoted": promoted, "cognitive_weight": weight},
-        ensure_ascii=False, separators=(",", ":"),
-    )
-    fact = SemanticFact(entry_id, subject, content, value, frozenset({session_id, value}), ts)
-    assert fact.to_line() == json.dumps(
-        {"id": entry_id, "subject": subject, "relation": content, "value": value,
-         "session_ids": sorted({session_id, value}), "created_at": ts.isoformat()},
-        ensure_ascii=False, separators=(",", ":"),
-    )
+    if _has_surrogate(entry_id, session_id, agent_id, content):
+        with pytest.raises(ValidationError, match="UTF-8"):
+            EpisodicEntry(entry_id, ts, session_id, agent_id, "p", content)
+    else:
+        entry = EpisodicEntry(entry_id, ts, session_id, agent_id, "p\u2028\"", content,
+                              tokens=tokens, promoted=promoted, cognitive_weight=weight)
+        assert entry.to_line() == json.dumps(
+            {"id": entry_id, "timestamp": ts.isoformat(), "session_id": session_id,
+             "agent_id": agent_id, "project": "p\u2028\"", "content": content, "tokens": tokens,
+             "promoted": promoted, "cognitive_weight": weight},
+            ensure_ascii=False, separators=(",", ":"),
+        )
+    if _has_surrogate(entry_id, subject, content, value, session_id):
+        with pytest.raises(ValidationError, match="UTF-8"):
+            SemanticFact(entry_id, subject, content, value, frozenset({session_id, value}), ts)
+    else:
+        fact = SemanticFact(entry_id, subject, content, value, frozenset({session_id, value}), ts)
+        assert fact.to_line() == json.dumps(
+            {"id": entry_id, "subject": subject, "relation": content, "value": value,
+             "session_ids": sorted({session_id, value}), "created_at": ts.isoformat()},
+            ensure_ascii=False, separators=(",", ":"),
+        )
     delta, reward = numbers
     assert store_mod.CwLedgerRecord(entry_id, delta, reward, ts).to_line() == json.dumps(
         {"entry_id": entry_id, "delta": delta, "reward": reward, "applied_at": ts.isoformat()},
@@ -445,7 +464,9 @@ _WHEN = st.one_of(
     st.datetimes(max_value=datetime(1, 1, 2), timezones=_OFFSET),
 )
 # (valid, wrong) values per field, in field order.
-_TEXT_FIELD = (st.text(max_size=4), _WRONG)
+# Text with a lone surrogate is a str, but no line can hold it.
+_UNENCODABLE = st.text(st.characters(categories=["Cs"]), min_size=1, max_size=2)
+_TEXT_FIELD = (st.text(max_size=4), st.one_of(_WRONG, _UNENCODABLE))
 _WHEN_FIELD = (_WHEN, st.one_of(st.none(), st.booleans(), st.integers(0, 2)))
 _ENTRY_FIELDS = [
     _TEXT_FIELD, _WHEN_FIELD, _TEXT_FIELD, _TEXT_FIELD, _TEXT_FIELD, _TEXT_FIELD,
@@ -459,7 +480,8 @@ _FACT_FIELDS = [
     (st.one_of(st.lists(st.text(max_size=3), min_size=1, max_size=3),
                st.frozensets(st.text(max_size=3), min_size=1, max_size=3)),
      st.one_of(st.just([]), st.text(max_size=3), _WRONG,
-               st.lists(st.one_of(st.text(max_size=3), _WRONG), min_size=1, max_size=3),
+               st.lists(st.one_of(st.text(max_size=3), _WRONG, _UNENCODABLE), min_size=1,
+                        max_size=3),
                st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))),
     _WHEN_FIELD,
 ]
@@ -580,3 +602,69 @@ def test_timestamp_parsing_rejects_garbage():
 
     with pytest.raises(ValidationError):
         parse_timestamp("not-a-date")
+
+
+@pytest.mark.parametrize(
+    "delta, reward",
+    [(float("nan"), 0.0), (float("inf"), 1.0), (-float("inf"), 1.0), (10**400, 1.0),
+     (0.1, float("nan"))],
+    ids=["delta-nan", "delta-inf", "delta-minus-inf", "delta-beyond-float", "reward-nan"],
+)
+def test_a_non_finite_delta_or_reward_raises_before_anything_is_written(store, delta, reward):
+    """No JSON line can hold NaN or an infinity, and a replayed NaN delta
+    would clip to a weight of +1.0."""
+    store.append_entries([make_entry(entry_id="e1"), make_entry(entry_id="e2")])
+    store.apply_cw_delta("e1", 0.1, 1.0)
+    before = store.cw_ledger_path.read_bytes()
+    with pytest.raises(ValidationError):
+        store.apply_cw_deltas([("e2", 0.2), ("e1", delta)], reward)
+    assert store.cw_ledger_path.read_bytes() == before
+    for view in (store, MemoryStore(store.root)):
+        weights = [(e.id, e.cognitive_weight) for e in view.load_entries("proj")]
+        assert weights == [("e1", pytest.approx(0.1)), ("e2", 0.0)]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_entry(content="bad \ud800"),
+        lambda: make_entry(session_id="s\udfff"),
+        lambda: make_entry(entry_id="\ud800"),
+        lambda: make_fact(value="bad \ud800"),
+        lambda: make_fact(session_ids=("s1", "\udc00")),
+    ],
+    ids=["entry-content", "entry-session", "entry-id", "fact-value", "fact-session"],
+)
+def test_text_no_line_can_hold_is_rejected_at_construction(build):
+    with pytest.raises(ValidationError, match="UTF-8"):
+        build()
+
+
+def test_unencodable_day_group_writes_no_day_of_its_batch(store):
+    """Every day's lines are encoded before the first write, so a record that
+    skipped the construction checks fails the whole batch."""
+    good = make_entry(entry_id="a", days_ago=1)
+    bad = make_entry(entry_id="b")._replace(content="bad \ud800")
+    with pytest.raises(UnicodeEncodeError):
+        store.append_entries([good, bad])
+    assert not list(store.episodic_dir.glob("*.jsonl"))
+    store.append_entry(make_entry(entry_id="b"))
+    assert [e.id for e in MemoryStore(store.root).load_entries("proj")] == ["b"]
+
+
+def test_a_stored_line_with_a_lone_surrogate_is_skipped_and_consolidation_goes_on(store):
+    from agentmem.consolidation import HeuristicExtractor, run_consolidation_pass
+
+    store.append_entry(make_entry(entry_id="e1", session_id="s1", content="key1: value one"))
+    day_file = next(store.episodic_dir.glob("*.jsonl"))
+    record = json.loads(day_file.read_text())
+    record.update({"id": "e2", "session_id": "s2", "content": "key2: value \ud800"})
+    with day_file.open("a") as handle:  # another writer; json escapes the surrogate
+        handle.write(json.dumps(record) + "\n")
+    loaded = MemoryStore(store.root).load_entries("proj")
+    assert ([e.id for e in loaded], loaded.skipped) == (["e1"], 1)
+    for _ in range(2):
+        report = run_consolidation_pass(store, HeuristicExtractor(), "proj")
+        assert not report.failures
+    assert [f.session_ids for f in store.load_facts()] == [frozenset({"s1"})]
+    assert store.promoted_entry_ids() == {"e1"}
