@@ -59,10 +59,19 @@ class Endpoint:
     url: str | None = None
     timeout: float = 10.0
 
+    def __post_init__(self) -> None:
+        if not (is_finite_number(self.timeout) and self.timeout > 0):
+            raise ValidationError(f"timeout must be finite and > 0: {self.timeout!r}")
+
 
 @dataclass(frozen=True)
 class EmbedderEndpoint(Endpoint):
     dimension: int = 384
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not (is_count(self.dimension) and self.dimension >= 1):
+            raise ValidationError(f"dimension must be an integer >= 1: {self.dimension!r}")
 
 
 @dataclass

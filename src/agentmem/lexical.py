@@ -24,9 +24,10 @@ snapshot that answers one query pays what a walk of the postings costs, and
 each query after it pays for its new terms only. ``Bm25Columns`` gives the
 sums as a numpy column over every document, sorted by id: stage 1 scores
 the fact index this way and takes the facts best-first by partial
-selection, sorting only the top few. ``Bm25Positions`` adds them into a
-list by position: stage 2 scores the whole snapshot, the pool of a query
-that stage 1 scopes to no session, this way.
+selection, sorting only the top few. ``Bm25Positions`` adds them by
+position into a float64 buffer that numpy then reads in place, so no list
+of Python floats is unboxed: stage 2 scores the whole snapshot, the pool of
+a query that stage 1 scopes to no session, this way.
 
 A scoped stage-2 pool, the entries of a few sessions, is scored by
 ``pool_scores`` over those sessions' indexes and keeps nothing: its N and
@@ -44,6 +45,7 @@ from __future__ import annotations
 import math
 import re
 import string
+from array import array
 from collections import defaultdict
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -186,8 +188,8 @@ def _length_norms(index: Bm25Index, doc_ids: Iterable[Hashable]) -> list[float]:
 
 
 class Bm25Positions:
-    """BM25 of one ``Bm25Index`` keyed by the positions 0..N-1, as a list by
-    position. Each value is ``==`` to ``pool_scores(query_tokens,
+    """BM25 of one ``Bm25Index`` keyed by the positions 0..N-1, as a float64
+    column by position. Each value is ``==`` to ``pool_scores(query_tokens,
     [index]).get(i, 0.0)``: the same contributions are added in the same
     order, each the float ``pool_scores`` computes for that posting.
 
@@ -202,6 +204,7 @@ class Bm25Positions:
         self.index = index
         self._length_norm = _length_norms(index, range(index.doc_count))
         self._terms: dict[str, dict[int, float]] = {}
+        self._zeros = array("d", bytes(8 * index.doc_count))
 
     def _contributions(self, term: str) -> dict[int, float] | None:
         contributions = self._terms.get(term)
@@ -217,15 +220,17 @@ class Bm25Positions:
             self._terms[term] = contributions
         return contributions
 
-    def scores(self, query_tokens: Iterable[str]) -> list[float]:
-        """Raw BM25 of every document, in position order."""
-        scores = [0.0] * self.index.doc_count
+    def scores(self, query_tokens: Iterable[str]) -> np.ndarray:
+        """Raw BM25 of every document, in position order: a new float64
+        array on every call, read in place from the buffer the sums went
+        into, so no caller shares a result with another."""
+        scores = array("d", self._zeros)
         for term in dict.fromkeys(query_tokens):
             contributions = self._contributions(term)
             if contributions is not None:
                 for doc, contribution in contributions.items():
                     scores[doc] += contribution
-        return scores
+        return np.frombuffer(scores, dtype=np.float64)
 
 
 def rank(index: Bm25Index, query_tokens: Iterable[str]) -> list[tuple[Hashable, float]]:

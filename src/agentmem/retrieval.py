@@ -11,18 +11,21 @@ query with no scope (``k1`` None, or a query whose facts name no session the
 snapshot holds) ranks the whole snapshot. A snapshot keeps its BM25
 indexes keyed by snapshot position: one per session for scoped pools, whose
 raw BM25 is ``lexical.pool_scores`` over their sessions' indexes, and one of
-every entry for the whole pool, scored by ``lexical.Bm25Positions`` straight
-into a list by position, with nothing sorted. The fact index and the whole
-pool never change within a snapshot, so each keeps every query term's
-per-document BM25 contributions from the first query that uses the term on;
-a scoped pool's N and document frequencies change with its sessions, so it
-keeps none.
+every entry for the whole pool, scored by ``lexical.Bm25Positions`` into a
+float64 buffer by position, which numpy reads in place, with nothing
+sorted. The fact index and the whole pool never change within a snapshot,
+so each keeps every query term's per-document BM25 contributions from the
+first query that uses the term on; a scoped pool's N and document
+frequencies change with its sessions, so it keeps none.
 Stage 2 scores a pool as columns (``scoring.pool_signals``). The inputs no
 query changes, exp(-lambda * age), phi_cw, the tier multiplier and the
 timestamp, are kept per snapshot position, and a pool takes them by its
-positions. Only raw BM25, dense similarity and scope membership are
-computed per query. ``ScoreBreakdown`` and ``RankedEntry`` are built only
-for the entries returned.
+positions; so are the entry ids, whose uniqueness is settled once per
+snapshot. Scope membership follows from the pool's kind: a scoped pool is
+exactly the entries of its scoped sessions, so all of it is in scope, and
+the whole-snapshot pool has an empty scope. Only raw BM25 and dense
+similarity are computed per query. ``ScoreBreakdown`` and ``RankedEntry``
+are built only for the entries returned.
 
 Every mode ranks through the same composite. In dense and hybrid modes each
 candidate's embedding cosine to the query fills the phi_sem slot; dense mode
@@ -39,6 +42,7 @@ from collections import Counter
 from collections.abc import Container, Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import chain
 from typing import Protocol
 
 import numpy as np
@@ -273,27 +277,31 @@ def stage2_retrieve(
     now: datetime | None = None,
     k: int | None = 0,
     similarities: Sequence[float] | None = None,
-    raw_bm25: Sequence[float] | None = None,
+    raw_bm25: np.ndarray | Sequence[float] | None = None,
     signals: np.ndarray | None = None,
     ids: Sequence[str] | None = None,
+    in_scope: np.ndarray | None = None,
 ) -> list[RankedEntry]:
     """Rank the scoped entries best-first in ``cfg.mode``.
 
     bm25 ranks by the composite under ``cfg.weights``, dense by the composite
     under ``DENSE_WEIGHTS``, and hybrid_rrf fuses those two orders. Dense and
     hybrid need ``similarities``, one per entry. ``raw_bm25`` holds one value
-    per entry too, the pool's BM25; without it the pool is indexed here. A
-    caller that keeps per-snapshot inputs may pass each entry's
-    ``_entry_signals`` row as ``signals`` (taken with the same now, decay
-    and tiers), and the entries' ids as ``ids`` once it has checked that
-    they are distinct; without them the ids are taken and checked here.
-    Callers must have excluded system entries already, and entry ids must be
-    unique within the pool. ``k=0`` means "use cfg.stage2_k"; ``k=None``
-    returns the full ranking.
+    per entry too, the pool's BM25, best as a float64 array, which is used
+    without a copy; without it the pool is indexed here. A caller that keeps
+    per-snapshot inputs may pass each entry's ``_entry_signals`` row as
+    ``signals`` (taken with the same now, decay and tiers), the entries' ids
+    as ``ids`` once it knows that they are distinct, and ``in_scope``, one
+    bool per entry, when it knows which entries are in the semantic scope;
+    without them the ids are taken and checked here, and each entry's
+    session is looked up in ``semantic_scope``. Callers must have excluded
+    system entries already, and entry ids must be unique within the pool.
+    ``k=0`` means "use cfg.stage2_k"; ``k=None`` returns the full ranking.
     """
     if cfg.mode != MODE_BM25 and similarities is None:
         raise ValidationError(f"mode {cfg.mode!r} requires dense similarities")
-    for name, column in (("similarities", similarities), ("raw_bm25", raw_bm25)):
+    columns = (("similarities", similarities), ("raw_bm25", raw_bm25), ("in_scope", in_scope))
+    for name, column in columns:
         if column is not None and len(column) != len(entries):
             raise ValidationError(f"{name} must hold one value per entry")
     if ids is None:
@@ -314,10 +322,11 @@ def stage2_retrieve(
     if signals is None:
         signals = np.array([_entry_signals(e, now, decay, tiers) for e in entries])
     exp_age, phi_cw, multiplier, timestamp = signals.T
-    if semantic_scope:
-        in_scope = np.array([e.session_id in semantic_scope for e in entries])
-    else:
-        in_scope = np.zeros(len(entries), dtype=bool)
+    if in_scope is None:
+        if semantic_scope:
+            in_scope = np.array([e.session_id in semantic_scope for e in entries])
+        else:
+            in_scope = np.zeros(len(entries), dtype=bool)
     pool = scoring.pool_signals(
         raw_bm25,
         np.zeros(len(entries)) if similarities is None else np.array(similarities, dtype=float),
@@ -414,8 +423,13 @@ class RetrievalPipeline:
     ``lexical.pool_scores`` over its sessions' indexes, as its N and average
     length change with the sessions in it; the whole snapshot's are fixed,
     so it is scored by one ``lexical.Bm25Positions``, which keeps each
-    term's contributions for the snapshot's later queries. ``skipped_lines``
-    counts the entry and fact lines that ``from_store``'s loads skipped.
+    term's contributions for the snapshot's later queries. Every entry of a
+    scoped pool is in scope and none of the whole pool is, so neither looks
+    up a session per entry; the entry ids and whether they are distinct are
+    taken once, at construction, and a pool passes its ids on only when
+    they are, so ``stage2_retrieve`` checks the pool itself otherwise.
+    ``skipped_lines`` counts the entry and fact lines that ``from_store``'s
+    loads skipped.
     """
 
     def __init__(
@@ -435,6 +449,8 @@ class RetrievalPipeline:
         self.embedder = embedder
         self.entries = [e for e in entries if not e.system]
         self.facts = list(facts)
+        self._ids = [e.id for e in self.entries]
+        self._ids_distinct = len(set(self._ids)) == len(self._ids)
         self.skipped_lines = {"entries": 0, "facts": 0}
         self.now = now or max(
             (e.timestamp for e in self.entries), default=datetime.now(timezone.utc)
@@ -451,10 +467,9 @@ class RetrievalPipeline:
         # rows of _entry_signals, which now, decay and tiers fix.
         self._session_index: dict[str, lexical.Bm25Index] = {}
         self._signals = np.empty((len(self.entries), 4))
-        # The whole snapshot as one pool, once a query needs it: its BM25
-        # scorer over an index keyed by position, and the entry ids, None
-        # when two are equal.
-        self._snapshot_pool: tuple[lexical.Bm25Positions, list[str] | None] | None = None
+        # The whole snapshot's BM25 scorer, over an index keyed by position,
+        # once a query needs it.
+        self._snapshot_bm25: lexical.Bm25Positions | None = None
 
     @classmethod
     def from_store(
@@ -491,7 +506,8 @@ class RetrievalPipeline:
         fallback_unscoped = not scoping_disabled and not scoped
         if scoped:
             # Pool-relative variants sum in pool order: snapshot order.
-            positions = sorted(i for s in scoped for i in self._session_positions[s])
+            by_session = map(self._session_positions.__getitem__, scoped)
+            positions = sorted(chain.from_iterable(by_session))
             pool = [self.entries[i] for i in positions]
         else:
             positions, pool = range(len(self.entries)), self.entries
@@ -502,23 +518,26 @@ class RetrievalPipeline:
         if scoped:
             scores = lexical.pool_scores(query_tokens, self._session_indexes(scoped))
             raw_bm25 = [scores.get(i, 0.0) for i in positions]
-            signals, ids = self._signals[positions], None
+            signals = self._signals[positions]
+            ids = [self._ids[i] for i in positions] if self._ids_distinct else None
+            in_scope = np.ones(len(pool), dtype=bool)
         else:
-            bm25, ids = self._whole_snapshot_pool()
-            raw_bm25 = bm25.scores(query_tokens)
+            raw_bm25 = self._whole_snapshot_bm25().scores(query_tokens)
             signals = self._signals
+            ids = self._ids if self._ids_distinct else None
+            in_scope = np.zeros(len(pool), dtype=bool)
         ranked = stage2_retrieve(
             query_tokens,
             pool,
             cfg,
             decay=self.decay,
             tiers=self.tiers,
-            semantic_scope=frozenset(scoped),
             now=self.now,
             similarities=similarities,
             raw_bm25=raw_bm25,
             signals=signals,
             ids=ids,
+            in_scope=in_scope,
         )
         latency["stage2"] = (time.perf_counter_ns() - t1) // 1000
 
@@ -561,23 +580,19 @@ class RetrievalPipeline:
                 built[session] = lexical.build_index(docs)
         return [built[session] for session in sessions]
 
-    def _whole_snapshot_pool(self) -> tuple[lexical.Bm25Positions, list[str] | None]:
+    def _whole_snapshot_bm25(self) -> lexical.Bm25Positions:
         """``lexical.Bm25Positions`` over one BM25 index of every entry,
-        keyed by position, and the entries' ids, None when two are equal so
-        that ``stage2_retrieve`` raises for them on every query. Built once
-        per snapshot together with every signal row, which are stored before
-        the index; a snapshot whose signals raise stores nothing, so it
-        raises again on the next query. Two threads may build at once; both
-        store equal values."""
-        built = self._snapshot_pool
+        keyed by position. Built once per snapshot together with every
+        signal row, which are stored before the index; a snapshot whose
+        signals raise stores nothing, so it raises again on the next query.
+        Two threads may build at once; both store equal values."""
+        built = self._snapshot_bm25
         if built is None:
             rows = [_entry_signals(e, self.now, self.decay, self.tiers) for e in self.entries]
             index = lexical.build_index([(i, e.content) for i, e in enumerate(self.entries)])
-            ids = [e.id for e in self.entries]
             if rows:
                 self._signals[:] = rows
-            built = (lexical.Bm25Positions(index), ids if len(set(ids)) == len(ids) else None)
-            self._snapshot_pool = built
+            built = self._snapshot_bm25 = lexical.Bm25Positions(index)
         return built
 
     def _similarities(self, query: str, pool: Sequence[EpisodicEntry], mode: str) -> list[float]:

@@ -220,7 +220,7 @@ def normalise_scores(raw_scores: Sequence[float], variant: Variant) -> list[floa
         return list(raw_scores)
     if variant is Variant.LOG1P:
         return [math.log1p(s) for s in raw_scores]
-    if not raw_scores:
+    if len(raw_scores) == 0:  # a numpy column has no truth value
         raise ValidationError("pool normalisation requires a nonempty pool")
     lo, hi = min(raw_scores), max(raw_scores)
     if variant is Variant.MINMAX:
@@ -390,7 +390,7 @@ class PoolSignals:
 
 
 def pool_signals(
-    raw_bm25: Sequence[float],
+    raw_bm25: np.ndarray | Sequence[float],
     similarity: np.ndarray,
     in_scope: np.ndarray,
     decay: np.ndarray,
@@ -402,14 +402,19 @@ def pool_signals(
     """Signal columns of a pool: ``decay`` holds each entry's
     exp(-lambda * age) before any bypass, ``phi_cw`` its ``cw_signal`` and
     ``multiplier`` its tier multiplier; ``in_scope`` marks entries of the
-    semantic scope. BM25 is normalised over the pool by ``normalise_scores``.
+    semantic scope. A float64 ``raw_bm25`` column is taken as it is, not
+    copied. BM25 is normalised over the pool by ``normalise_scores`` on the
+    column's Python floats, so pool-relative variants sum the same floats
+    in the same order whether the caller passed a list or an array.
     """
-    raw = np.array(raw_bm25, dtype=float)
+    raw = np.asarray(raw_bm25, dtype=float)
     bm25_bypass = raw > decay_cfg.bypass_threshold
     return PoolSignals(
         phi_sem=similarity,
         phi_bm25_raw=raw,
-        phi_bm25=raw if variant is Variant.RAW else np.array(normalise_scores(raw_bm25, variant)),
+        phi_bm25=(
+            raw if variant is Variant.RAW else np.array(normalise_scores(raw.tolist(), variant))
+        ),
         phi_decay=np.where(bm25_bypass | in_scope, 1.0, decay),
         phi_cw=phi_cw,
         multiplier=multiplier,

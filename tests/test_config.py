@@ -256,11 +256,33 @@ def test_retrieval_config_takes_only_integer_counts(raw):
         RetrievalConfig(**raw)
 
 
+@pytest.mark.parametrize("timeout", [NAN, INF, -INF, 0, 0.0, -1.0, True])
+def test_endpoint_takes_only_a_finite_positive_timeout(timeout):
+    with pytest.raises(ValidationError):
+        Endpoint(timeout=timeout)
+    for section in ("reader", "extractor"):
+        with pytest.raises(ValidationError):
+            EngineConfig.from_dict({section: {"timeout": timeout}})
+    assert Endpoint(timeout=3).timeout == 3
+
+
+@pytest.mark.parametrize("raw", [
+    {"dimension": -3}, {"dimension": 0}, {"dimension": 2.0}, {"dimension": True},
+    {"timeout": -INF}, {"timeout": NAN}, {"timeout": 0},
+])
+def test_embedder_endpoint_takes_a_positive_integer_dimension_and_timeout(raw):
+    with pytest.raises(ValidationError):
+        EmbedderEndpoint(**raw)
+    with pytest.raises(ValidationError):
+        EngineConfig.from_dict({"embedder": raw})
+
+
 def test_yaml_nan_and_inf_are_rejected(tmp_path):
     path = tmp_path / "engine.yaml"
     for text in ("decay: {lambda_per_day: .nan}\n", "tiers: {procedural: .inf}\n",
                  "attribution: {alpha: .nan}\n", "train: {clip_epsilon: .nan}\n",
-                 "weights: [.nan, 0.35, 0.25, 0.25, 0.15]\n"):
+                 "weights: [.nan, 0.35, 0.25, 0.25, 0.15]\n", "reader: {timeout: .nan}\n",
+                 "embedder: {timeout: -.inf}\n", "extractor: {timeout: .nan}\n"):
         path.write_text(text)
         with pytest.raises(ValidationError):
             EngineConfig.from_file(path)

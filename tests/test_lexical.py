@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import math
 import random
+import threading
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -285,7 +287,9 @@ def test_position_scores_equal_pool_scores_at_every_position(texts, query):
     idx = build_index([(i, text) for i, text in enumerate(texts)])
     positions = Bm25Positions(idx)
     expected = pool_scores(query, [idx])
-    assert positions.scores(query) == [expected.get(i, 0.0) for i in range(len(texts))]
+    scores = positions.scores(query)
+    assert scores.dtype == np.float64
+    assert scores.tolist() == [expected.get(i, 0.0) for i in range(len(texts))]
     if idx.avg_doc_len == 0:
         assert positions._length_norm == [K1 * (1 - B)] * len(texts)
 
@@ -343,9 +347,29 @@ def test_cached_contributions_score_each_query_of_a_sequence_as_a_fresh_index(te
         ]
         assert list(columns.ranked(query)) == rank(by_id, query)
         by_position = pool_scores(query, [build_index(list(enumerate(texts)))])
-        assert positions.scores(query) == [by_position.get(i, 0.0) for i in range(len(texts))]
+        by_position_scores = positions.scores(query)
+        assert by_position_scores.dtype == np.float64
+        assert by_position_scores.tolist() == [by_position.get(i, 0.0) for i in range(len(texts))]
     used = {term for query in queries for term in query if term in columns.index.postings}
     assert columns._terms.keys() == positions._terms.keys() == used
+
+
+def test_each_position_scores_result_is_a_fresh_array():
+    """A later query, on this thread or another, sums into a buffer of its
+    own, so a result already returned keeps its values."""
+    positions = Bm25Positions(build_index(list(enumerate(["a b", "b c", "a a c", ""]))))
+    first = positions.scores(["a", "b"])
+    kept = first.tolist()
+    second = positions.scores(["c"])
+    results = []
+    thread = threading.Thread(target=lambda: results.append(positions.scores(["a", "c"])))
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive() and len(results) == 1
+    assert first.tolist() == kept and kept[3] == 0.0 and kept[0] > 0.0
+    assert second.tolist() != kept and results[0].tolist() != kept
+    for other in (second, results[0]):
+        assert not np.shares_memory(first, other)
 
 
 @pytest.mark.parametrize("size", [15, 16, 17, 64, 65, 300])

@@ -125,6 +125,22 @@ def test_stage2_rejects_similarities_of_another_length():
         stage2_retrieve(tokenize("blue"), entries, RetrievalConfig(mode="dense"), similarities=[1.0])
 
 
+@pytest.mark.parametrize("variant", list(Variant))
+def test_stage2_ranks_a_raw_bm25_array_as_the_same_values_in_a_list(variant):
+    """The whole-snapshot pool hands stage 2 its BM25 as a float64 array;
+    every variant, pool-relative ones too, ranks it as the same list."""
+    entries = [
+        make_entry(entry_id="a", content="alpha"),
+        make_entry(entry_id="b", content="beta", days_ago=3),
+        make_entry(entry_id="c", content="gamma", days_ago=1),
+    ]
+    cfg = RetrievalConfig(variant=variant, stage2_k=3)
+    want = stage2_retrieve(["alpha"], entries, cfg, raw_bm25=[1.5, 0.0, 0.25])
+    got = stage2_retrieve(["alpha"], entries, cfg, raw_bm25=np.array([1.5, 0.0, 0.25]))
+    assert [(r.entry.id, r.breakdown) for r in got] == [(r.entry.id, r.breakdown) for r in want]
+    assert [r.entry.id for r in got] == ["a", "c", "b"]
+
+
 @pytest.mark.parametrize("variant", [Variant.ZSCORE, Variant.ZSCORE_EQUAL_FUSION])
 def test_zscore_of_a_constant_pool_is_zero(variant):
     entries = [make_entry(entry_id=f"e{i}", content="report due friday") for i in range(7)]
@@ -469,7 +485,7 @@ def test_a_scoped_pipeline_indexes_the_snapshot_only_when_a_query_falls_back(mon
     pipeline = _fact_pipeline()
     built = _record_builds(monkeypatch)
     assert pipeline.retrieve("report friday").scoped_session_ids
-    assert len(built) == len(pipeline._session_index) and pipeline._snapshot_pool is None
+    assert len(built) == len(pipeline._session_index) and pipeline._snapshot_bm25 is None
     sessions = len(built)
     for _ in range(2):
         assert pipeline.retrieve("nowhere").fallback_unscoped
@@ -492,10 +508,10 @@ def test_length_norms_are_built_once_per_snapshot_with_its_index(monkeypatch):
     unscoped = _fact_pipeline(None)
     for query in ("report friday", "nowhere", "report friday"):
         unscoped.retrieve(query)
-    assert len(normed) == 1 and normed[0] is unscoped._snapshot_pool[0].index
+    assert len(normed) == 1 and normed[0] is unscoped._snapshot_bm25.index
     for _ in range(2):
         assert scoped.retrieve("nowhere").fallback_unscoped
-    assert len(normed) == 2 and normed[1] is scoped._snapshot_pool[0].index
+    assert len(normed) == 2 and normed[1] is scoped._snapshot_bm25.index
 
 
 def test_stage1_builds_postings_arrays_only_for_query_terms_and_once():
@@ -513,7 +529,7 @@ def test_stage1_builds_postings_arrays_only_for_query_terms_and_once():
     # The whole snapshot keeps its contributions the same way.
     unscoped = _fact_pipeline(None)
     first = unscoped.retrieve("report note nowhere report")
-    bm25 = unscoped._snapshot_pool[0]
+    bm25 = unscoped._snapshot_bm25
     assert set(bm25._terms) == {"report", "note"}  # "nowhere" is in no entry
     built = dict(bm25._terms)
     again = unscoped.retrieve("report note nowhere report")

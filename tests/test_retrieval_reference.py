@@ -441,10 +441,16 @@ def test_ids_shared_across_sessions_raise_on_every_whole_pool_query(mode):
         for query in ("report", "nowhere", "report"):
             with pytest.raises(ValidationError, match="duplicate doc_id: 'x'"):
                 pipeline.retrieve(query)
-    # A scoped pool holds each id once, so it ranks.
+    # A scoped pool of s1 alone holds each id once, so it ranks; a pool of
+    # both sessions holds "x" twice and raises, on the repeat too.
+    facts.append(make_fact(fact_id="f2", subject="blue", value="bike", session_ids=("s1", "s2")))
     scoped = RetrievalPipeline(RetrievalConfig(stage1_k1=2, mode=mode), entries=entries,
                                facts=facts, embedder=HashedBowEmbedder())
-    assert {r.entry.id for r in scoped.retrieve("soup lunch").ranked} == {"x", "y"}
+    for _ in range(2):
+        assert {r.entry.id for r in scoped.retrieve("soup lunch").ranked} == {"x", "y"}
+        for query in ("blue bike", "soup blue"):
+            with pytest.raises(ValidationError, match="duplicate doc_id: 'x'"):
+                scoped.retrieve(query)
 
 
 SESSIONS = [f"s{i}" for i in range(12)]

@@ -198,8 +198,9 @@ def test_log1p():
 
 
 def test_empty_pool_rejected():
-    with pytest.raises(ValidationError):
-        normalise_scores([], Variant.MINMAX)
+    for empty in ([], np.array([])):
+        with pytest.raises(ValidationError):
+            normalise_scores(empty, Variant.MINMAX)
 
 
 def test_raw_passthrough():
