@@ -156,7 +156,10 @@ _number = _typed(int, float)
 
 
 def _float(value) -> float:
-    return float(_number(value))
+    try:
+        return float(_number(value))
+    except OverflowError:  # an int beyond the float range
+        raise ValidationError("number beyond the float range") from None
 
 
 def _weights(value) -> WeightVector:

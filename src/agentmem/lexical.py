@@ -17,24 +17,22 @@ Two indexes never change for the life of a retrieval snapshot: its fact
 index and its whole-snapshot entry index. Their N, average length and every
 document frequency are fixed, so each posting's contribution, ``idf * tf *
 (K1 + 1) / (tf + length norm)``, is the same float on every query: the
-per-posting "impact" of Anh & Moffat (SIGIR 2006). ``Bm25Columns`` and
-``Bm25Positions`` compute a term's contributions the first time a query
-uses the term, keep them, and only add them on every later query, so a
-snapshot that answers one query pays what a walk of the postings costs, and
-each query after it pays for its new terms only. ``Bm25Columns`` gives the
-sums as a numpy column over every document, sorted by id: stage 1 scores
-the fact index this way and takes the facts best-first by partial
-selection, sorting only the top few. ``Bm25Positions`` adds them by
-position into a float64 buffer that numpy then reads in place, so no list
-of Python floats is unboxed: stage 2 scores the whole snapshot, the pool of
-a query that stage 1 scopes to no session, this way.
+per-posting "impact" of Anh & Moffat (SIGIR 2006). ``Bm25Columns`` computes
+a term's contributions as arrays the first time a query uses the term,
+keeps them, and only adds them on every later query, so a snapshot that
+answers one query pays what a walk of the postings costs, and each query
+after it pays for its new terms only. It gives the sums as a float64 column
+over every document, sorted by id. Stage 1 scores the fact index this way
+and takes the facts best-first by partial selection, sorting only the top
+few. Stage 2 scores the whole snapshot, the pool of a query that stage 1
+scopes to no session, this way too: that index is keyed by the positions
+0..N-1, so its column is in snapshot order.
 
 A scoped stage-2 pool, the entries of a few sessions, is scored by
 ``pool_scores`` over those sessions' indexes and keeps nothing: its N and
 document frequencies count only the sessions in it, so a contribution holds
 for one pool only. ``rank`` is ``pool_scores`` fully sorted, and
-``bm25_score`` is the per-document reference all of them are tested
-against.
+``bm25_score`` is the per-document reference both are tested against.
 
 Scores are left unnormalised on purpose: downstream scoring applies its own
 normalisation variants, and the decay-bypass rule thresholds the raw value.
@@ -45,7 +43,6 @@ from __future__ import annotations
 import math
 import re
 import string
-from array import array
 from collections import defaultdict
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -152,11 +149,13 @@ def pool_scores(
     ``==`` to ``bm25_score`` over one ``build_index`` of all their texts,
     as each document's sum runs over the query terms in the same order.
 
-    Scoped stage-2 pools stay on dict postings rather than ``Bm25Columns``.
-    A scoped pool's N and document frequencies depend on which sessions are
-    in it, so no contribution can be kept across pools, and a column over
-    the whole snapshot, masked to the pool on every query, would cost more
-    than walking the pool's few hundred postings.
+    ``Bm25Columns``, the one scorer that keeps contributions, serves only
+    indexes that never change: the fact index and the whole snapshot.
+    Scoped stage-2 pools stay here, on dict postings. A scoped pool's N and
+    document frequencies depend on which sessions are in it, so no
+    contribution can be kept across pools, and a column over the whole
+    snapshot, masked to the pool on every query, would cost more than
+    walking the pool's few hundred postings.
     """
     n = sum(index.doc_count for index in indexes)
     avg = sum(index.total_len for index in indexes) / n if n else 0.0
@@ -174,65 +173,6 @@ def pool_scores(
     return scores
 
 
-def _length_norms(index: Bm25Index, doc_ids: Iterable[Hashable]) -> list[float]:
-    """``K1 * (1 - B + B * dl / avg)`` of each of ``doc_ids``, in their order,
-    or ``K1 * (1 - B)`` when avg is 0: the float ``pool_scores`` computes for
-    the document over ``index`` alone. Documents of one length share one
-    float."""
-    avg = index.avg_doc_len
-    by_len = {
-        dl: K1 * (1.0 - B + (B * dl / avg if avg > 0 else 0.0))
-        for dl in set(index.doc_len.values())
-    }
-    return [by_len[index.doc_len[doc]] for doc in doc_ids]
-
-
-class Bm25Positions:
-    """BM25 of one ``Bm25Index`` keyed by the positions 0..N-1, as a float64
-    column by position. Each value is ``==`` to ``pool_scores(query_tokens,
-    [index]).get(i, 0.0)``: the same contributions are added in the same
-    order, each the float ``pool_scores`` computes for that posting.
-
-    N, the average length and every df are fixed for the life of the index,
-    so a term's contribution to each document of its postings is too: it is
-    computed the first time a query uses the term, kept as ``{position:
-    contribution}``, and each later query only adds it. Two threads may
-    build one term at once; both store equal values.
-    """
-
-    def __init__(self, index: Bm25Index):
-        self.index = index
-        self._length_norm = _length_norms(index, range(index.doc_count))
-        self._terms: dict[str, dict[int, float]] = {}
-        self._zeros = array("d", bytes(8 * index.doc_count))
-
-    def _contributions(self, term: str) -> dict[int, float] | None:
-        contributions = self._terms.get(term)
-        if contributions is None:
-            postings = self.index.postings.get(term)
-            if postings is None:
-                return None
-            weight = _idf(self.index.doc_count, len(postings))
-            k1_plus_1, length_norm = K1 + 1.0, self._length_norm
-            contributions = {
-                doc: weight * f * k1_plus_1 / (f + length_norm[doc]) for doc, f in postings.items()
-            }
-            self._terms[term] = contributions
-        return contributions
-
-    def scores(self, query_tokens: Iterable[str]) -> np.ndarray:
-        """Raw BM25 of every document, in position order: a new float64
-        array on every call, read in place from the buffer the sums went
-        into, so no caller shares a result with another."""
-        scores = array("d", self._zeros)
-        for term in dict.fromkeys(query_tokens):
-            contributions = self._contributions(term)
-            if contributions is not None:
-                for doc, contribution in contributions.items():
-                    scores[doc] += contribution
-        return np.frombuffer(scores, dtype=np.float64)
-
-
 def rank(index: Bm25Index, query_tokens: Iterable[str]) -> list[tuple[Hashable, float]]:
     """Documents sharing a query term, sorted by (score desc, doc_id asc).
 
@@ -243,23 +183,32 @@ def rank(index: Bm25Index, query_tokens: Iterable[str]) -> list[tuple[Hashable, 
 
 
 class Bm25Columns:
-    """BM25 of one ``Bm25Index`` as a float column over its documents, which
-    are kept in sorted-id order. Each score is ``==`` to ``pool_scores`` over
-    that index alone: every document's sum runs over the query terms in the
-    same order, adding the same contributions.
+    """BM25 of one ``Bm25Index`` as a float64 column over its documents,
+    which are kept in sorted-id order. Each score is ``==`` to
+    ``pool_scores`` over that index alone: every document's sum runs over
+    the query terms in the same order, adding the same contributions, each
+    the float ``pool_scores`` computes for that posting.
 
-    As in ``Bm25Positions``, a term's contributions are fixed for the life of
-    the index. They become (positions, contributions) arrays the first time a
-    query uses the term and are kept; each later query only adds them into
-    its column. Two threads may build one term at once; both store equal
-    arrays.
+    N, the average length and every df are fixed for the life of the index,
+    so a term's contribution to each document of its postings is too. They
+    become (positions, contributions) arrays the first time a query uses the
+    term and are kept; each later query only adds them into a column of its
+    own. Two threads may build one term at once; both store equal arrays.
     """
 
     def __init__(self, index: Bm25Index):
         self.index = index
         self.doc_ids = sorted(index.doc_len)
         self._position = {doc: i for i, doc in enumerate(self.doc_ids)}
-        self._length_norm = np.array(_length_norms(index, self.doc_ids))
+        # K1 * (1 - B + B * dl / avg) of each document, or K1 * (1 - B) when
+        # avg is 0: the float pool_scores computes for it over this index
+        # alone. Documents of one length share one float.
+        avg = index.avg_doc_len
+        by_len = {
+            dl: K1 * (1.0 - B + (B * dl / avg if avg > 0 else 0.0))
+            for dl in set(index.doc_len.values())
+        }
+        self._length_norm = np.array([by_len[index.doc_len[doc]] for doc in self.doc_ids])
         self._terms: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def _contributions(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
@@ -277,8 +226,10 @@ class Bm25Columns:
         return arrays
 
     def scores(self, query_tokens: Iterable[str]) -> np.ndarray:
-        """Raw BM25 of every document, in ``doc_ids`` order. Every
-        contribution is > 0, so the positive scores are exactly the matches."""
+        """Raw BM25 of every document, in ``doc_ids`` order: a new float64
+        array on every call, so no caller shares a result with another.
+        Every contribution is > 0, so the positive scores are exactly the
+        matches."""
         scores = np.zeros(self.index.doc_count)
         for term in dict.fromkeys(query_tokens):
             arrays = self._contributions(term)

@@ -4,19 +4,19 @@ Stage 1 ranks semantic facts lexically and gathers the top distinct session
 ids. Stage 2 scores episodic entries inside those sessions with the
 composite formula and returns the top k, greedily packed into a token budget.
 
-BM25 has one form for both tiers, ``lexical.Bm25Index``: stage 1 ranks the
-fact index through ``lexical.Bm25Columns``. Stage 2 has two pools, picked by
-what stage 1 returned. A scoped query ranks the entries of its sessions; a
-query with no scope (``k1`` None, or a query whose facts name no session the
-snapshot holds) ranks the whole snapshot. A snapshot keeps its BM25
-indexes keyed by snapshot position: one per session for scoped pools, whose
-raw BM25 is ``lexical.pool_scores`` over their sessions' indexes, and one of
-every entry for the whole pool, scored by ``lexical.Bm25Positions`` into a
-float64 buffer by position, which numpy reads in place, with nothing
-sorted. The fact index and the whole pool never change within a snapshot,
-so each keeps every query term's per-document BM25 contributions from the
-first query that uses the term on; a scoped pool's N and document
-frequencies change with its sessions, so it keeps none.
+BM25 has one form for both tiers, ``lexical.Bm25Index``, and one cached
+scorer, ``lexical.Bm25Columns``: stage 1 ranks the fact index through it.
+Stage 2 has two pools, picked by what stage 1 returned. A scoped query ranks
+the entries of its sessions; a query with no scope (``k1`` None, or a query
+whose facts name no session the snapshot holds) ranks the whole snapshot. A
+snapshot keeps its BM25 indexes keyed by snapshot position: one per session
+for scoped pools, whose raw BM25 is ``lexical.pool_scores`` over their
+sessions' indexes, and one of every entry for the whole pool, scored by a
+second ``lexical.Bm25Columns``, whose float64 column is then in snapshot
+order, with nothing sorted. The fact index and the whole pool never change
+within a snapshot, so each keeps every query term's per-document BM25
+contributions from the first query that uses the term on; a scoped pool's N
+and document frequencies change with its sessions, so it keeps none.
 Stage 2 scores a pool as columns (``scoring.pool_signals``). The inputs no
 query changes, exp(-lambda * age), phi_cw, the tier multiplier and the
 timestamp, are kept per snapshot position, and a pool takes them by its
@@ -296,8 +296,12 @@ def stage2_retrieve(
     without them the ids are taken and checked here, and each entry's
     session is looked up in ``semantic_scope``. Callers must have excluded
     system entries already, and entry ids must be unique within the pool.
-    ``k=0`` means "use cfg.stage2_k"; ``k=None`` returns the full ranking.
+    ``k=0`` means "use cfg.stage2_k"; ``k=None`` returns the full ranking;
+    any other k that is not an int >= 0 (a bool included) raises
+    ValidationError.
     """
+    if k is not None and not (is_count(k) and k >= 0):
+        raise ValidationError(f"k must be None or an int >= 0, got {k!r}")
     if cfg.mode != MODE_BM25 and similarities is None:
         raise ValidationError(f"mode {cfg.mode!r} requires dense similarities")
     columns = (("similarities", similarities), ("raw_bm25", raw_bm25), ("in_scope", in_scope))
@@ -422,7 +426,7 @@ class RetrievalPipeline:
     as one index the first time a query needs it. A scoped pool is scored by
     ``lexical.pool_scores`` over its sessions' indexes, as its N and average
     length change with the sessions in it; the whole snapshot's are fixed,
-    so it is scored by one ``lexical.Bm25Positions``, which keeps each
+    so it is scored by one ``lexical.Bm25Columns``, which keeps each
     term's contributions for the snapshot's later queries. Every entry of a
     scoped pool is in scope and none of the whole pool is, so neither looks
     up a session per entry; the entry ids and whether they are distinct are
@@ -469,7 +473,7 @@ class RetrievalPipeline:
         self._signals = np.empty((len(self.entries), 4))
         # The whole snapshot's BM25 scorer, over an index keyed by position,
         # once a query needs it.
-        self._snapshot_bm25: lexical.Bm25Positions | None = None
+        self._snapshot_bm25: lexical.Bm25Columns | None = None
 
     @classmethod
     def from_store(
@@ -580,9 +584,10 @@ class RetrievalPipeline:
                 built[session] = lexical.build_index(docs)
         return [built[session] for session in sessions]
 
-    def _whole_snapshot_bm25(self) -> lexical.Bm25Positions:
-        """``lexical.Bm25Positions`` over one BM25 index of every entry,
-        keyed by position. Built once per snapshot together with every
+    def _whole_snapshot_bm25(self) -> lexical.Bm25Columns:
+        """``lexical.Bm25Columns`` over one BM25 index of every entry, keyed
+        by position, so its ``doc_ids`` are 0..N-1 and its column is in
+        snapshot order. Built once per snapshot together with every
         signal row, which are stored before the index; a snapshot whose
         signals raise stores nothing, so it raises again on the next query.
         Two threads may build at once; both store equal values."""
@@ -592,7 +597,7 @@ class RetrievalPipeline:
             index = lexical.build_index([(i, e.content) for i, e in enumerate(self.entries)])
             if rows:
                 self._signals[:] = rows
-            built = self._snapshot_bm25 = lexical.Bm25Positions(index)
+            built = self._snapshot_bm25 = lexical.Bm25Columns(index)
         return built
 
     def _similarities(self, query: str, pool: Sequence[EpisodicEntry], mode: str) -> list[float]:

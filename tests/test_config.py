@@ -104,6 +104,9 @@ def test_malformed_stage1_k1_rejected(tmp_path):
     "reader: {timeout: '3'}\n",
     "attribution: {alpha: true}\n",
     "train: {epochs: 2.0}\n",
+    # An int beyond the float range.
+    pytest.param("tiers: {procedural: 1" + "0" * 400 + "}\n", id="tiers-huge-int"),
+    pytest.param("weights: [0, 0.35, 0.25, 0.25, 1" + "0" * 400 + "]\n", id="weights-huge-int"),
 ])
 def test_malformed_values_rejected(tmp_path, text):
     path = tmp_path / "bad.yaml"

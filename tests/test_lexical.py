@@ -14,7 +14,6 @@ from agentmem.lexical import (
     _TOKEN_RE,
     K1,
     Bm25Columns,
-    Bm25Positions,
     B,
     bm25_score,
     build_index,
@@ -284,14 +283,17 @@ def test_pool_scores_equal_bm25_score_over_the_pool(texts, query, cuts):
 @example(["", "", ""], ["a", "z"])  # every document empty: avg 0
 @example(["a a b", "", "b c a", ""], ["a", "z", "a", "b", "z"])  # repeated and unknown terms
 def test_position_scores_equal_pool_scores_at_every_position(texts, query):
-    idx = build_index([(i, text) for i, text in enumerate(texts)])
-    positions = Bm25Positions(idx)
+    """Over an index keyed by the positions 0..N-1, as the whole snapshot's
+    is, the column is in position order."""
+    idx = build_index(list(enumerate(texts)))
+    columns = Bm25Columns(idx)
     expected = pool_scores(query, [idx])
-    scores = positions.scores(query)
+    scores = columns.scores(query)
+    assert columns.doc_ids == list(range(len(texts)))
     assert scores.dtype == np.float64
     assert scores.tolist() == [expected.get(i, 0.0) for i in range(len(texts))]
     if idx.avg_doc_len == 0:
-        assert positions._length_norm == [K1 * (1 - B)] * len(texts)
+        assert columns._length_norm.tolist() == [K1 * (1 - B)] * len(texts)
 
 
 @settings(max_examples=40, deadline=None)
@@ -332,12 +334,13 @@ def test_columns_equal_pool_scores_and_rank(texts, query):
 @example(ORDER_SENSITIVE[0], [ORDER_SENSITIVE[1], ["b", "z"], ORDER_SENSITIVE[1], ["f", "d", "f"]])
 @example(["", "a"], [["a"], ["z", "a"], ["a", "a"]])
 def test_cached_contributions_score_each_query_of_a_sequence_as_a_fresh_index(texts, queries):
-    """One ``Bm25Columns`` and one ``Bm25Positions`` answer a sequence of
-    queries with repeated, overlapping and unknown terms, so later queries
-    read back contributions that earlier ones cached. Each result equals
-    ``pool_scores`` over a fresh index, and ``ranked`` equals ``rank``."""
+    """One ``Bm25Columns`` keyed by id and one keyed by position answer a
+    sequence of queries with repeated, overlapping and unknown terms, so
+    later queries read back contributions that earlier ones cached. Each
+    result equals ``pool_scores`` over a fresh index, and ``ranked`` equals
+    ``rank``."""
     columns = Bm25Columns(build_index([(f"d{i}", text) for i, text in enumerate(texts)]))
-    positions = Bm25Positions(build_index([(i, text) for i, text in enumerate(texts)]))
+    positions = Bm25Columns(build_index(list(enumerate(texts))))
     for query in queries:
         by_id = build_index([(f"d{i}", text) for i, text in enumerate(texts)])
         expected = pool_scores(query, [by_id])
@@ -355,9 +358,9 @@ def test_cached_contributions_score_each_query_of_a_sequence_as_a_fresh_index(te
 
 
 def test_each_position_scores_result_is_a_fresh_array():
-    """A later query, on this thread or another, sums into a buffer of its
+    """A later query, on this thread or another, sums into a column of its
     own, so a result already returned keeps its values."""
-    positions = Bm25Positions(build_index(list(enumerate(["a b", "b c", "a a c", ""]))))
+    positions = Bm25Columns(build_index(list(enumerate(["a b", "b c", "a a c", ""]))))
     first = positions.scores(["a", "b"])
     kept = first.tolist()
     second = positions.scores(["c"])

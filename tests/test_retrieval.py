@@ -125,6 +125,21 @@ def test_stage2_rejects_similarities_of_another_length():
         stage2_retrieve(tokenize("blue"), entries, RetrievalConfig(mode="dense"), similarities=[1.0])
 
 
+@pytest.mark.parametrize("k", [-1, 2.5, True, False, "2"])
+def test_stage2_rejects_a_k_that_is_not_a_count(k):
+    entries = [make_entry(entry_id=f"e{i}", content="same words") for i in range(5)]
+    with pytest.raises(ValidationError):
+        stage2_retrieve(tokenize("same words"), entries, RetrievalConfig(), k=k)
+    with pytest.raises(ValidationError):
+        stage2_retrieve(tokenize("same words"), [], RetrievalConfig(), k=k)
+
+
+def test_stage2_k_counts_entries_and_zero_takes_the_config():
+    entries = [make_entry(entry_id=f"e{i}", content="same words") for i in range(5)]
+    cfg = RetrievalConfig(stage2_k=3)
+    assert [len(stage2_retrieve(["same"], entries, cfg, k=k)) for k in (0, 2, None)] == [3, 2, 5]
+
+
 @pytest.mark.parametrize("variant", list(Variant))
 def test_stage2_ranks_a_raw_bm25_array_as_the_same_values_in_a_list(variant):
     """The whole-snapshot pool hands stage 2 its BM25 as a float64 array;
@@ -492,15 +507,44 @@ def test_a_scoped_pipeline_indexes_the_snapshot_only_when_a_query_falls_back(mon
     assert built[sessions:] == [list(range(len(pipeline.entries)))]
 
 
+def test_whole_snapshot_column_is_in_snapshot_position_order():
+    """The ids e0..e13 sort as strings (e0, e1, e10, ..., e13, e2, ...) in
+    another order than their positions; the whole snapshot's column, and
+    the raw BM25 each ranked entry reports, follow the positions."""
+    words = ["report", "lunch", "deadline", "bike", "soup", "friday", "blue"]
+    entries = [
+        make_entry(entry_id=f"e{i}", session_id=f"s{i % 3}",
+                   content=" ".join(words[j % 7] for j in range(i, i + 1 + i % 4)))
+        for i in range(14)
+    ]
+    pipeline = RetrievalPipeline(
+        RetrievalConfig(stage1_k1=None, stage2_k=len(entries)), entries=entries, facts=[]
+    )
+    assert sorted(pipeline._ids) != pipeline._ids
+    by_position = lexical.build_index([(i, e.content) for i, e in enumerate(pipeline.entries)])
+    bm25 = pipeline._whole_snapshot_bm25()
+    assert bm25.doc_ids == list(range(len(entries)))
+    for query in (["report"], ["lunch", "blue", "report"], ["friday", "bike"], ["nowhere"]):
+        expected = lexical.pool_scores(query, [by_position])
+        assert bm25.scores(query).tolist() == [expected.get(i, 0.0) for i in range(len(entries))]
+        ranked = pipeline.retrieve(" ".join(query)).ranked
+        assert {r.entry.id: r.breakdown.phi_bm25_raw for r in ranked} == {
+            e.id: expected.get(i, 0.0) for i, e in enumerate(pipeline.entries)
+        }
+
+
 def test_length_norms_are_built_once_per_snapshot_with_its_index(monkeypatch):
+    """Counts the ``Bm25Columns`` built over an entry index, keyed by
+    position; the fact index, keyed by fact id, builds one too."""
     normed = []
-    real = lexical.Bm25Positions
+    real = lexical.Bm25Columns
 
     def recording(index):
-        normed.append(index)
+        if all(isinstance(doc, int) for doc in index.doc_len):
+            normed.append(index)
         return real(index)
 
-    monkeypatch.setattr(lexical, "Bm25Positions", recording)
+    monkeypatch.setattr(lexical, "Bm25Columns", recording)
     scoped = _fact_pipeline()
     for query in ("report friday", "lunch soup blue", "deadline v1 note"):
         assert scoped.retrieve(query).scoped_session_ids
