@@ -84,7 +84,6 @@ from .store import (
     CwLedgerRecord,
     EpisodicEntry,
     MemoryStore,
-    PromotionRecord,
     SemanticFact,
 )
 

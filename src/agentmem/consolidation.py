@@ -3,10 +3,12 @@
 A consolidation pass walks every session that still has unpromoted entries
 and hands the session transcript to an extractor. It then appends the facts
 of all those sessions to the semantic tier in one write and marks their
-entries promoted in one more, so a crash in between leaves the whole pass to
-be redone (the facts dedupe by id) and a concurrent snapshot sees none or all
-of the pass's facts. Extractors are question-blind by construction: the
-interface only ever sees the session id and transcript.
+entries promoted with one more, a single promotion line that lists every
+entry id of the pass. A crash in between, or one that tears that line,
+leaves the whole pass to be redone (the facts dedupe by id), and a
+concurrent snapshot sees none or all of the pass's facts. Extractors are
+question-blind by construction: the interface only ever sees the session id
+and transcript.
 
 The built-in extractor is pure pattern matching (no model call) with a fixed
 coarse relation vocabulary: kv, is_a, prefers, mentioned_in. Most lines match
@@ -29,6 +31,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Protocol
 
+from .errors import ValidationError, is_finite_number
 from .store import MemoryStore, SemanticFact, utc_now
 
 RELATION_KV = "kv"
@@ -131,10 +134,11 @@ def run_consolidation_pass(
     so rerunning over unchanged data emits nothing. An extractor failure on one
     session is recorded and the pass continues.
 
-    The facts of every session go to the semantic tier in one append, then the
-    promotion marks in one more, in sorted session order; the facts' created_at
-    is one instant per pass. A snapshot taken while the pass runs therefore
-    sees either none of the pass's facts or all of them."""
+    The facts of every session go to the semantic tier in one append, then one
+    promotion line with the ids of every entry promoted, in sorted session
+    order; the facts' created_at is one instant per pass. A snapshot taken
+    while the pass runs therefore sees either none of the pass's facts or all
+    of them."""
     started = time.perf_counter()
     report = ConsolidationReport()
     loaded = store.load_entries(project)
@@ -144,7 +148,7 @@ def run_consolidation_pass(
 
     now = utc_now()
     facts: list[SemanticFact] = []
-    pairs: list[tuple[str, str]] = []
+    entry_ids: list[str] = []
     for session_id in sorted(by_session):
         entries = by_session[session_id]
         pending = [e for e in entries if not e.promoted]
@@ -158,7 +162,7 @@ def run_consolidation_pass(
             report.failures.append((session_id, str(exc)))
             continue
         session_ids = frozenset({session_id})
-        session_facts = [
+        facts.extend(
             SemanticFact(  # positional, in field order: the cheaper call
                 fact_id_for(session_id, draft),
                 draft.subject,
@@ -168,18 +172,16 @@ def run_consolidation_pass(
                 now,
             )
             for draft in drafts
-        ]
-        facts.extend(session_facts)
-        first_fact_id = session_facts[0].id if session_facts else ""
-        pairs.extend((entry.id, first_fact_id) for entry in pending)
+        )
+        entry_ids.extend(entry.id for entry in pending)
 
-    if pairs:
+    if entry_ids:
         # Facts before promotions: a crash in between leaves every session of
         # the pass unpromoted, and the next pass re-extracts them with the same
         # fact ids.
         report.facts_emitted = store.append_facts(facts)
-        store.promote_many(pairs)
-        report.entries_promoted = len(pairs)
+        store.promote_many(entry_ids)
+        report.entries_promoted = len(entry_ids)
 
     report.duration_seconds = time.perf_counter() - started
     return report
@@ -192,8 +194,10 @@ class ConsolidationDaemon:
     text of the latest such exception and ``last_error_at`` its UTC time."""
 
     def __init__(self, interval_seconds: float, pass_fn: Callable[[], object]):
-        if interval_seconds <= 0:
-            raise ValueError("interval must be > 0")
+        if not is_finite_number(interval_seconds) or interval_seconds <= 0:
+            raise ValidationError(
+                f"interval_seconds must be a finite number > 0: {interval_seconds!r}"
+            )
         self.interval = interval_seconds
         self._fn = pass_fn
         self._stop = threading.Event()

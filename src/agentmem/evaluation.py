@@ -23,7 +23,7 @@ from typing import Protocol
 from . import attribution as attribution_mod
 from .config import RETRIEVAL_ALIASES, load
 from .consolidation import Extractor, HeuristicExtractor, run_consolidation_pass
-from .errors import ValidationError
+from .errors import ValidationError, is_count
 from .retrieval import (
     Embedder,
     HashedBowEmbedder,
@@ -99,12 +99,16 @@ def token_f1(prediction: str, gold: str) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
+def _require_k(k: int) -> None:
+    if not is_count(k) or k < 1:
+        raise ValidationError(f"k must be an int >= 1: {k!r}")
+
+
 def recall_at_k(
     retrieved: Sequence[EpisodicEntry], gold_session_ids: Iterable[str], k: int
 ) -> int:
     """1 iff any of the top-k entries belongs to a gold evidence session."""
-    if k < 1:
-        raise ValidationError("k must be >= 1")
+    _require_k(k)
     gold = set(gold_session_ids)
     return int(any(e.session_id in gold for e in retrieved[:k]))
 
@@ -113,8 +117,7 @@ def ndcg_at_k(
     retrieved: Sequence[EpisodicEntry], gold_session_ids: Iterable[str], k: int
 ) -> float:
     """Binary-relevance nDCG: an entry is relevant iff its session is gold."""
-    if k < 1:
-        raise ValidationError("k must be >= 1")
+    _require_k(k)
     gold = set(gold_session_ids)
     relevance = [1 if e.session_id in gold else 0 for e in retrieved]
     dcg = sum(rel / math.log2(i + 1) for i, rel in enumerate(relevance[:k], start=1))
@@ -125,6 +128,8 @@ def ndcg_at_k(
 
 def wilson_ci(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
+    if not (is_count(successes) and is_count(n)):
+        raise ValidationError(f"successes and n must be ints: {successes!r}, {n!r}")
     if n < 1:
         raise ValidationError("n must be >= 1")
     if not 0 <= successes <= n:

@@ -16,8 +16,11 @@ rewritten; cognitive weight and promotion live in the replayed sidecar ledgers.
 One streaming reader splits every file on ``\\n`` only; a line that is not
 UTF-8 JSON or lacks or mistypes a required field is skipped and counted.
 Each write is one append per file; a consolidation pass makes one append to
-the fact file and one to the promotion ledger. An append that finds a torn
-last line (a crash mid-append) ends it first, so only the fragment is lost.
+the fact file and one to the promotion ledger. A promotion line lists every
+entry id of one ``promote_many`` call (``entry_ids``, ``promoted_at``); an
+older line names one entry (``entry_id``, ``fact_id``, ``promoted_at``) and
+replays the same way. An append that finds a torn last line (a crash
+mid-append) ends it first, so only the fragment is lost.
 
 A store instance keeps one view per file: the file's inode, the byte offset
 after the last complete line it parsed, and what those lines hold (entries
@@ -142,9 +145,9 @@ def _fact_line(fact: "SemanticFact", created_at: str) -> str:
     )
 
 
-def _promotion_line(entry_id: str, fact_id: str, promoted_at: str) -> str:
+def _promotion_line(entry_ids: Iterable[str], promoted_at: str) -> str:
     return (
-        f'{{"entry_id":{_json(entry_id)},"fact_id":{_json(fact_id)},'
+        f'{{"entry_ids":[{",".join(map(_json, entry_ids))}],'
         f'"promoted_at":"{promoted_at}"}}'
     )
 
@@ -286,16 +289,6 @@ class CwLedgerRecord:
         )
 
 
-@dataclass(frozen=True)
-class PromotionRecord:
-    entry_id: str
-    fact_id: str
-    promoted_at: datetime
-
-    def to_line(self) -> str:
-        return _promotion_line(self.entry_id, self.fact_id, self.promoted_at.isoformat())
-
-
 @dataclass
 class LoadedEntries:
     entries: list[EpisodicEntry]
@@ -340,6 +333,18 @@ def _ledger_entry_id(record: dict) -> str:
     if type(entry_id) is not str:
         raise ValidationError(f"mistyped entry_id: {entry_id!r}")
     return entry_id
+
+
+def _promoted_ids(record: dict) -> Sequence[str]:
+    """The entry ids one promotion line names: all of a line's ``entry_ids``,
+    or none when that is not a list of strings; an older line names one, its
+    ``entry_id``."""
+    if "entry_ids" not in record:
+        return (_ledger_entry_id(record),)
+    entry_ids = record["entry_ids"]
+    if type(entry_ids) is not list or not all(type(i) is str for i in entry_ids):
+        raise ValidationError(f"mistyped entry_ids: {entry_ids!r}")
+    return entry_ids
 
 
 def _cw_delta(record: dict) -> tuple[str, float]:
@@ -501,13 +506,14 @@ class _WeightView(_View):
 
 
 class _PromotedView(_View):
-    """The entry ids that promotion lines name."""
+    """The entry ids that promotion lines name, folded one line's ids at a time."""
 
     def clear(self) -> None:
         self.state: set[str] = set()
 
-    def extend(self, entry_ids: Iterable[str]) -> None:
-        self.state.update(entry_ids)
+    def extend(self, groups: Iterable[Iterable[str]]) -> None:
+        for entry_ids in groups:
+            self.state.update(entry_ids)
 
 
 class MemoryStore:
@@ -531,7 +537,7 @@ class MemoryStore:
         self._day_views: dict[str, _RecordView] = {}
         self._facts = _RecordView(self.facts_path, SemanticFact.from_dict, {})
         self._weights = _WeightView(self.cw_ledger_path, _cw_delta)
-        self._promoted = _PromotedView(self.promotions_path, _ledger_entry_id)
+        self._promoted = _PromotedView(self.promotions_path, _promoted_ids)
 
     # -- files ------------------------------------------------------------
 
@@ -697,8 +703,12 @@ class MemoryStore:
 
         ``agent_view=None`` is the orchestrator view (all agents); passing an
         agent id restricts the result to that agent's own entries. Corrupt
-        lines are skipped and counted, never fatal.
+        lines are skipped and counted, never fatal. ``sessions`` is a
+        collection of session ids; a ``str`` raises ValidationError, as it
+        would otherwise be taken as a set of its characters.
         """
+        if isinstance(sessions, str):
+            raise ValidationError(f"sessions must be a collection of ids, not a str: {sessions!r}")
         session_filter = frozenset(sessions) if sessions is not None else None
         entries = []
         skipped = 0
@@ -794,18 +804,22 @@ class MemoryStore:
             self._append(self._weights, _encode(lines), pairs)
         return new_values
 
-    def promote(self, entry_id: str, fact_id: str) -> None:
-        self.promote_many([(entry_id, fact_id)])
+    def promote(self, entry_id: str) -> None:
+        self.promote_many([entry_id])
 
-    def promote_many(self, pairs: Iterable[tuple[str, str]]) -> None:
-        """Mark entries promoted with one append to the promotions ledger. An
-        unknown entry id raises ``NotFoundError`` before anything is written."""
-        pairs = list(pairs)
+    def promote_many(self, entry_ids: Iterable[str]) -> None:
+        """Mark entries promoted with one line, ``{"entry_ids": [...],
+        "promoted_at": ...}``, appended to the promotions ledger; no ids write
+        nothing. A torn line parses as no line, so a crash mid-append promotes
+        all of the ids or none. An unknown entry id raises ``NotFoundError``
+        before anything is written."""
+        entry_ids = list(entry_ids)
+        if not entry_ids:
+            return
         with self._lock:
-            self._require_entries(entry_id for entry_id, _ in pairs)
-            promoted_at = utc_now().isoformat()
-            lines = [_promotion_line(entry_id, fact_id, promoted_at) for entry_id, fact_id in pairs]
-            self._append(self._promoted, _encode(lines), [entry_id for entry_id, _ in pairs])
+            self._require_entries(entry_ids)
+            line = _promotion_line(entry_ids, utc_now().isoformat())
+            self._append(self._promoted, _encode([line]), [entry_ids])
 
     def promoted_entry_ids(self) -> set[str]:
         with self._lock:

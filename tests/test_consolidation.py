@@ -13,6 +13,7 @@ from agentmem.consolidation import (
     _ENTITY_RE,
     _IS_RE,
     _PREFERS_RE,
+    ConsolidationDaemon,
     FactDraft,
     HeuristicExtractor,
     _trim,
@@ -20,6 +21,7 @@ from agentmem.consolidation import (
     run_consolidation_pass,
     schedule,
 )
+from agentmem.errors import ValidationError
 from agentmem.evaluation import BENCH_PROJECT, ingest_question, load_dataset
 from agentmem.retrieval import RetrievalConfig, RetrievalPipeline
 from agentmem.store import MemoryStore
@@ -233,11 +235,11 @@ def test_crash_between_fact_and_promotion_appends_is_redone(store, monkeypatch):
     original = MemoryStore.promote_many
     crashes = []
 
-    def crash_once(self, pairs):
+    def crash_once(self, entry_ids):
         if not crashes:
             crashes.append(True)
             raise OSError("crash before the promotion append")
-        original(self, pairs)
+        original(self, entry_ids)
 
     monkeypatch.setattr(MemoryStore, "promote_many", crash_once)
     with pytest.raises(OSError):
@@ -247,6 +249,21 @@ def test_crash_between_fact_and_promotion_appends_is_redone(store, monkeypatch):
     assert MemoryStore(store.root).promoted_entry_ids() == set()
 
     report = run_consolidation_pass(store, HeuristicExtractor(), "proj")
+    assert (report.facts_emitted, report.entries_promoted) == (0, 12)
+    assert len(MemoryStore(store.root).promoted_entry_ids()) == 12
+    assert store.facts_path.read_bytes() == facts
+
+
+def test_pass_writes_one_promotion_line_and_a_torn_one_is_redone(store):
+    _four_sessions(store)
+    run_consolidation_pass(store, HeuristicExtractor(), "proj")
+    (line,) = store.promotions_path.read_text().splitlines()
+    assert json.loads(line)["entry_ids"] == [f"s{i}-{j}" for i in range(4) for j in range(3)]
+    facts = store.facts_path.read_bytes()
+    store.promotions_path.write_text(line[:-1])  # a crash tore the pass's line
+    assert MemoryStore(store.root).promoted_entry_ids() == set()
+
+    report = run_consolidation_pass(MemoryStore(store.root), HeuristicExtractor(), "proj")
     assert (report.facts_emitted, report.entries_promoted) == (0, 12)
     assert len(MemoryStore(store.root).promoted_entry_ids()) == 12
     assert store.facts_path.read_bytes() == facts
@@ -292,6 +309,25 @@ def test_pipeline_snapshot_isolated_from_pass(store):
 
 
 # -- scheduling -------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "interval", [0, -1, 0.0, float("nan"), float("inf"), -float("inf"), True, "1", None, 10**400],
+    ids=["zero", "negative", "zero-float", "nan", "inf", "minus-inf", "bool", "string", "none",
+         "beyond-float"],
+)
+def test_daemon_rejects_an_interval_that_is_not_a_finite_positive_number(interval):
+    with pytest.raises(ValidationError, match="interval_seconds"):
+        ConsolidationDaemon(interval, lambda: None)
+    with pytest.raises(ValidationError, match="interval_seconds"):
+        schedule(interval, lambda: None)
+
+
+def test_daemon_accepts_a_finite_positive_interval():
+    daemon = ConsolidationDaemon(0.5, lambda: None)  # built, never started
+    assert daemon.interval == 0.5
+    assert ConsolidationDaemon(2, lambda: None).interval == 2
+    assert not daemon._thread.is_alive()
+
 
 def test_daemon_runs_at_interval():
     count = {"n": 0}

@@ -127,6 +127,17 @@ def test_ndcg_no_relevant():
     assert ndcg_at_k(_ranked(["x", "y"]), ["g"], 4) == 0.0
 
 
+@pytest.mark.parametrize("k", [0, -1, 2.5, 1.0, True, False, "2", None],
+                         ids=["zero", "negative", "float", "integral-float", "true", "false",
+                              "string", "none"])
+def test_ranking_metrics_reject_a_k_that_is_not_a_count(k):
+    retrieved = _ranked(["g", "x"])
+    with pytest.raises(ValidationError, match="k must be an int >= 1"):
+        recall_at_k(retrieved, ["g"], k)
+    with pytest.raises(ValidationError, match="k must be an int >= 1"):
+        ndcg_at_k(retrieved, ["g"], k)
+
+
 # -- Wilson ------------------------------------------------------------------------------
 
 def test_wilson_headline_interval():
@@ -150,6 +161,17 @@ def test_wilson_zero_successes():
 def test_wilson_rejects_empty_sample():
     with pytest.raises(ValidationError):
         wilson_ci(0, 0)
+
+
+@pytest.mark.parametrize(
+    "successes, n",
+    [(1, 2.5), (1.0, 2), (1, 2.0), (True, 2), (1, True), ("1", 2), (1, None)],
+    ids=["n-float", "successes-float", "n-integral-float", "successes-bool", "n-bool",
+         "successes-string", "n-none"],
+)
+def test_wilson_rejects_counts_that_are_not_ints(successes, n):
+    with pytest.raises(ValidationError, match="must be ints"):
+        wilson_ci(successes, n)
 
 
 # -- dataset -----------------------------------------------------------------------------

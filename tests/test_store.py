@@ -118,6 +118,14 @@ def test_session_scope_filter(store):
     assert [e.id for e in got] == ["e2"]
 
 
+def test_session_scope_rejects_a_string(store):
+    store.append_entries([make_entry(entry_id="e1", session_id="s"),
+                          make_entry(entry_id="e2", session_id="s1")])
+    with pytest.raises(ValidationError, match="sessions"):
+        store.load_entries("proj", sessions="s1")
+    assert [e.id for e in store.load_entries("proj", sessions=("s1",))] == ["e2"]
+
+
 def test_corrupt_lines_skipped_and_counted(store):
     store.append_entry(make_entry(entry_id="good"))
     (path,) = store.episodic_dir.glob("*.jsonl")
@@ -172,7 +180,7 @@ def test_unicode_line_separators_round_trip(store):
         (lambda s: next(s.episodic_dir.glob("*.jsonl")), EpisodicEntry.from_dict, (3, 0)),
         (lambda s: s.facts_path, SemanticFact.from_dict, (0, 3)),
         (lambda s: s.cw_ledger_path, store_mod._cw_delta, (0, 0)),
-        (lambda s: s.promotions_path, store_mod._ledger_entry_id, (0, 0)),
+        (lambda s: s.promotions_path, store_mod._promoted_ids, (0, 0)),
     ],
     ids=["episodic", "facts", "cw_ledger", "promotions"],
 )
@@ -180,7 +188,7 @@ def test_bad_lines_are_skipped_and_counted_in_every_file(store, path_of, parse, 
     store.append_entry(make_entry(entry_id="e1"))
     store.append_fact(make_fact(fact_id="f1"))
     store.apply_cw_delta("e1", 0.5, 1.0)
-    store.promote("e1", "f1")
+    store.promote("e1")
     path = path_of(store)
     with path.open("a") as handle:
         handle.write('{not json\n[1, 2]\n{"no_key": 1}\n')
@@ -242,12 +250,22 @@ def test_mistyped_field_is_a_skipped_line(store, path_of, key, value):
         (lambda s: s.cw_ledger_path, store_mod._cw_delta, {"entry_id": "e1", "delta": float("inf")}),
         (lambda s: s.cw_ledger_path, store_mod._cw_delta, {"entry_id": "e1", "delta": -float("inf")}),
         (lambda s: s.cw_ledger_path, store_mod._cw_delta, {"entry_id": "e1", "delta": 10**400}),
-        (lambda s: s.promotions_path, store_mod._ledger_entry_id, {"entry_id": ["e1"]}),
-        (lambda s: s.promotions_path, store_mod._ledger_entry_id, {"entry_id": 1}),
+        (lambda s: s.promotions_path, store_mod._promoted_ids, {"entry_id": ["e1"]}),
+        (lambda s: s.promotions_path, store_mod._promoted_ids, {"entry_id": 1}),
+        (lambda s: s.promotions_path, store_mod._promoted_ids, {"entry_ids": "e1"}),
+        (lambda s: s.promotions_path, store_mod._promoted_ids, {"entry_ids": ["e1", 1]}),
+        (lambda s: s.promotions_path, store_mod._promoted_ids, {"entry_ids": ["e1", ["e1"]]}),
+        (lambda s: s.promotions_path, store_mod._promoted_ids, {"entry_ids": {"e1": 1}}),
+        (lambda s: s.promotions_path, store_mod._promoted_ids, {"entry_ids": None}),
+        (lambda s: s.promotions_path, store_mod._promoted_ids,
+         {"entry_ids": "e1", "entry_id": "e1"}),
     ],
     ids=["delta-string", "delta-bool", "cw-entry_id-list", "delta-nan", "delta-inf",
          "delta-minus-inf", "delta-beyond-float", "promotion-entry_id-list",
-         "promotion-entry_id-int"],
+         "promotion-entry_id-int", "promotion-entry_ids-string",
+         "promotion-entry_ids-int-member", "promotion-entry_ids-list-member",
+         "promotion-entry_ids-object", "promotion-entry_ids-null",
+         "promotion-entry_ids-string-beside-entry_id"],
 )
 def test_mistyped_ledger_line_is_skipped(store, path_of, parse, record):
     store.append_entries([make_entry(entry_id="e1"), make_entry(entry_id="['e1']")])
@@ -265,12 +283,12 @@ def test_mistyped_ledger_line_is_skipped(store, path_of, parse, record):
 def test_append_after_memory_dir_deleted_recreates_it(store):
     store.append_entry(make_entry(entry_id="e1"))
     store.append_fact(make_fact(fact_id="f1"))
-    store.promote("e1", "f1")
+    store.promote("e1")
     shutil.rmtree(store.memory_dir)
     store.append_entry(make_entry(entry_id="e2"))
     store.append_fact(make_fact(fact_id="f2"))
     store.apply_cw_delta("e2", 0.5, 1.0)
-    store.promote("e2", "f2")
+    store.promote("e2")
     fresh = MemoryStore(store.root)
     assert [(e.id, e.cognitive_weight, e.promoted) for e in fresh.load_entries("proj")] == [
         ("e2", 0.5, True)
@@ -331,8 +349,8 @@ def test_to_line_equals_the_json_dumps_it_replaced(text, ts, tokens, weight, pro
         {"entry_id": entry_id, "delta": delta, "reward": reward, "applied_at": ts.isoformat()},
         separators=(",", ":"),
     )
-    assert store_mod.PromotionRecord(entry_id, value, ts).to_line() == json.dumps(
-        {"entry_id": entry_id, "fact_id": value, "promoted_at": ts.isoformat()},
+    assert store_mod._promotion_line([entry_id, value], ts.isoformat()) == json.dumps(
+        {"entry_ids": [entry_id, value], "promoted_at": ts.isoformat()},
         separators=(",", ":"),
     )
 
@@ -575,24 +593,98 @@ def test_append_facts_dedupes_within_batch_and_against_file(store):
 
 def test_promotion_is_ledger_derived(store):
     store.append_entry(make_entry(entry_id="e1"))
-    store.promote("e1", "f1")
+    store.promote("e1")
     assert store.load_entries("proj").entries[0].promoted is True
     assert MemoryStore(store.root).load_entries("proj").entries[0].promoted is True
 
 
-def test_promote_many_marks_every_entry(store):
+def test_promote_many_marks_every_entry(store, frozen_clock):
     store.append_entries([make_entry(entry_id="e1"), make_entry(entry_id="e2")])
-    store.promote_many([("e1", "f1"), ("e2", "f1")])
+    store.promote_many(["e1", "e2"])
     assert MemoryStore(store.root).promoted_entry_ids() == {"e1", "e2"}
-    assert len(store.promotions_path.read_text().splitlines()) == 2
+    assert store.promotions_path.read_text().splitlines() == [json.dumps(
+        {"entry_ids": ["e1", "e2"], "promoted_at": frozen_clock.isoformat()},
+        separators=(",", ":"),
+    )]
+
+
+def test_promote_many_of_no_ids_writes_nothing(store):
+    store.append_entries([make_entry(entry_id="e1"), make_entry(entry_id="e2")])
+    store.promote_many([])
+    assert not store.promotions_path.exists()
+    store.promote("e1")
+    before = store.promotions_path.read_bytes()
+    store.promote_many(iter([]))
+    assert store.promotions_path.read_bytes() == before
+    assert MemoryStore(store.root).promoted_entry_ids() == {"e1"}
+
+
+_STAMP = "2025-03-01T09:00:00+00:00"
+# Lines of the older shape, one per entry; a session the extractor found no
+# fact in was promoted with fact_id "".
+_OLD_PROMOTIONS = [
+    {"entry_id": "e1", "fact_id": "f1", "promoted_at": _STAMP},
+    {"entry_id": "e2", "fact_id": "", "promoted_at": _STAMP},
+    {"entry_id": "e2", "fact_id": "f1", "promoted_at": _STAMP},
+]
+
+
+@pytest.mark.parametrize(
+    "records, want, skipped",
+    [
+        (_OLD_PROMOTIONS, {"e1", "e2"}, 0),
+        (_OLD_PROMOTIONS[:1] + [{"entry_ids": ["e3", "e4"], "promoted_at": _STAMP}]
+         + _OLD_PROMOTIONS[1:] + [{"entry_ids": [], "promoted_at": _STAMP}],
+         {"e1", "e2", "e3", "e4"}, 0),
+        (_OLD_PROMOTIONS + [{"entry_ids": ["e3", 4], "promoted_at": _STAMP},
+                            {"entry_ids": ["e4"], "promoted_at": _STAMP}],
+         {"e1", "e2", "e4"}, 1),
+    ],
+    ids=["old", "mixed", "mixed-with-a-malformed-line"],
+)
+def test_promotion_lines_of_both_shapes_replay(store, records, want, skipped):
+    """A workspace whose ledger an older writer began loads the promoted set
+    its lines name, in a fresh instance, a long-lived one and ``_read_jsonl``;
+    a line whose ``entry_ids`` is malformed promotes none of its ids."""
+    store.append_entries([make_entry(entry_id=f"e{i}") for i in range(6)])
+    store.load_entries("proj")  # this instance's views are read before the ledger exists
+    store.memory_dir.mkdir(parents=True, exist_ok=True)
+    store.promotions_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    groups, bad = MemoryStore._read_jsonl([store.promotions_path], store_mod._promoted_ids)
+    assert (set().union(*groups), bad) == (want, skipped)
+    for instance in (store, MemoryStore(store.root)):
+        assert instance.promoted_entry_ids() == want
+        assert {e.id for e in instance.load_entries("proj") if e.promoted} == want
+        assert instance._promoted.read().skipped == skipped
+    store.promote("e5")  # a new-shape line after the old ones
+    assert MemoryStore(store.root).promoted_entry_ids() == want | {"e5"}
+
+
+def test_a_torn_promotion_line_promotes_all_of_its_ids_or_none(tmp_path):
+    root = tmp_path / "ws"
+    store = MemoryStore(root)
+    store.append_entries([make_entry(entry_id=f"e{i}") for i in range(4)])
+    store.promote("e0")
+    head = store.promotions_path.read_bytes()
+    store.promote_many(["e1", "e2", "e3"])
+    line = store.promotions_path.read_bytes()[len(head):]
+    outcomes = set()
+    for cut in range(len(line) + 1):
+        store.promotions_path.write_bytes(head + line[:cut])
+        fresh = MemoryStore(root)
+        promoted = frozenset(fresh.promoted_entry_ids())
+        assert promoted in ({"e0"}, {"e0", "e1", "e2", "e3"}), cut
+        assert {e.id for e in fresh.load_entries("proj") if e.promoted} == promoted
+        outcomes.add(promoted)
+    assert len(outcomes) == 2
 
 
 def test_promote_many_with_an_unknown_id_writes_nothing(store):
     store.append_entries([make_entry(entry_id="e1"), make_entry(entry_id="e2")])
-    store.promote("e1", "f0")
+    store.promote("e1")
     before = store.promotions_path.read_bytes()
     with pytest.raises(NotFoundError):
-        store.promote_many([("e2", "f1"), ("ghost", "f1")])
+        store.promote_many(["e2", "ghost"])
     assert store.promotions_path.read_bytes() == before
     assert store.promoted_entry_ids() == {"e1"}
 

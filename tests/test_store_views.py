@@ -31,7 +31,7 @@ from conftest import BASE_TS, SYNTHETIC20, make_entry, make_fact
 # sha256 of every file (relative path, NUL, bytes; in path order) that
 # test_frozen_clock_writes_are_byte_identical makes. The encoding of these
 # files is a format: a change of this value is a change of the format.
-SYNTHETIC20_FILES_SHA256 = "ca7082a434d1b7443037af9522e385ee681ea08c33bc695ff14be05f47030a33"
+SYNTHETIC20_FILES_SHA256 = "7f0e8cd23b42799de1c4ed0139181bbedb2c8f0ff41068ab04fb8075a57b65d5"
 
 
 def _entry_fields(entry: EpisodicEntry) -> tuple:
@@ -72,7 +72,7 @@ def test_another_instances_weights_promotions_and_facts_are_seen(store):
     other = MemoryStore(store.root)
     store.load_entries("proj")  # this instance's views are read
     other.apply_cw_delta("e1", 0.5, 1.0)
-    other.promote("e2", "f1")
+    other.promote("e2")
     other.append_fact(make_fact(fact_id="f2"))
     assert [(e.id, e.cognitive_weight, e.promoted) for e in store.load_entries("proj")] == [
         ("e1", 0.5, False), ("e2", 0.0, True)
@@ -88,7 +88,7 @@ def test_entry_another_instance_appended_takes_deltas(store):
     store.apply_cw_delta("e1", 0.1, 1.0)  # this instance's id view is read
     MemoryStore(store.root).append_entry(make_entry(entry_id="e2"))
     assert store.apply_cw_delta("e2", 0.5, 1.0) == 0.5
-    store.promote_many([("e2", "f1")])
+    store.promote_many(["e2"])
     with pytest.raises(NotFoundError):
         store.apply_cw_delta("e3", 0.5, 1.0)
     _assert_like_fresh(store)
@@ -107,7 +107,7 @@ def test_id_another_instance_appended_is_a_duplicate(store):
 def test_own_appends_are_never_parsed_back(store, monkeypatch):
     store.append_entries([make_entry(entry_id=f"e{i}", days_ago=i % 3) for i in range(6)])
     store.append_facts([make_fact(fact_id="f1"), make_fact(fact_id="f2")])
-    store.promote_many([("e1", "f1")])
+    store.promote_many(["e1"])
     store.apply_cw_delta("e2", 0.5, 1.0)
     parses = []
     real = json.loads
@@ -245,6 +245,7 @@ _STEP = st.one_of(
     st.tuples(st.just("entries"), st.lists(_entry(), min_size=1, max_size=3)),
     st.tuples(st.just("facts"), st.lists(_fact(), min_size=1, max_size=3)),
     st.tuples(st.just("promote"), st.lists(_ENTRY_IDS, min_size=1, max_size=3)),
+    st.tuples(st.just("legacy"), st.lists(_ENTRY_IDS, min_size=1, max_size=3)),
     st.tuples(st.just("cw"), st.tuples(_ENTRY_IDS, st.floats(-0.7, 0.7))),
     st.tuples(st.just("corrupt"), _FILES),
     st.tuples(st.just("torn"), st.tuples(_FILES, st.booleans())),
@@ -268,8 +269,18 @@ _WHOLE_LINES = {
     "facts": '{"id":"ft","subject":"x","relation":"kv","value":"y","session_ids":["s9"],'
              '"created_at":"2025-03-01T09:00:00+00:00"}',
     "cw": '{"entry_id":"e1","delta":0.5,"reward":1.0,"applied_at":"2025-03-01T09:00:00+00:00"}',
-    "promotions": '{"entry_id":"e2","fact_id":"f1","promoted_at":"2025-03-01T09:00:00+00:00"}',
+    "promotions": '{"entry_ids":["e2","e3"],"promoted_at":"2025-03-01T09:00:00+00:00"}',
 }
+
+
+def _legacy_promotions(store: MemoryStore, entry_ids: list[str]) -> None:
+    """Promotion lines of the older one-per-entry shape, one of them with an
+    empty ``fact_id``, appended by a writer other than the two instances."""
+    store.promotions_path.parent.mkdir(parents=True, exist_ok=True)
+    with store.promotions_path.open("a") as handle:
+        for i, entry_id in enumerate(entry_ids):
+            handle.write(json.dumps({"entry_id": entry_id, "fact_id": "f0" if i else "",
+                                     "promoted_at": "2025-03-01T09:00:00+00:00"}) + "\n")
 
 
 def _foreign(store: MemoryStore, kind: str, arg) -> None:
@@ -308,9 +319,11 @@ def test_two_instances_replay_like_a_fresh_one(tmp_path_factory, steps):
             elif kind == "facts":
                 store.append_facts(arg)
             elif kind == "promote":
-                store.promote_many([(entry_id, "f0") for entry_id in arg])
+                store.promote_many(arg)
             elif kind == "cw":
                 store.apply_cw_delta(arg[0], arg[1], 1.0)
+            elif kind == "legacy":
+                _legacy_promotions(store, arg)
             else:
                 _foreign(store, kind, arg)
         except (ValidationError, NotFoundError):
@@ -393,7 +406,7 @@ def test_every_written_line_equals_json_dumps(tmp_path_factory, frozen_clock, en
     entries = [EpisodicEntry(*e[:7], flag, e.cognitive_weight) for e, flag in zip(entries, promoted)]
     store.append_entries(entries)
     store.append_facts(facts)
-    store.promote_many([(e.id, facts[0].id) for e in entries])
+    store.promote_many([e.id for e in entries])
     for delta in deltas:
         store.apply_cw_delta(entries[0].id, delta, 1)
     stamp = frozen_clock.isoformat()
@@ -410,8 +423,7 @@ def test_every_written_line_equals_json_dumps(tmp_path_factory, frozen_clock, en
          "session_ids": sorted(f.session_ids), "created_at": f.created_at.isoformat()},
         ensure_ascii=False, separators=(",", ":")) for f in facts]
     want[store.promotions_path] = [json.dumps(
-        {"entry_id": e.id, "fact_id": facts[0].id, "promoted_at": stamp},
-        separators=(",", ":")) for e in entries]
+        {"entry_ids": [e.id for e in entries], "promoted_at": stamp}, separators=(",", ":"))]
     want[store.cw_ledger_path] = [json.dumps(
         {"entry_id": entries[0].id, "delta": d, "reward": 1, "applied_at": stamp},
         separators=(",", ":")) for d in deltas]
