@@ -28,11 +28,18 @@ few. Stage 2 scores the whole snapshot, the pool of a query that stage 1
 scopes to no session, this way too: that index is keyed by the positions
 0..N-1, so its column is in snapshot order.
 
-A scoped stage-2 pool, the entries of a few sessions, is scored by
-``pool_scores`` over those sessions' indexes and keeps nothing: its N and
-document frequencies count only the sessions in it, so a contribution holds
-for one pool only. ``rank`` is ``pool_scores`` fully sorted, and
-``bm25_score`` is the per-document reference both are tested against.
+A scoped stage-2 pool, the entries of a few sessions, keeps no
+contributions: its N and document frequencies count only the sessions in
+it, so a contribution holds for one pool only. Its sessions are kept in a
+compact layout, one ``SessionPostings`` each, built by
+``build_session_postings``: each term of a session maps to one flat tuple
+``(position, tf, position, tf, ...)``, the last document first, in place of
+a dict per term; the term strings are interned once per snapshot in a
+shared dict, and the documents' lengths live in one per-snapshot column
+indexed by position. ``session_pool_scores`` scores a pool of them with
+``pool_scores``' walk, so every float is ``==`` to it.
+``rank`` is ``pool_scores`` fully sorted, and ``bm25_score`` is the
+per-document reference all of them are tested against.
 
 Scores are left unnormalised on purpose: downstream scoring applies its own
 normalisation variants, and the decay-bypass rule thresholds the raw value.
@@ -44,8 +51,9 @@ import math
 import re
 import string
 from collections import defaultdict
-from collections.abc import Hashable, Iterable, Iterator, Sequence
+from collections.abc import Hashable, Iterable, Iterator, MutableSequence, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,10 +67,11 @@ _FIRST_CUT = 16
 
 # Word characters minus underscore: lowercased alphanumeric runs.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-# Every byte but 0-9 and a-z to a space. Within ASCII, [^\W_] is exactly
-# [0-9A-Za-z], and lowercasing leaves no A-Z.
+# A-Z to a-z, 0-9 and a-z to themselves, every other byte to a space. Within
+# ASCII, [^\W_] is exactly [0-9A-Za-z], and lowercasing maps only A-Z.
 _ASCII_TABLE = bytes(
-    b if chr(b) in string.digits + string.ascii_lowercase else 0x20 for b in range(256)
+    ord(chr(b).lower()) if chr(b) in string.digits + string.ascii_letters else 0x20
+    for b in range(256)
 )
 
 
@@ -72,12 +81,13 @@ def tokenize(text: str) -> list[str]:
     "The Eiffel Tower!" -> ["the", "eiffel", "tower"]; "k1=1.5" -> ["k1", "1", "5"].
 
     ASCII text, which is all the text of the benchmark workloads, skips the
-    regex: its bytes other than 0-9 and a-z become spaces and ``split``
-    cuts on the runs of them, giving the same tokens as ``_TOKEN_RE``.
-    Other text goes through ``_TOKEN_RE`` itself.
+    regex and ``lower``: one byte table lowercases A-Z and turns every byte
+    other than 0-9 and a-z into a space, and ``split`` cuts on the runs of
+    them, giving the same tokens as ``_TOKEN_RE``. Other text goes through
+    ``_TOKEN_RE`` itself.
     """
     if text.isascii():
-        return text.lower().encode().translate(_ASCII_TABLE).decode().split()
+        return text.encode().translate(_ASCII_TABLE).decode().split()
     return _TOKEN_RE.findall(text.lower())
 
 
@@ -150,12 +160,12 @@ def pool_scores(
     as each document's sum runs over the query terms in the same order.
 
     ``Bm25Columns``, the one scorer that keeps contributions, serves only
-    indexes that never change: the fact index and the whole snapshot.
-    Scoped stage-2 pools stay here, on dict postings. A scoped pool's N and
-    document frequencies depend on which sessions are in it, so no
-    contribution can be kept across pools, and a column over the whole
-    snapshot, masked to the pool on every query, would cost more than
-    walking the pool's few hundred postings.
+    indexes that never change: the fact index and the whole snapshot. A
+    scoped pool's N and document frequencies depend on which sessions are
+    in it, so no contribution can be kept across pools, and a column over
+    the whole snapshot, masked to the pool on every query, would cost more
+    than walking the pool's few hundred postings: ``session_pool_scores``
+    walks them as this does, over the compact per-session layout.
     """
     n = sum(index.doc_count for index in indexes)
     avg = sum(index.total_len for index in indexes) / n if n else 0.0
@@ -168,6 +178,77 @@ def pool_scores(
         weight = _idf(n, sum(len(postings) for _, postings in matched))
         for doc_len, postings in matched:
             for doc, f in postings.items():
+                length_norm = k1 * (1.0 - b + (b * doc_len[doc] / avg if avg > 0 else 0.0))
+                scores[doc] = scores.get(doc, 0.0) + weight * f * (k1 + 1.0) / (f + length_norm)
+    return scores
+
+
+class SessionPostings(NamedTuple):
+    """One session's BM25 postings in the compact layout: each term maps to
+    one flat tuple ``(position, tf, position, tf, ...)``, the last document
+    first, and a term's document frequency is half its length. Its
+    documents' lengths are in the snapshot's column, at their positions."""
+
+    postings: dict[str, tuple[int, ...]]
+    doc_count: int
+    total_len: int
+
+
+def build_session_postings(
+    docs: Sequence[tuple[int, str]], terms: dict[str, str], doc_len: MutableSequence[int]
+) -> SessionPostings:
+    """Index one session's (position, text) pairs, positions distinct. Each
+    term string is the one ``terms`` holds, added with ``setdefault`` so
+    that builds may run at once; each document's token length is written to
+    ``doc_len[position]``.
+
+    A document's pair goes in front of its term's tuple, where the next
+    token of the same document finds it at index 0. A term met once in a
+    document gets that document's one ``(position, 1)`` tuple, so the terms
+    of one document that no other document of the session holds share one
+    tuple.
+    """
+    postings: dict[str, tuple[int, ...]] = {}
+    get = postings.get
+    intern = terms.setdefault
+    total = 0
+    for position, text in docs:
+        tokens = tokenize(text)
+        doc_len[position] = len(tokens)
+        total += len(tokens)
+        once = (position, 1)
+        for token in tokens:
+            p = get(token)
+            if p is None:
+                postings[intern(token, token)] = once
+            elif p[0] != position:
+                postings[token] = once + p
+            else:  # the term again in this document
+                postings[token] = (position, p[1] + 1) + p[2:]
+    return SessionPostings(postings, len(docs), total)
+
+
+def session_pool_scores(
+    query_tokens: Iterable[str], sessions: Sequence[SessionPostings], doc_len: Sequence[int]
+) -> dict[int, float]:
+    """Raw BM25 of every position sharing a query term, with ``sessions``
+    scored as one corpus: ``pool_scores``' walk over the compact layout, so
+    each score is ``==`` to ``pool_scores`` over one ``build_index`` of the
+    same documents keyed by position. N, the total length and each df are
+    summed over the sessions, and each document's sum runs over the query
+    terms in the same order."""
+    n = sum(session.doc_count for session in sessions)
+    avg = sum(session.total_len for session in sessions) / n if n else 0.0
+    scores: dict[int, float] = {}
+    k1, b = K1, B  # locals, as the loop below reads them once per posting
+    for term in dict.fromkeys(query_tokens):
+        matched = [p for session in sessions if (p := session.postings.get(term))]
+        if not matched:
+            continue
+        weight = _idf(n, sum(map(len, matched)) // 2)
+        for postings in matched:
+            pairs = iter(postings)
+            for doc, f in zip(pairs, pairs):
                 length_norm = k1 * (1.0 - b + (b * doc_len[doc] / avg if avg > 0 else 0.0))
                 scores[doc] = scores.get(doc, 0.0) + weight * f * (k1 + 1.0) / (f + length_norm)
     return scores

@@ -9,12 +9,15 @@ scorer, ``lexical.Bm25Columns``: stage 1 ranks the fact index through it.
 Stage 2 has two pools, picked by what stage 1 returned. A scoped query ranks
 the entries of its sessions; a query with no scope (``k1`` None, or a query
 whose facts name no session the snapshot holds) ranks the whole snapshot. A
-snapshot keeps its BM25 indexes keyed by snapshot position: one per session
-for scoped pools, whose raw BM25 is ``lexical.pool_scores`` over their
-sessions' indexes, and one of every entry for the whole pool, scored by a
-second ``lexical.Bm25Columns``, whose float64 column is then in snapshot
-order, with nothing sorted. The fact index and the whole pool never change
-within a snapshot, so each keeps every query term's per-document BM25
+snapshot keeps its stage-2 postings keyed by snapshot position. Each session
+has compact postings, ``lexical.SessionPostings``: one flat ``(position,
+tf, ...)`` tuple per term, with the term strings interned once per snapshot
+and every document length in one per-snapshot column; a scoped pool's raw
+BM25 is ``lexical.session_pool_scores`` over its sessions. The whole pool
+has one ``Bm25Index`` of every entry, scored by a second
+``lexical.Bm25Columns``, whose float64 column is then in snapshot order,
+with nothing sorted. The fact index and the whole pool never change within
+a snapshot, so each keeps every query term's per-document BM25
 contributions from the first query that uses the term on; a scoped pool's N
 and document frequencies change with its sessions, so it keeps none.
 Stage 2 scores a pool as columns (``scoring.pool_signals``). The inputs no
@@ -424,14 +427,15 @@ class RetrievalPipeline:
     None, or a query whose facts name no session the snapshot holds). A
     session is indexed the first time it enters a pool, the whole snapshot
     as one index the first time a query needs it. A scoped pool is scored by
-    ``lexical.pool_scores`` over its sessions' indexes, as its N and average
-    length change with the sessions in it; the whole snapshot's are fixed,
-    so it is scored by one ``lexical.Bm25Columns``, which keeps each
-    term's contributions for the snapshot's later queries. Every entry of a
-    scoped pool is in scope and none of the whole pool is, so neither looks
-    up a session per entry; the entry ids and whether they are distinct are
-    taken once, at construction, and a pool passes its ids on only when
-    they are, so ``stage2_retrieve`` checks the pool itself otherwise.
+    ``lexical.session_pool_scores`` over its sessions' compact postings, as
+    its N and average length change with the sessions in it; the whole
+    snapshot's are fixed, so it is scored by one ``lexical.Bm25Columns``,
+    which keeps each term's contributions for the snapshot's later queries.
+    Every entry of a scoped pool is in scope and none of the whole pool is,
+    so neither looks up a session per entry; the entry ids and whether they
+    are distinct are taken once, at construction, and a pool passes its ids
+    on only when they are, so ``stage2_retrieve`` checks the pool itself
+    otherwise.
     ``skipped_lines`` counts the entry and fact lines that ``from_store``'s
     loads skipped.
     """
@@ -466,10 +470,14 @@ class RetrievalPipeline:
         self._session_positions: dict[str, list[int]] = {}
         for i, entry in enumerate(self.entries):
             self._session_positions.setdefault(entry.session_id, []).append(i)
-        # Filled the first time a session enters a pool: its entries' BM25
-        # index, keyed by position as two entries may share an id, and their
-        # rows of _entry_signals, which now, decay and tiers fix.
-        self._session_index: dict[str, lexical.Bm25Index] = {}
+        # Filled the first time a session enters a pool: its entries' compact
+        # BM25 postings, keyed by position as two entries may share an id,
+        # their token lengths in _doc_len, and their rows of _entry_signals,
+        # which now, decay and tiers fix. _terms interns the term strings of
+        # every session's postings.
+        self._session_postings: dict[str, lexical.SessionPostings] = {}
+        self._terms: dict[str, str] = {}
+        self._doc_len = [0] * len(self.entries)
         self._signals = np.empty((len(self.entries), 4))
         # The whole snapshot's BM25 scorer, over an index keyed by position,
         # once a query needs it.
@@ -520,7 +528,8 @@ class RetrievalPipeline:
         t1 = time.perf_counter_ns()
         similarities = None if cfg.mode == MODE_BM25 else self._similarities(query, pool, cfg.mode)
         if scoped:
-            scores = lexical.pool_scores(query_tokens, self._session_indexes(scoped))
+            sessions = self._scoped_postings(scoped)
+            scores = lexical.session_pool_scores(query_tokens, sessions, self._doc_len)
             raw_bm25 = [scores.get(i, 0.0) for i in positions]
             signals = self._signals[positions]
             ids = [self._ids[i] for i in positions] if self._ids_distinct else None
@@ -567,12 +576,14 @@ class RetrievalPipeline:
             latency_micros=latency,
         )
 
-    def _session_indexes(self, sessions: Sequence[str]) -> list[lexical.Bm25Index]:
-        """The BM25 index of each session, built once per snapshot together
-        with its entries' signal rows. A session whose signals raise is not
-        stored, so it raises again in the next pool. Two threads may build
-        one session at once; both store equal values, the signals first."""
-        built = self._session_index
+    def _scoped_postings(self, sessions: Sequence[str]) -> list[lexical.SessionPostings]:
+        """The compact BM25 postings of each session, built once per snapshot
+        together with its entries' signal rows. A session is published only
+        once both are complete; one whose signals raise is not stored, so it
+        raises again in the next pool. Two threads may build one session at
+        once; both write equal lengths and signal rows and store equal
+        postings, over the same interned terms."""
+        built = self._session_postings
         for session in sessions:
             if session not in built:
                 positions = self._session_positions[session]
@@ -581,7 +592,7 @@ class RetrievalPipeline:
                     for i in positions
                 ]
                 docs = [(i, self.entries[i].content) for i in positions]
-                built[session] = lexical.build_index(docs)
+                built[session] = lexical.build_session_postings(docs, self._terms, self._doc_len)
         return [built[session] for session in sessions]
 
     def _whole_snapshot_bm25(self) -> lexical.Bm25Columns:

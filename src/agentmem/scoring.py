@@ -39,7 +39,6 @@ _SUM_TOL = 1e-9
 
 EPISODIC = "episodic"
 SEMANTIC = "semantic"
-PROCEDURAL = "procedural"
 
 
 @dataclass(frozen=True)
@@ -121,20 +120,23 @@ class DecayConfig:
 
 @dataclass(frozen=True)
 class TierConfig:
+    """The multiplier of each tier an entry can be in: episodic, or semantic
+    once a consolidation pass has promoted it."""
+
     episodic: float = 1.0
     semantic: float = 1.2
-    procedural: float = 1.4
 
     def __post_init__(self) -> None:
-        multipliers = (self.episodic, self.semantic, self.procedural)
+        multipliers = (self.episodic, self.semantic)
         if not all(is_finite_number(m) and m >= 1.0 for m in multipliers):
             raise ValidationError(f"tier multipliers must be finite and >= 1: {multipliers}")
 
     def multiplier(self, tier: str) -> float:
-        try:
-            return {EPISODIC: self.episodic, SEMANTIC: self.semantic, PROCEDURAL: self.procedural}[tier]
-        except KeyError:
-            raise ValidationError(f"unknown tier: {tier!r}") from None
+        if tier == EPISODIC:
+            return self.episodic
+        if tier == SEMANTIC:
+            return self.semantic
+        raise ValidationError(f"unknown tier: {tier!r}")
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,12 @@ Each write is one append per file; a consolidation pass makes one append to
 the fact file and one to the promotion ledger. A promotion line lists every
 entry id of one ``promote_many`` call (``entry_ids``, ``promoted_at``); an
 older line names one entry (``entry_id``, ``fact_id``, ``promoted_at``) and
-replays the same way. An append that finds a torn last line (a crash
-mid-append) ends it first, so only the fragment is lost.
+replays the same way. A cognitive-weight line holds every delta of one
+``apply_cw_deltas`` call (``deltas``, ``reward``, ``applied_at``); an older
+line holds one (``entry_id``, ``delta``, ``reward``, ``applied_at``). A torn
+line parses as no line, so one call's promotions or deltas replay all or
+none. An append that finds a torn last line (a crash mid-append) ends it
+first, so only the fragment is lost.
 
 A store instance keeps one view per file: the file's inode, the byte offset
 after the last complete line it parsed, and what those lines hold (entries
@@ -277,15 +281,17 @@ class SemanticFact(namedtuple(
 
 @dataclass(frozen=True)
 class CwLedgerRecord:
-    entry_id: str
-    delta: float
+    """One ``apply_cw_deltas`` call: its (entry id, delta) pairs in order."""
+
+    deltas: tuple[tuple[str, float], ...]
     reward: float
     applied_at: datetime
 
     def to_line(self) -> str:
+        deltas = ",".join(f"[{_json(i)},{_json(d)}]" for i, d in self.deltas)
         return (
-            f'{{"entry_id":{_json(self.entry_id)},"delta":{_json(self.delta)},'
-            f'"reward":{_json(self.reward)},"applied_at":"{self.applied_at.isoformat()}"}}'
+            f'{{"deltas":[{deltas}],"reward":{_json(self.reward)},'
+            f'"applied_at":"{self.applied_at.isoformat()}"}}'
         )
 
 
@@ -347,11 +353,24 @@ def _promoted_ids(record: dict) -> Sequence[str]:
     return entry_ids
 
 
-def _cw_delta(record: dict) -> tuple[str, float]:
-    delta = record["delta"]
-    if not is_finite_number(delta):  # json.loads reads NaN and Infinity as floats
-        raise ValidationError(f"mistyped delta: {delta!r}")
-    return _ledger_entry_id(record), delta
+def _cw_deltas(record: dict) -> Sequence[tuple[str, float]]:
+    """The (entry id, delta) pairs one cognitive-weight line holds: all of a
+    line's ``deltas``, or none when one pair is malformed; an older line
+    holds one, its ``entry_id`` and ``delta``. A delta must be a finite
+    number: json.loads reads NaN and Infinity as floats."""
+    if "deltas" not in record:
+        delta = record["delta"]
+        if not is_finite_number(delta):
+            raise ValidationError(f"mistyped delta: {delta!r}")
+        return ((_ledger_entry_id(record), delta),)
+    deltas = record["deltas"]
+    if type(deltas) is not list or not all(
+        type(pair) is list and len(pair) == 2 and type(pair[0]) is str
+        and is_finite_number(pair[1])
+        for pair in deltas
+    ):
+        raise ValidationError(f"mistyped deltas: {deltas!r}")
+    return deltas
 
 
 class _View:
@@ -494,15 +513,17 @@ class _RecordView(_View):
 
 
 class _WeightView(_View):
-    """Cognitive weight per entry id: the ledger's deltas clipped in file order."""
+    """Cognitive weight per entry id: the ledger's deltas clipped in file
+    order, folded one line's deltas at a time."""
 
     def clear(self) -> None:
         self.state: dict[str, float] = {}
 
-    def extend(self, deltas: Iterable[tuple[str, float]]) -> None:
+    def extend(self, groups: Iterable[Iterable[tuple[str, float]]]) -> None:
         weights = self.state
-        for entry_id, delta in deltas:
-            weights[entry_id] = _clip(weights.get(entry_id, 0.0) + delta)
+        for deltas in groups:
+            for entry_id, delta in deltas:
+                weights[entry_id] = _clip(weights.get(entry_id, 0.0) + delta)
 
 
 class _PromotedView(_View):
@@ -536,7 +557,7 @@ class MemoryStore:
         self._entry_ids: dict[str, int] = {}
         self._day_views: dict[str, _RecordView] = {}
         self._facts = _RecordView(self.facts_path, SemanticFact.from_dict, {})
-        self._weights = _WeightView(self.cw_ledger_path, _cw_delta)
+        self._weights = _WeightView(self.cw_ledger_path, _cw_deltas)
         self._promoted = _PromotedView(self.promotions_path, _promoted_ids)
 
     # -- files ------------------------------------------------------------
@@ -781,10 +802,13 @@ class MemoryStore:
 
     def apply_cw_deltas(self, pairs: Iterable[tuple[str, float]], reward: float) -> list[float]:
         """Clip-update the weight of each (entry_id, delta) in order, with one
-        append to the ledger; return each entry's new weight in order. An
-        unknown entry id, or a delta or reward that is not a finite number,
-        raises before anything is written."""
-        pairs = list(pairs)
+        ledger line, ``{"deltas": [[entry_id, delta], ...], "reward": ...,
+        "applied_at": ...}``; return each entry's new weight in order. No
+        pairs write nothing. A torn line parses as no line, so a crash
+        mid-append applies all of the deltas or none. An unknown entry id, or
+        a delta or reward that is not a finite number, raises before anything
+        is written."""
+        pairs = tuple(pairs)
         for _, delta in pairs:
             if not is_finite_number(delta):
                 raise ValidationError(f"delta must be a finite number: {delta!r}")
@@ -799,9 +823,9 @@ class MemoryStore:
                 value = _clip(folded.get(entry_id, weights.get(entry_id, 0.0)) + delta)
                 folded[entry_id] = value
                 new_values.append(value)
-            applied_at = utc_now()
-            lines = [CwLedgerRecord(i, d, reward, applied_at).to_line() for i, d in pairs]
-            self._append(self._weights, _encode(lines), pairs)
+            if pairs:
+                line = CwLedgerRecord(pairs, reward, utc_now()).to_line()
+                self._append(self._weights, _encode([line]), [pairs])
         return new_values
 
     def promote(self, entry_id: str) -> None:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,7 @@ from agentmem.attribution import (
     jaccard_attribution,
 )
 from agentmem.errors import NotFoundError, ValidationError
-from agentmem.store import MemoryStore
+from agentmem.store import MemoryStore, _cw_deltas
 from conftest import make_entry
 
 CFG = AttributionConfig()
@@ -96,11 +98,11 @@ def test_one_append_folds_repeats_and_clips_in_order(store):
     store.append_entries([make_entry(entry_id="e0"), make_entry(entry_id="e1")])
     pairs = [("e0", 0.8), ("e0", 0.5), ("e1", -0.7), ("e1", -0.6), ("e0", -0.25)]
     assert store.apply_cw_deltas(pairs, 1.0) == [0.8, 1.0, -0.7, -1.0, 0.75]
-    assert len(store.cw_ledger_path.read_text().splitlines()) == 5
+    assert len(store.cw_ledger_path.read_text().splitlines()) == 1
     with pytest.raises(ValidationError):
         store.apply_cw_deltas([("e0", 0.1), ("e1", True)], 1.0)  # a bool is not a delta
     assert store.apply_cw_deltas([], 1.0) == []
-    assert len(store.cw_ledger_path.read_text().splitlines()) == 5
+    assert len(store.cw_ledger_path.read_text().splitlines()) == 1
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -115,7 +117,13 @@ def test_one_batch_equals_one_call_per_pair(tmp_path_factory, frozen_clock, pair
         store.append_entries([make_entry(entry_id=f"e{i}") for i in range(3)])
         store.apply_cw_delta("e0", 0.9, 1.0)  # a weight the pairs start from
     assert batch.apply_cw_deltas(pairs, -0.5) == [each.apply_cw_delta(i, d, -0.5) for i, d in pairs]
-    assert batch.cw_ledger_path.read_bytes() == each.cw_ledger_path.read_bytes()
+    # One line for the batch, one per pair for the single calls: the same
+    # pairs in the same order.
+    lines = [s.cw_ledger_path.read_text().splitlines() for s in (batch, each)]
+    assert lines[0][0] == lines[1][0]
+    assert (len(lines[0]), len(lines[1])) == (1 + bool(pairs), 1 + len(pairs))
+    replayed = [[tuple(p) for line in ls[1:] for p in _cw_deltas(json.loads(line))] for ls in lines]
+    assert replayed[0] == replayed[1] == pairs
     weights = [[(e.id, e.cognitive_weight) for e in s.load_entries("proj")]
                for s in (batch, each, MemoryStore(batch.root))]
     assert weights[0] == weights[1] == weights[2]

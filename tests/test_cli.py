@@ -110,7 +110,8 @@ def test_append_outcome_failure_writes_negative_deltas(tmp_path, capsys):
     assert any(u["cw"] < 0 for u in updates["updates"])
 
     ledger = (tmp_path / "ws" / "memory" / "cw_ledger.jsonl").read_text()
-    assert any(json.loads(line)["delta"] < 0 for line in ledger.splitlines())
+    deltas = [d for line in ledger.splitlines() for _, d in json.loads(line)["deltas"]]
+    assert any(d < 0 for d in deltas)
 
 
 def test_missing_project_is_usage_error(tmp_path, capsys):
@@ -340,7 +341,9 @@ def test_bad_config_value_is_data_error(tmp_path, capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("text", ["retrieval: {stage2k: 8}\n", "seed: true\n"])
+@pytest.mark.parametrize(
+    "text", ["retrieval: {stage2k: 8}\n", "seed: true\n", "tiers: {procedural: 1.4}\n"]
+)
 def test_unknown_key_or_mistyped_config_value_is_data_error(tmp_path, capsys, text):
     config = tmp_path / "engine.yaml"
     config.write_text(text)

@@ -26,7 +26,7 @@ def test_defaults_match_baseline():
     assert cfg.retrieval.rrf_k == 60
     assert cfg.decay.lambda_per_day == 0.05
     assert cfg.decay.bypass_threshold == 2.0
-    assert (cfg.tiers.episodic, cfg.tiers.semantic, cfg.tiers.procedural) == (1.0, 1.2, 1.4)
+    assert (cfg.tiers.episodic, cfg.tiers.semantic) == (1.0, 1.2)
     assert cfg.attribution.alpha == 0.1
     assert (cfg.train.epochs, cfg.train.batch_size) == (4, 16)
     assert (cfg.train.clip_epsilon, cfg.train.step_size) == (0.2, 0.01)
@@ -71,6 +71,17 @@ def test_unknown_keys_rejected(tmp_path):
         EngineConfig.from_file(path)
 
 
+def test_the_removed_procedural_tier_is_an_unknown_key(tmp_path):
+    """No entry could reach a third tier, so its multiplier is gone: a config
+    that still sets it is rejected, naming the key."""
+    path = tmp_path / "tiers.yaml"
+    path.write_text("tiers: {episodic: 1.0, semantic: 1.2, procedural: 1.4}\n")
+    with pytest.raises(ValidationError, match="procedural"):
+        EngineConfig.from_file(path)
+    with pytest.raises(TypeError):
+        TierConfig(1.0, 1.2, 1.4)
+
+
 def test_malformed_stage1_k1_rejected(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("retrieval: {stage1_k1: abc}\n")
@@ -105,7 +116,7 @@ def test_malformed_stage1_k1_rejected(tmp_path):
     "attribution: {alpha: true}\n",
     "train: {epochs: 2.0}\n",
     # An int beyond the float range.
-    pytest.param("tiers: {procedural: 1" + "0" * 400 + "}\n", id="tiers-huge-int"),
+    pytest.param("tiers: {semantic: 1" + "0" * 400 + "}\n", id="tiers-huge-int"),
     pytest.param("weights: [0, 0.35, 0.25, 0.25, 1" + "0" * 400 + "]\n", id="weights-huge-int"),
 ])
 def test_malformed_values_rejected(tmp_path, text):
@@ -151,7 +162,7 @@ def test_to_dict_round_trips_config_with_every_section_changed():
             include_timestamps=True,
         ),
         decay=DecayConfig(lambda_per_day=0.1, bypass_threshold=3.0),
-        tiers=TierConfig(episodic=1.1, semantic=1.3, procedural=1.5),
+        tiers=TierConfig(episodic=1.1, semantic=1.3),
         attribution=AttributionConfig(alpha=0.2),
         train=TrainConfig(epochs=2, batch_size=8, clip_epsilon=0.3, step_size=0.02,
                           question_count=50),
@@ -229,7 +240,7 @@ def test_decay_config_takes_only_finite_numbers(raw):
 
 
 @pytest.mark.parametrize("raw", [
-    {"procedural": INF}, {"semantic": NAN}, {"episodic": True}, {"procedural": 10**400},
+    {"semantic": INF}, {"semantic": NAN}, {"episodic": True}, {"episodic": 10**400},
 ])
 def test_tier_config_takes_only_finite_numbers(raw):
     with pytest.raises(ValidationError):
@@ -282,7 +293,7 @@ def test_embedder_endpoint_takes_a_positive_integer_dimension_and_timeout(raw):
 
 def test_yaml_nan_and_inf_are_rejected(tmp_path):
     path = tmp_path / "engine.yaml"
-    for text in ("decay: {lambda_per_day: .nan}\n", "tiers: {procedural: .inf}\n",
+    for text in ("decay: {lambda_per_day: .nan}\n", "tiers: {semantic: .inf}\n",
                  "attribution: {alpha: .nan}\n", "train: {clip_epsilon: .nan}\n",
                  "weights: [.nan, 0.35, 0.25, 0.25, 0.15]\n", "reader: {timeout: .nan}\n",
                  "embedder: {timeout: -.inf}\n", "extractor: {timeout: .nan}\n"):

@@ -17,8 +17,10 @@ from agentmem.lexical import (
     B,
     bm25_score,
     build_index,
+    build_session_postings,
     pool_scores,
     rank,
+    session_pool_scores,
     tokenize,
 )
 
@@ -79,6 +81,7 @@ TOKEN_TEXT = st.one_of(
 @example("a\u3000b")
 @example("a b")
 @example("")
+@example("".join(map(chr, range(128))) * 2)  # every ASCII character
 def test_tokenize_equals_the_regex_on_ascii_and_unicode_text(text):
     assert tokenize(text) == _TOKEN_RE.findall(text.lower())
 
@@ -274,6 +277,63 @@ def test_pool_scores_equal_bm25_score_over_the_pool(texts, query, cuts):
     scores = pool_scores(query, indexes)
     expected = {doc_id: bm25_score(idx, query, doc_id) for doc_id, _ in docs}
     assert scores == {doc_id: s for doc_id, s in expected.items() if s > 0.0}
+
+
+# Session texts with non-ASCII words, some equal after lowercasing, so that
+# tokenize's regex path runs; an empty list joins to an empty content.
+SESSION_WORDS = st.sampled_from(
+    ["a", "b", "c", "Straße", "straße", "café", "CAFÉ", "naïve", "١٢٣", "漢字", "İz"]
+)
+SESSION_TEXT = st.lists(SESSION_WORDS, max_size=8).map(" ".join)
+SESSION_QUERY = st.lists(
+    st.sampled_from(["a", "b", "straße", "café", "naïve", "١٢٣", "漢字", "i", "z", "q", "ü"]),
+    max_size=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sessions=st.lists(st.lists(SESSION_TEXT, min_size=1, max_size=5), min_size=1, max_size=7),
+    query=SESSION_QUERY,
+    data=st.data(),
+)
+@example(
+    sessions=[["a a b", "b a"], ["", "a"], ["café CAFÉ café", ""]],
+    query=["a", "café", "q", "a", "café"],
+    data=None,
+)
+def test_session_pool_scores_equal_pool_scores_over_one_index(sessions, query, data):
+    """Sessions built with one interning dict and one length column, over
+    interleaved positions as a snapshot's sessions are, and scored as a pool
+    of 1 to 5 of them, give the floats of ``pool_scores`` over one
+    ``build_index`` of the pool's documents keyed by position."""
+    total = sum(map(len, sessions))
+    if data is None:
+        order, pool = list(range(total)), list(range(len(sessions)))
+    else:
+        order = data.draw(st.permutations(range(total)))
+        pool = data.draw(st.lists(
+            st.sampled_from(range(len(sessions))), min_size=1, max_size=5, unique=True
+        ))
+    docs, at = [], 0
+    for texts in sessions:
+        positions = sorted(order[at:at + len(texts)])
+        at += len(texts)
+        docs.append(list(zip(positions, texts)))
+    terms: dict[str, str] = {}
+    doc_len = [0] * total
+    built = [build_session_postings(d, terms, doc_len) for d in docs]
+    for session, session_docs in zip(built, docs):
+        index = build_index(session_docs)
+        assert session.doc_count == index.doc_count and session.total_len == index.total_len
+        assert session.postings == {  # the last document first
+            term: tuple(x for pair in reversed(p.items()) for x in pair)
+            for term, p in index.postings.items()
+        }
+        assert all(terms[term] is term for term in session.postings)
+        assert [doc_len[i] for i, _ in session_docs] == [index.doc_len[i] for i, _ in session_docs]
+    expected = pool_scores(query, [build_index([doc for i in pool for doc in docs[i]])])
+    assert session_pool_scores(query, [built[i] for i in pool], doc_len) == expected
 
 
 @settings(max_examples=80, deadline=None)

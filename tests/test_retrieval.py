@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -411,13 +412,13 @@ def test_scoped_query_indexes_only_its_sessions_and_only_once(monkeypatch):
     ]
     pipeline = RetrievalPipeline(RetrievalConfig(stage1_k1=5), entries=entries, facts=facts)
     built = []
-    real = lexical.build_index
+    real = lexical.build_session_postings
 
-    def recording(docs):
+    def recording(docs, terms, doc_len):
         built.append(sorted({pipeline.entries[i].session_id for i, _ in docs}))
-        return real(docs)
+        return real(docs, terms, doc_len)
 
-    monkeypatch.setattr(lexical, "build_index", recording)
+    monkeypatch.setattr(lexical, "build_session_postings", recording)
     first = pipeline.retrieve("quarterly report")
     assert first.scoped_session_ids == ["s1"]
     assert built == [["s1"]]
@@ -428,6 +429,33 @@ def test_scoped_query_indexes_only_its_sessions_and_only_once(monkeypatch):
     ]
     assert pipeline.retrieve("lunch soup").scoped_session_ids == ["s3"]
     assert built == [["s1"], ["s3"]]
+
+
+def test_a_session_whose_signals_raise_is_not_stored(monkeypatch):
+    """Its postings are not built and nothing is published, so the next
+    pool that holds it builds it again."""
+    query = "report friday"
+    expected = _outputs(_fact_pipeline().retrieve(query))
+    scoped = set(expected[0])
+    assert "s0" in scoped
+    pipeline = _fact_pipeline()
+    built = _record_builds(monkeypatch)
+    real = retrieval._entry_signals
+
+    def failing(entry, *args):
+        if entry.session_id == "s0":
+            raise ValidationError("cognitive weight out of range")
+        return real(entry, *args)
+
+    monkeypatch.setattr(retrieval, "_entry_signals", failing)
+    with pytest.raises(ValidationError):
+        pipeline.retrieve(query)
+    assert "s0" not in pipeline._session_postings
+    assert all(pipeline.entries[doc].session_id != "s0" for docs in built for doc in docs)
+    assert not any(pipeline._doc_len[i] for i in pipeline._session_positions["s0"])
+    monkeypatch.setattr(retrieval, "_entry_signals", real)
+    assert _outputs(pipeline.retrieve(query)) == expected
+    assert set(pipeline._session_postings) == scoped
 
 
 def test_an_agent_view_scopes_only_the_sessions_it_holds(store):
@@ -468,15 +496,17 @@ def _fact_pipeline(k1=5):
 
 
 def _record_builds(monkeypatch):
-    """Every ``lexical.build_index`` call from now on, as its list of doc ids."""
+    """Every ``lexical.build_index`` and ``lexical.build_session_postings``
+    call from now on, as its list of doc ids."""
     built = []
-    real = lexical.build_index
+    for name in ("build_index", "build_session_postings"):
+        real = getattr(lexical, name)
 
-    def recording(docs):
-        built.append([doc for doc, _ in docs])
-        return real(docs)
+        def recording(docs, *args, real=real):
+            built.append([doc for doc, _ in docs])
+            return real(docs, *args)
 
-    monkeypatch.setattr(lexical, "build_index", recording)
+        monkeypatch.setattr(lexical, name, recording)
     return built
 
 
@@ -492,7 +522,7 @@ def test_unscoped_pipeline_indexes_the_snapshot_once_on_its_first_query(monkeypa
     again = pipeline.retrieve("report friday")
     pipeline.retrieve("lunch soup nowhere")
     assert len(built) == 1
-    assert pipeline._session_index == {}
+    assert pipeline._session_postings == {}
     assert _outputs(again) == _outputs(first)
 
 
@@ -500,7 +530,7 @@ def test_a_scoped_pipeline_indexes_the_snapshot_only_when_a_query_falls_back(mon
     pipeline = _fact_pipeline()
     built = _record_builds(monkeypatch)
     assert pipeline.retrieve("report friday").scoped_session_ids
-    assert len(built) == len(pipeline._session_index) and pipeline._snapshot_bm25 is None
+    assert len(built) == len(pipeline._session_postings) and pipeline._snapshot_bm25 is None
     sessions = len(built)
     for _ in range(2):
         assert pipeline.retrieve("nowhere").fallback_unscoped
@@ -622,6 +652,53 @@ def test_threads_on_cold_unscoped_pipelines_match_serial_results():
 def test_threads_scoping_cold_unscoped_pipelines_match_serial_results():
     # The pipelines hold no fact index: the first scoped queries build it.
     _check_threads_on_cold_caches(None, RetrievalConfig(stage1_k1=5))
+
+
+def test_threads_building_sessions_at_once_match_a_sequential_pipeline():
+    """Four threads run overlapping queries on one fresh scoped pipeline, so
+    they build the same sessions at once. Every result, every session's
+    postings and the length column equal a sequential pipeline's, and each
+    term of every session is the snapshot's one interned string."""
+    rng = random.Random(11)
+    words = [f"w{i}" for i in range(40)]
+    entries = [
+        make_entry(entry_id=f"e{i}", session_id=f"s{i % 24}",
+                   content=" ".join(rng.choices(words, k=rng.randint(0, 12))))
+        for i in range(240)
+    ]
+    facts = [
+        make_fact(fact_id=f"f{i}", subject=f"{words[i]} {words[i + 1]}", value="v",
+                  session_ids=(f"s{i % 24}", f"s{(i * 5) % 24}"))
+        for i in range(39)
+    ]
+    queries = [f"{words[i]} {words[(i * 7) % 40]} {words[(i * 3) % 40]}" for i in range(40)]
+    cfg = RetrievalConfig(stage1_k1=5)
+    sequential = RetrievalPipeline(cfg, entries=entries, facts=facts)
+    serial = [_outputs(sequential.retrieve(q)) for q in queries]
+    offsets = (0, 3, 6, 9)  # each thread runs every query, from its own start
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            pipeline = RetrievalPipeline(cfg, entries=entries, facts=facts)
+            start = threading.Barrier(len(offsets))
+
+            def run(offset, pipeline=pipeline, start=start):
+                start.wait()
+                return [_outputs(pipeline.retrieve(q)) for q in queries[offset:] + queries[:offset]]
+
+            with ThreadPoolExecutor(max_workers=len(offsets)) as pool:
+                results = list(pool.map(run, offsets))
+            assert results == [serial[offset:] + serial[:offset] for offset in offsets]
+            assert pipeline._session_postings == sequential._session_postings
+            assert pipeline._doc_len == sequential._doc_len
+            terms = pipeline._terms
+            assert all(
+                terms[term] is term
+                for session in pipeline._session_postings.values() for term in session.postings
+            )
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_unscoped_pipeline_builds_no_fact_index(monkeypatch):

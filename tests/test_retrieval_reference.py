@@ -1,9 +1,10 @@
 """The retrieval fast path against a reference built from the definitions.
 
 Stage 1 walks the facts best-first from ``lexical.Bm25Columns``, score
-columns with a partial top-k, and stage 2 scores its pools with
-``lexical.pool_scores``: a scoped pool over per-session indexes cached per
-snapshot, the whole snapshot over one index of every entry. The stage-1
+columns with a partial top-k. Stage 2 scores a scoped pool with
+``lexical.session_pool_scores`` over compact per-session postings cached per
+snapshot, and the whole snapshot with a second ``Bm25Columns`` over one
+index of every entry. The stage-1
 scope is also checked against a walk of ``lexical.rank``, the fully sorted
 list. The reference scores every fact and
 every pool entry with ``build_index`` + ``bm25_score``, then combines each

@@ -232,7 +232,7 @@ def test_monotone_variants_preserve_bm25_only_ranking(raws):
             st.integers(0, 500).map(lambda n: n / 100.0),
             st.integers(0, 60),
             st.sampled_from([-1.0, -0.3, 0.0, 0.7]),
-            st.sampled_from(["episodic", "semantic", "procedural"]),
+            st.sampled_from(["episodic", "semantic"]),
             st.sampled_from(["s1", "s2"]),
         ),
         min_size=1,
@@ -245,7 +245,7 @@ def test_score_pool_equals_composite_score_per_candidate(pool, variant):
         make_candidate(cid=f"c{i}", session=sid, raw=raw, age=age, cw=cw, tier=tier)
         for i, (raw, age, cw, tier, sid) in enumerate(pool)
     ]
-    tiers, scope = TierConfig(1.0, 1.3, 1.7), frozenset({"s2"})
+    tiers, scope = TierConfig(1.0, 1.3), frozenset({"s2"})
     signals = normalise_scores([c.raw_bm25 for c in candidates], variant)
     expected = [
         composite_score(c, WeightVector.default(), tiers, DECAY, scope, variant, bm25_signal=s)
@@ -262,7 +262,7 @@ def test_score_pool_equals_composite_score_per_candidate(pool, variant):
             st.sampled_from([0.0, 0.5, 1.99, 2.0, 2.01, 3.5]),
             st.integers(0, 60),
             st.sampled_from([-1.0, -0.3, 0.0, 0.7]),
-            st.sampled_from(["episodic", "semantic", "procedural"]),
+            st.sampled_from(["episodic", "semantic"]),
             st.sampled_from(["s1", "s2"]),
             st.sampled_from([0, 1]),
         ),
@@ -280,7 +280,7 @@ def test_pool_columns_equal_score_pool_and_rank_order(pool, variant, k, weights)
         make_candidate(cid=f"c{i}", session=sid, raw=raw, age=age, cw=cw, tier=tier, ts_offset=ts)
         for i, (raw, age, cw, tier, sid, ts) in enumerate(pool)
     ]
-    tiers, scope = TierConfig(1.0, 1.3, 1.7), frozenset({"s2"})
+    tiers, scope = TierConfig(1.0, 1.3), frozenset({"s2"})
     columns = pool_signals(
         [c.raw_bm25 for c in candidates],
         np.array([0.1 * (i % 3) for i in range(len(candidates))]),

@@ -179,7 +179,7 @@ def test_unicode_line_separators_round_trip(store):
     [
         (lambda s: next(s.episodic_dir.glob("*.jsonl")), EpisodicEntry.from_dict, (3, 0)),
         (lambda s: s.facts_path, SemanticFact.from_dict, (0, 3)),
-        (lambda s: s.cw_ledger_path, store_mod._cw_delta, (0, 0)),
+        (lambda s: s.cw_ledger_path, store_mod._cw_deltas, (0, 0)),
         (lambda s: s.promotions_path, store_mod._promoted_ids, (0, 0)),
     ],
     ids=["episodic", "facts", "cw_ledger", "promotions"],
@@ -243,13 +243,23 @@ def test_mistyped_field_is_a_skipped_line(store, path_of, key, value):
 @pytest.mark.parametrize(
     "path_of, parse, record",
     [
-        (lambda s: s.cw_ledger_path, store_mod._cw_delta, {"entry_id": "e1", "delta": "0.5"}),
-        (lambda s: s.cw_ledger_path, store_mod._cw_delta, {"entry_id": "e1", "delta": True}),
-        (lambda s: s.cw_ledger_path, store_mod._cw_delta, {"entry_id": ["e1"], "delta": 0.5}),
-        (lambda s: s.cw_ledger_path, store_mod._cw_delta, {"entry_id": "e1", "delta": float("nan")}),
-        (lambda s: s.cw_ledger_path, store_mod._cw_delta, {"entry_id": "e1", "delta": float("inf")}),
-        (lambda s: s.cw_ledger_path, store_mod._cw_delta, {"entry_id": "e1", "delta": -float("inf")}),
-        (lambda s: s.cw_ledger_path, store_mod._cw_delta, {"entry_id": "e1", "delta": 10**400}),
+        (lambda s: s.cw_ledger_path, store_mod._cw_deltas, {"entry_id": "e1", "delta": "0.5"}),
+        (lambda s: s.cw_ledger_path, store_mod._cw_deltas, {"entry_id": "e1", "delta": True}),
+        (lambda s: s.cw_ledger_path, store_mod._cw_deltas, {"entry_id": ["e1"], "delta": 0.5}),
+        (lambda s: s.cw_ledger_path, store_mod._cw_deltas, {"entry_id": "e1", "delta": float("nan")}),
+        (lambda s: s.cw_ledger_path, store_mod._cw_deltas, {"entry_id": "e1", "delta": float("inf")}),
+        (lambda s: s.cw_ledger_path, store_mod._cw_deltas, {"entry_id": "e1", "delta": -float("inf")}),
+        (lambda s: s.cw_ledger_path, store_mod._cw_deltas, {"entry_id": "e1", "delta": 10**400}),
+        (lambda s: s.cw_ledger_path, store_mod._cw_deltas, {"deltas": [["e1", 0.5], ["e1", "0.5"]]}),
+        (lambda s: s.cw_ledger_path, store_mod._cw_deltas, {"deltas": [["e1", 0.5], ["e1"]]}),
+        (lambda s: s.cw_ledger_path, store_mod._cw_deltas, {"deltas": [["e1", 0.5, 0.5]]}),
+        (lambda s: s.cw_ledger_path, store_mod._cw_deltas, {"deltas": [[1, 0.5]]}),
+        (lambda s: s.cw_ledger_path, store_mod._cw_deltas, {"deltas": [["e1", True]]}),
+        (lambda s: s.cw_ledger_path, store_mod._cw_deltas, {"deltas": [["e1", float("nan")]]}),
+        (lambda s: s.cw_ledger_path, store_mod._cw_deltas, {"deltas": {"e1": 0.5}}),
+        (lambda s: s.cw_ledger_path, store_mod._cw_deltas, {"deltas": "e1"}),
+        (lambda s: s.cw_ledger_path, store_mod._cw_deltas,
+         {"deltas": None, "entry_id": "e1", "delta": 0.5}),
         (lambda s: s.promotions_path, store_mod._promoted_ids, {"entry_id": ["e1"]}),
         (lambda s: s.promotions_path, store_mod._promoted_ids, {"entry_id": 1}),
         (lambda s: s.promotions_path, store_mod._promoted_ids, {"entry_ids": "e1"}),
@@ -261,7 +271,9 @@ def test_mistyped_field_is_a_skipped_line(store, path_of, key, value):
          {"entry_ids": "e1", "entry_id": "e1"}),
     ],
     ids=["delta-string", "delta-bool", "cw-entry_id-list", "delta-nan", "delta-inf",
-         "delta-minus-inf", "delta-beyond-float", "promotion-entry_id-list",
+         "delta-minus-inf", "delta-beyond-float", "deltas-string-member", "deltas-short-pair",
+         "deltas-long-pair", "deltas-int-id", "deltas-bool-delta", "deltas-nan-delta",
+         "deltas-object", "deltas-string", "deltas-null-beside-entry_id", "promotion-entry_id-list",
          "promotion-entry_id-int", "promotion-entry_ids-string",
          "promotion-entry_ids-int-member", "promotion-entry_ids-list-member",
          "promotion-entry_ids-object", "promotion-entry_ids-null",
@@ -345,8 +357,10 @@ def test_to_line_equals_the_json_dumps_it_replaced(text, ts, tokens, weight, pro
             ensure_ascii=False, separators=(",", ":"),
         )
     delta, reward = numbers
-    assert store_mod.CwLedgerRecord(entry_id, delta, reward, ts).to_line() == json.dumps(
-        {"entry_id": entry_id, "delta": delta, "reward": reward, "applied_at": ts.isoformat()},
+    deltas = ((entry_id, delta), (value, -delta))
+    assert store_mod.CwLedgerRecord(deltas, reward, ts).to_line() == json.dumps(
+        {"deltas": [[entry_id, delta], [value, -delta]], "reward": reward,
+         "applied_at": ts.isoformat()},
         separators=(",", ":"),
     )
     assert store_mod._promotion_line([entry_id, value], ts.isoformat()) == json.dumps(
@@ -677,6 +691,66 @@ def test_a_torn_promotion_line_promotes_all_of_its_ids_or_none(tmp_path):
         assert {e.id for e in fresh.load_entries("proj") if e.promoted} == promoted
         outcomes.add(promoted)
     assert len(outcomes) == 2
+
+
+def test_apply_cw_deltas_writes_one_line_per_call(store, frozen_clock):
+    store.append_entries([make_entry(entry_id="e1"), make_entry(entry_id="e2")])
+    assert store.apply_cw_deltas([("e1", 0.25), ("e2", -0.5), ("e1", 1)], 0.5) == [0.25, -0.5, 1.0]
+    assert store.cw_ledger_path.read_text().splitlines() == [json.dumps(
+        {"deltas": [["e1", 0.25], ["e2", -0.5], ["e1", 1]], "reward": 0.5,
+         "applied_at": frozen_clock.isoformat()},
+        separators=(",", ":"),
+    )]
+    store.apply_cw_deltas([], 1.0)
+    assert len(store.cw_ledger_path.read_text().splitlines()) == 1
+
+
+def test_cw_lines_of_both_shapes_replay(store):
+    """A ledger an older writer began, one line per delta, loads the same
+    weights in a fresh instance, a long-lived one and ``_read_jsonl``, and
+    new lines fold after the old ones in file order."""
+    store.append_entries([make_entry(entry_id=f"e{i}") for i in range(3)])
+    store.load_entries("proj")  # this instance's views are read before the ledger exists
+    store.memory_dir.mkdir(parents=True, exist_ok=True)
+    records = [
+        {"entry_id": "e0", "delta": 0.5, "reward": 1.0, "applied_at": _STAMP},
+        {"deltas": [["e1", -0.25], ["e0", 0.75]], "reward": 1.0, "applied_at": _STAMP},
+        {"entry_id": "e1", "delta": -0.5, "reward": -1.0, "applied_at": _STAMP},
+        {"deltas": [], "reward": 1.0, "applied_at": _STAMP},
+    ]
+    store.cw_ledger_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    groups, bad = MemoryStore._read_jsonl([store.cw_ledger_path], store_mod._cw_deltas)
+    assert ([list(map(tuple, g)) for g in groups], bad) == (
+        [[("e0", 0.5)], [("e1", -0.25), ("e0", 0.75)], [("e1", -0.5)], []], 0
+    )
+    want = [("e0", 1.0), ("e1", -0.75), ("e2", 0.0)]
+    for instance in (store, MemoryStore(store.root)):
+        assert [(e.id, e.cognitive_weight) for e in instance.load_entries("proj")] == want
+    assert store.apply_cw_deltas([("e2", 0.25), ("e1", 0.5)], 1.0) == [0.25, -0.25]
+    assert [(e.id, e.cognitive_weight) for e in MemoryStore(store.root).load_entries("proj")] == [
+        ("e0", 1.0), ("e1", -0.25), ("e2", 0.25)
+    ]
+
+
+def test_a_torn_cw_line_applies_all_of_its_deltas_or_none(tmp_path):
+    """Total applied credit equals alpha * reward only if an attribution's
+    deltas replay together: a line cut at any byte applies none of them."""
+    root = tmp_path / "ws"
+    store = MemoryStore(root)
+    store.append_entries([make_entry(entry_id=f"e{i}") for i in range(4)])
+    store.apply_cw_delta("e0", 0.5, 1.0)
+    head = store.cw_ledger_path.read_bytes()
+    store.apply_cw_deltas([("e1", 0.25), ("e2", -0.25), ("e3", 0.125)], 1.0)
+    line = store.cw_ledger_path.read_bytes()[len(head):]
+    before = {"e0": 0.5, "e1": 0.0, "e2": 0.0, "e3": 0.0}
+    after = {"e0": 0.5, "e1": 0.25, "e2": -0.25, "e3": 0.125}
+    outcomes = []
+    for cut in range(len(line) + 1):
+        store.cw_ledger_path.write_bytes(head + line[:cut])
+        weights = {e.id: e.cognitive_weight for e in MemoryStore(root).load_entries("proj")}
+        assert weights in (before, after), cut
+        outcomes.append(weights == after)
+    assert outcomes[-2:] == [True, True] and not any(outcomes[:-2])
 
 
 def test_promote_many_with_an_unknown_id_writes_nothing(store):

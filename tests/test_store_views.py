@@ -31,7 +31,7 @@ from conftest import BASE_TS, SYNTHETIC20, make_entry, make_fact
 # sha256 of every file (relative path, NUL, bytes; in path order) that
 # test_frozen_clock_writes_are_byte_identical makes. The encoding of these
 # files is a format: a change of this value is a change of the format.
-SYNTHETIC20_FILES_SHA256 = "7f0e8cd23b42799de1c4ed0139181bbedb2c8f0ff41068ab04fb8075a57b65d5"
+SYNTHETIC20_FILES_SHA256 = "075b62728c0f840032e0cb4c19982e05c0f91fcf2d12a17400fc2d0efec3faa8"
 
 
 def _entry_fields(entry: EpisodicEntry) -> tuple:
@@ -425,6 +425,6 @@ def test_every_written_line_equals_json_dumps(tmp_path_factory, frozen_clock, en
     want[store.promotions_path] = [json.dumps(
         {"entry_ids": [e.id for e in entries], "promoted_at": stamp}, separators=(",", ":"))]
     want[store.cw_ledger_path] = [json.dumps(
-        {"entry_id": entries[0].id, "delta": d, "reward": 1, "applied_at": stamp},
+        {"deltas": [[entries[0].id, d]], "reward": 1, "applied_at": stamp},
         separators=(",", ":")) for d in deltas]
     assert {p: p.read_text(encoding="utf-8").split("\n")[:-1] for p in want} == want
