@@ -2,10 +2,13 @@
 
 Layout under the workspace root:
 
-    memory/episodic/YYYY-MM-DD.jsonl   one line per entry, per UTC day
-    memory/semantic/facts.jsonl        project-shared distilled facts
-    memory/cw_ledger.jsonl             cognitive-weight deltas (sidecar)
-    memory/promotions.jsonl            promotion marks (sidecar)
+    memory/episodic/log.jsonl       one line per entry, in append order
+    memory/semantic/facts.jsonl     project-shared distilled facts
+    memory/cw_ledger.jsonl          cognitive-weight deltas (sidecar)
+    memory/promotions.jsonl         promotion marks (sidecar)
+
+Older versions wrote one ``memory/episodic/YYYY-MM-DD.jsonl`` per UTC day.
+Such day files are read, before the log, but never written.
 
 Entry lines carry exactly: id, timestamp, session_id, agent_id, project,
 content, tokens, promoted, cognitive_weight. Fact lines carry exactly: id,
@@ -55,7 +58,7 @@ import threading
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from datetime import date, datetime, timezone
+from datetime import datetime, timezone
 from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 
@@ -549,31 +552,33 @@ class MemoryStore:
         self.root = Path(workspace)
         self.memory_dir = self.root / "memory"
         self.episodic_dir = self.memory_dir / "episodic"
+        # Sorts after every legacy YYYY-MM-DD.jsonl day file: loads after them.
+        self.episodic_log_path = self.episodic_dir / "log.jsonl"
         self.facts_path = self.memory_dir / "semantic" / "facts.jsonl"
         self.cw_ledger_path = self.memory_dir / "cw_ledger.jsonl"
         self.promotions_path = self.memory_dir / "promotions.jsonl"
         self._lock = threading.Lock()
-        # Day-file views by file name; they count their ids in one table.
+        # Episodic file views by file name; they count their ids in one table.
         self._entry_ids: dict[str, int] = {}
-        self._day_views: dict[str, _RecordView] = {}
+        self._episodic_views: dict[str, _RecordView] = {}
         self._facts = _RecordView(self.facts_path, SemanticFact.from_dict, {})
         self._weights = _WeightView(self.cw_ledger_path, _cw_deltas)
         self._promoted = _PromotedView(self.promotions_path, _promoted_ids)
 
     # -- files ------------------------------------------------------------
 
-    def _day_view(self, name: str) -> _RecordView:
-        view = self._day_views.get(name)
+    def _episodic_view(self, name: str) -> _RecordView:
+        view = self._episodic_views.get(name)
         if view is None:
-            view = self._day_views[name] = _RecordView(
+            view = self._episodic_views[name] = _RecordView(
                 self.episodic_dir / name, EpisodicEntry.from_dict, self._entry_ids
             )
         return view
 
-    def _sync_day_views(self, full: bool = False) -> list[tuple[_RecordView, bytes]]:
-        """Sync the view of every day file, in file-name order, and return each
-        with its file's unterminated tail. The views of files that are gone
-        are dropped."""
+    def _sync_episodic_views(self, full: bool = False) -> list[tuple[_RecordView, bytes]]:
+        """Sync the view of every episodic file, in file-name order (day files,
+        then the log), and return each with its file's unterminated tail. The
+        views of files that are gone are dropped."""
         try:
             names = sorted(n for n in os.listdir(self.episodic_dir) if n.endswith(".jsonl"))
         except FileNotFoundError:
@@ -581,22 +586,22 @@ class MemoryStore:
         except OSError as exc:
             raise StorageError(f"cannot list {self.episodic_dir}: {exc}") from exc
         listed = set(names)
-        for name in [n for n in self._day_views if n not in listed]:
-            self._day_views.pop(name).reset()
-        return [(view, view.sync(full)) for view in map(self._day_view, names)]
+        for name in [n for n in self._episodic_views if n not in listed]:
+            self._episodic_views.pop(name).reset()
+        return [(view, view.sync(full)) for view in map(self._episodic_view, names)]
 
     def _known_entry_ids(self):
-        """Every episodic line's id, the day views synced first."""
+        """Every episodic line's id, the episodic views synced first."""
         tail_ids = [
             record_id
-            for view, tail in self._sync_day_views()
+            for view, tail in self._sync_episodic_views()
             for record_id in view.with_tail(tail).ids[len(view.ids):]
         ]
         return self._entry_ids.keys() | tail_ids if tail_ids else self._entry_ids
 
     def _require_entries(self, entry_ids: Iterable[str]) -> None:
-        """Raise NotFoundError for an id that no episodic line carries. The day
-        views are synced only when an id misses the ids they already hold."""
+        """Raise NotFoundError for an id that no episodic line carries. The
+        episodic views are synced only when an id misses the ids they hold."""
         missing = [i for i in entry_ids if i not in self._entry_ids]
         if missing:
             known = self._known_entry_ids()
@@ -680,13 +685,13 @@ class MemoryStore:
         return self.append_entries([entry])[0]
 
     def append_entries(self, entries: Sequence[EpisodicEntry]) -> list[str]:
-        """Append entries, one JSONL line each, grouped per UTC-day file.
+        """Append entries, one JSONL line each in call order, to the episodic
+        log in one write; legacy day files are never written.
 
         An id that is already stored or repeated in the batch raises
         ValidationError before anything is written. Stored means on a line
-        of a day file when this call syncs the day views, so an id that
-        another writer appended before is seen. Every day's lines are
-        encoded before the first write.
+        of an episodic file when this call syncs the episodic views, so an id
+        that another writer appended before is seen.
         """
         for entry in entries:
             if not entry.project:
@@ -696,22 +701,16 @@ class MemoryStore:
         with self._lock:
             known = self._known_entry_ids()
             ids: set[str] = set()
-            by_day: dict[date, tuple[list[EpisodicEntry], list[str]]] = {}
+            batch, lines = [], []
             for entry in entries:
                 if entry.id in known or entry.id in ids:
                     raise ValidationError(f"duplicate entry id: {entry.id!r}")
                 ids.add(entry.id)
-                day = entry.timestamp.astimezone(timezone.utc).date()
-                group = by_day.get(day)
-                if group is None:
-                    group = by_day[day] = ([], [])
-                group[1].append(entry.to_line())
+                lines.append(entry.to_line())
                 if entry.timestamp.tzinfo is not timezone.utc:  # kept as the line parses
                     entry = entry._replace(timestamp=_as_written(entry.timestamp))
-                group[0].append(entry)
-            encoded = [(day, batch, _encode(lines)) for day, (batch, lines) in by_day.items()]
-            for day, batch, data in encoded:
-                self._append(self._day_view(f"{day.isoformat()}.jsonl"), data, batch)
+                batch.append(entry)
+            self._append(self._episodic_view(self.episodic_log_path.name), _encode(lines), batch)
         return [e.id for e in entries]
 
     def load_entries(
@@ -736,7 +735,7 @@ class MemoryStore:
         with self._lock:
             weights = self._weights.read().state
             promoted = self._promoted.read().state
-            for view, tail in self._sync_day_views(full=True):
+            for view, tail in self._sync_episodic_views(full=True):
                 view = view.with_tail(tail)
                 skipped += view.skipped
                 for entry in view.values:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -61,10 +63,115 @@ def test_id_repeated_in_a_batch_is_rejected(store):
     assert store.load_entries("proj").entries == []
 
 
-def test_day_files_split_by_utc_date(store):
+def test_entries_of_every_utc_day_go_to_one_log_in_call_order(store):
     store.append_entry(make_entry(entry_id="e1", days_ago=0))
-    store.append_entry(make_entry(entry_id="e2", days_ago=2))
-    assert len(list(store.episodic_dir.glob("*.jsonl"))) == 2
+    store.append_entries([
+        make_entry(entry_id="e2", days_ago=2), make_entry(entry_id="e3", days_ago=1)
+    ])
+    assert list(store.episodic_dir.glob("*.jsonl")) == [store.episodic_log_path]
+    lines = store.episodic_log_path.read_text().splitlines()
+    assert [json.loads(line)["id"] for line in lines] == ["e1", "e2", "e3"]
+    assert [e.id for e in MemoryStore(store.root).load_entries("proj")] == ["e1", "e2", "e3"]
+
+
+def test_a_torn_batch_loads_a_prefix_of_its_entries_in_call_order(store):
+    """A crash can keep any prefix of the one write of a batch that spans
+    three UTC days; every such prefix loads as a prefix of the batch."""
+    batch = [make_entry(entry_id=f"e{i}", days_ago=(2, 0, 1)[i % 3]) for i in range(6)]
+    store.append_entries(batch)
+    (path,) = store.episodic_dir.glob("*.jsonl")
+    data = path.read_bytes()
+    ids = [e.id for e in batch]
+    for cut in range(len(data) + 1):
+        path.write_bytes(data[:cut])
+        loaded = [e.id for e in MemoryStore(store.root).load_entries("proj")]
+        assert loaded == ids[:len(loaded)]
+        assert len(loaded) >= data[:cut].count(b"\n")  # every whole line loads
+        assert [e.id for e in store.load_entries("proj")] == loaded
+
+
+# The lines an older version wrote into its per-day files, byte for byte.
+_LEGACY_DAYS = {
+    "2025-02-27.jsonl": [
+        b'{"id":"d1","timestamp":"2025-02-27T12:00:00+00:00","session_id":"s1","agent_id":"a",'
+        b'"project":"proj","content":"caf\xc3\xa9 on day one","tokens":4,"promoted":false,'
+        b'"cognitive_weight":0.0}',
+        b'{"id":"d2","timestamp":"2025-02-27T23:30:00+00:00","session_id":"s2","agent_id":"b",'
+        b'"project":"proj","content":"[system] late note","tokens":3,"promoted":true,'
+        b'"cognitive_weight":0.0}',
+    ],
+    "2025-03-01.jsonl": [
+        b'{"id":"d3","timestamp":"2025-03-01T00:15:00+00:00","session_id":"s1","agent_id":"a",'
+        b'"project":"proj","content":"third \\"quoted\\" note","tokens":3,"promoted":false,'
+        b'"cognitive_weight":0.0}',
+    ],
+}
+
+
+def test_legacy_day_files_load_first_and_are_never_written(store):
+    store.episodic_dir.mkdir(parents=True)
+    for name in sorted(_LEGACY_DAYS, reverse=True):  # made out of name order
+        (store.episodic_dir / name).write_bytes(b"".join(l + b"\n" for l in _LEGACY_DAYS[name]))
+    before = {p: p.read_bytes() for p in store.episodic_dir.glob("*.jsonl")}
+    utc = timezone.utc
+    want = [
+        EpisodicEntry("d1", datetime(2025, 2, 27, 12, tzinfo=utc), "s1", "a", "proj",
+                      "café on day one", 4, False, 0.0),
+        EpisodicEntry("d2", datetime(2025, 2, 27, 23, 30, tzinfo=utc), "s2", "b", "proj",
+                      "[system] late note", 3, True, 0.0),
+        EpisodicEntry("d3", datetime(2025, 3, 1, 0, 15, tzinfo=utc), "s1", "a", "proj",
+                      'third "quoted" note', 3, False, 0.0),
+    ]
+    assert store.load_entries("proj").entries == want
+    assert [e.to_line().encode() for e in want] == [
+        line for name in sorted(_LEGACY_DAYS) for line in _LEGACY_DAYS[name]
+    ]
+    early = make_entry(entry_id="n1", days_ago=30)  # older than every day file
+    store.append_entries([early])
+    for writer in (store, MemoryStore(store.root)):
+        with pytest.raises(ValidationError, match="d2"):
+            writer.append_entries([make_entry(entry_id="n2"), make_entry(entry_id="d2")])
+    store.apply_cw_delta("d1", 0.5, 1.0)
+    assert {p: p.read_bytes() for p in before} == before
+    assert sorted(store.episodic_dir.glob("*.jsonl")) == sorted([*before, store.episodic_log_path])
+    assert store.episodic_log_path.read_bytes() == early.to_line().encode() + b"\n"
+    for reader in (store, MemoryStore(store.root)):
+        loaded = reader.load_entries("proj")
+        assert [(e.id, e.cognitive_weight) for e in loaded] == [
+            ("d1", 0.5), ("d2", 0.0), ("d3", 0.0), ("n1", 0.0)
+        ]
+        assert loaded.skipped == 0
+
+
+def test_an_append_opens_stats_and_writes_one_episodic_file(store, monkeypatch):
+    store.append_entries([make_entry(entry_id=f"old{i}", days_ago=i) for i in range(60)])
+    episodic = str(store.episodic_dir)
+    calls: Counter = Counter()
+    fds: set[int] = set()
+    real_open, real_stat, real_write = os.open, os.stat, os.write
+
+    def counted_open(path, *args, **kwargs):
+        fd = real_open(path, *args, **kwargs)
+        if str(path).startswith(episodic):
+            calls["open"] += 1
+            fds.add(fd)
+        return fd
+
+    def counted_stat(path, *args, **kwargs):
+        calls["stat"] += str(path).startswith(episodic)
+        return real_stat(path, *args, **kwargs)
+
+    def counted_write(fd, data):
+        calls["write"] += fd in fds
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "open", counted_open)
+    monkeypatch.setattr(os, "stat", counted_stat)
+    monkeypatch.setattr(os, "write", counted_write)
+    store.append_entries([make_entry(entry_id=f"new{i}", days_ago=i * 7) for i in range(5)])
+    monkeypatch.undo()
+    assert calls == {"open": 1, "stat": 1, "write": 1}
+    assert len(MemoryStore(store.root).load_entries("proj")) == 65
 
 
 def test_line_fields_are_exactly_the_contract(store):
@@ -807,8 +914,9 @@ def test_text_no_line_can_hold_is_rejected_at_construction(build):
 
 
 def test_unencodable_day_group_writes_no_day_of_its_batch(store):
-    """Every day's lines are encoded before the first write, so a record that
-    skipped the construction checks fails the whole batch."""
+    """A batch is encoded before its one write, also when its entries fall on
+    two UTC days, so a record that skipped the construction checks fails the
+    whole batch."""
     good = make_entry(entry_id="a", days_ago=1)
     bad = make_entry(entry_id="b")._replace(content="bad \ud800")
     with pytest.raises(UnicodeEncodeError):

@@ -28,10 +28,15 @@ from agentmem.retrieval import RetrievalConfig, RetrievalPipeline
 from agentmem.store import EpisodicEntry, MemoryStore, SemanticFact
 from conftest import BASE_TS, SYNTHETIC20, make_entry, make_fact
 
-# sha256 of every file (relative path, NUL, bytes; in path order) that
-# test_frozen_clock_writes_are_byte_identical makes. The encoding of these
-# files is a format: a change of this value is a change of the format.
-SYNTHETIC20_FILES_SHA256 = "075b62728c0f840032e0cb4c19982e05c0f91fcf2d12a17400fc2d0efec3faa8"
+# sha256 of every file that test_frozen_clock_writes_are_byte_identical
+# makes, by path. The encoding of these files is a format: a change of one of
+# these values is a change of the format.
+SYNTHETIC20_FILES_SHA256 = {
+    "memory/cw_ledger.jsonl": "e33e40b13d7dbc0180fdada63d4e3db06a21ae8b7251d319251c564ab43060c6",
+    "memory/episodic/log.jsonl": "6d849e56bbcb71fe1191f2a9f6f9b695f4b7124f3a0eaf79f369ee88fde56201",
+    "memory/promotions.jsonl": "78b1252b509a8d6014cd18b335448452d9ff21a99fbfba7cd8155374aea8673e",
+    "memory/semantic/facts.jsonl": "3e708ac40f6e936bf1085b7561de706914d59b6485c7990a6960feef31826f60",
+}
 
 
 def _entry_fields(entry: EpisodicEntry) -> tuple:
@@ -122,9 +127,9 @@ def test_own_appends_are_never_parsed_back(store, monkeypatch):
     other.apply_cw_delta("x1", 0.1, 1.0)
     parses.clear()
     store.load_entries("proj")  # parses only the two lines the other instance wrote
-    day_file = store.episodic_dir / f"{BASE_TS.date()}.jsonl"
     assert sorted(parses) == sorted(
-        path.read_text().splitlines()[-1] + "\n" for path in (day_file, store.cw_ledger_path)
+        path.read_text().splitlines()[-1] + "\n"
+        for path in (store.episodic_log_path, store.cw_ledger_path)
     )
 
 
@@ -240,12 +245,13 @@ def _fact(draw):
 
 
 _ENTRY_IDS = st.sampled_from([f"e{i}" for i in range(7)])
-_FILES = st.sampled_from(["day0", "day1", "facts", "cw", "promotions"])
+_FILES = st.sampled_from(["log", "day", "facts", "cw", "promotions"])
 _STEP = st.one_of(
     st.tuples(st.just("entries"), st.lists(_entry(), min_size=1, max_size=3)),
     st.tuples(st.just("facts"), st.lists(_fact(), min_size=1, max_size=3)),
     st.tuples(st.just("promote"), st.lists(_ENTRY_IDS, min_size=1, max_size=3)),
     st.tuples(st.just("legacy"), st.lists(_ENTRY_IDS, min_size=1, max_size=3)),
+    st.tuples(st.just("day"), st.lists(_entry(), min_size=1, max_size=3)),
     st.tuples(st.just("cw"), st.tuples(_ENTRY_IDS, st.floats(-0.7, 0.7))),
     st.tuples(st.just("corrupt"), _FILES),
     st.tuples(st.just("torn"), st.tuples(_FILES, st.booleans())),
@@ -255,22 +261,32 @@ _STEP = st.one_of(
 
 
 def _file(store: MemoryStore, name: str) -> Path:
-    if name.startswith("day"):
-        day = (BASE_TS - timedelta(days=int(name[3:]))).date().isoformat()
-        return store.episodic_dir / f"{day}.jsonl"
-    return {"facts": store.facts_path, "cw": store.cw_ledger_path,
+    """The file a name stands for; ``day`` is a day file of the older layout."""
+    return {"log": store.episodic_log_path, "day": store.episodic_dir / "2025-03-01.jsonl",
+            "facts": store.facts_path, "cw": store.cw_ledger_path,
             "promotions": store.promotions_path}[name]
 
 
+_ENTRY_LINE = ('{"id":"t1","timestamp":"2025-03-01T09:00:00+00:00","session_id":"s9",'
+               '"agent_id":"a","project":"proj","content":"tail","tokens":1,"promoted":false,'
+               '"cognitive_weight":0.0}')
 _WHOLE_LINES = {
-    "day0": '{"id":"t1","timestamp":"2025-03-01T09:00:00+00:00","session_id":"s9",'
-            '"agent_id":"a","project":"proj","content":"tail","tokens":1,"promoted":false,'
-            '"cognitive_weight":0.0}',
+    "log": _ENTRY_LINE,
+    "day": _ENTRY_LINE.replace('"t1"', '"t2"'),
     "facts": '{"id":"ft","subject":"x","relation":"kv","value":"y","session_ids":["s9"],'
              '"created_at":"2025-03-01T09:00:00+00:00"}',
     "cw": '{"entry_id":"e1","delta":0.5,"reward":1.0,"applied_at":"2025-03-01T09:00:00+00:00"}',
     "promotions": '{"entry_ids":["e2","e3"],"promoted_at":"2025-03-01T09:00:00+00:00"}',
 }
+
+
+def _legacy_day(store: MemoryStore, entries: list[EpisodicEntry]) -> None:
+    """Entry lines in a day file of the older layout, which no instance
+    writes, appended as such a version appended them."""
+    path = _file(store, "day")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("ab") as handle:
+        handle.write("".join(e.to_line() + "\n" for e in entries).encode())
 
 
 def _legacy_promotions(store: MemoryStore, entry_ids: list[str]) -> None:
@@ -324,6 +340,8 @@ def test_two_instances_replay_like_a_fresh_one(tmp_path_factory, steps):
                 store.apply_cw_delta(arg[0], arg[1], 1.0)
             elif kind == "legacy":
                 _legacy_promotions(store, arg)
+            elif kind == "day":
+                _legacy_day(store, arg)
             else:
                 _foreign(store, kind, arg)
         except (ValidationError, NotFoundError):
@@ -380,16 +398,22 @@ def test_frozen_clock_writes_are_byte_identical(tmp_path, frozen_clock):
         ingest_question(store, question)
     run_consolidation_pass(store, HeuristicExtractor(), BENCH_PROJECT)
     entries = store.load_entries(BENCH_PROJECT).entries
-    for i, entry in enumerate(entries[:12]):
-        store.apply_cw_delta(entry.id, (0, 0.25, -0.5)[i % 3], 1.0)
-    paths = sorted(store.root.rglob("*.jsonl"))
-    digest = hashlib.sha256()
-    for path in paths:
-        digest.update(str(path.relative_to(store.root)).encode() + b"\0" + path.read_bytes())
+    for i, entry_id in enumerate(sorted(e.id for e in entries)[:12]):
+        store.apply_cw_delta(entry_id, (0, 0.25, -0.5)[i % 3], 1.0)
+    digests = {}
+    for path in sorted(store.root.rglob("*.jsonl")):
+        digests[str(path.relative_to(store.root))] = hashlib.sha256(path.read_bytes()).hexdigest()
         ledger = path.parent == store.memory_dir
         for line in path.read_text(encoding="utf-8").splitlines():
             assert line == json.dumps(json.loads(line), ensure_ascii=ledger, separators=(",", ":"))
-    assert digest.hexdigest() == SYNTHETIC20_FILES_SHA256
+    assert digests == SYNTHETIC20_FILES_SHA256
+    # The log holds the entries in the order they were appended.
+    log = store.episodic_log_path.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["id"] for line in log] == [
+        f"{s.session_id}-{i:03d}"
+        for question in load_dataset(SYNTHETIC20) for s in question.sessions
+        for i in range(len(s.turns))
+    ]
     _assert_like_fresh(store, project=BENCH_PROJECT)
 
 
@@ -411,13 +435,11 @@ def test_every_written_line_equals_json_dumps(tmp_path_factory, frozen_clock, en
         store.apply_cw_delta(entries[0].id, delta, 1)
     stamp = frozen_clock.isoformat()
     want: dict[Path, list[str]] = {}
-    for e in entries:
-        path = store.episodic_dir / f"{e.timestamp.astimezone(timezone.utc).date()}.jsonl"
-        want.setdefault(path, []).append(json.dumps(
-            {"id": e.id, "timestamp": e.timestamp.isoformat(), "session_id": e.session_id,
-             "agent_id": e.agent_id, "project": e.project, "content": e.content,
-             "tokens": e.tokens, "promoted": e.promoted, "cognitive_weight": e.cognitive_weight},
-            ensure_ascii=False, separators=(",", ":")))
+    want[store.episodic_log_path] = [json.dumps(
+        {"id": e.id, "timestamp": e.timestamp.isoformat(), "session_id": e.session_id,
+         "agent_id": e.agent_id, "project": e.project, "content": e.content,
+         "tokens": e.tokens, "promoted": e.promoted, "cognitive_weight": e.cognitive_weight},
+        ensure_ascii=False, separators=(",", ":")) for e in entries]
     want[store.facts_path] = [json.dumps(
         {"id": f.id, "subject": f.subject, "relation": f.relation, "value": f.value,
          "session_ids": sorted(f.session_ids), "created_at": f.created_at.isoformat()},
