@@ -1,45 +1,41 @@
-"""Tokenisation and raw Okapi BM25 scoring over inverted indexes.
+"""Tokenisation and raw Okapi BM25 scoring over compact postings.
 
 ``tokenize`` takes the lowercased alphanumeric runs of a text, ``[^\\W_]+``.
 Every memory build tokenises every entry and fact, so ASCII text, where that
 class is exactly ``[0-9a-z]`` after lowercasing, is split by a byte table
 instead of the regex; other text goes through the regex.
 
-``Bm25Index`` holds postings, ``term -> {doc_id: term frequency}``, plus each
-document's token length; a term's document frequency is the size of its
-postings. ``build_index`` counts each token straight into its postings in
-one pass. ``pool_scores`` scores the documents of several indexes as one
-corpus, walking only the postings of the query terms, so its cost grows with
-the matched postings, not with the corpus. A document that shares no query
-term scores exactly 0 and is left out.
+The engine builds one layout, ``Postings``: a group of documents keyed by
+integer position, each term mapped to one flat tuple ``(position, tf,
+position, tf, ...)``, so a term's document frequency in the group is half
+its length. The documents' token lengths live in one column indexed by
+position, outside the groups: the postings lists of Zobel & Moffat (ACM
+Computing Surveys 2006) in one form. ``build_postings`` builds a group in
+one pass whose cost grows with its tokens. A corpus is a list of groups
+scored as one: N, the total length and each df are summed over them, so a
+pool of sessions is the list of their groups and nothing is indexed twice.
 
-Two indexes never change for the life of a retrieval snapshot: its fact
-index and its whole-snapshot entry index. Their N, average length and every
-document frequency are fixed, so each posting's contribution, ``idf * tf *
-(K1 + 1) / (tf + length norm)``, is the same float on every query: the
-per-posting "impact" of Anh & Moffat (SIGIR 2006). ``Bm25Columns`` computes
-a term's contributions as arrays the first time a query uses the term,
-keeps them, and only adds them on every later query, so a snapshot that
-answers one query pays what a walk of the postings costs, and each query
-after it pays for its new terms only. It gives the sums as a float64 column
-over every document, sorted by id. Stage 1 scores the fact index this way
-and takes the facts best-first by partial selection, sorting only the top
-few. Stage 2 scores the whole snapshot, the pool of a query that stage 1
-scopes to no session, this way too: that index is keyed by the positions
-0..N-1, so its column is in snapshot order.
+Two scorers read that layout, chosen by what the corpus is:
 
-A scoped stage-2 pool, the entries of a few sessions, keeps no
-contributions: its N and document frequencies count only the sessions in
-it, so a contribution holds for one pool only. Its sessions are kept in a
-compact layout, one ``SessionPostings`` each, built by
-``build_session_postings``: each term of a session maps to one flat tuple
-``(position, tf, position, tf, ...)``, the last document first, in place of
-a dict per term; the term strings are interned once per snapshot in a
-shared dict, and the documents' lengths live in one per-snapshot column
-indexed by position. ``session_pool_scores`` scores a pool of them with
-``pool_scores``' walk, so every float is ``==`` to it.
-``rank`` is ``pool_scores`` fully sorted, and ``bm25_score`` is the
-per-document reference all of them are tested against.
+- ``pool_scores`` walks the postings of the query terms for a corpus that
+  is scored once, a scoped stage-2 pool whose N and document frequencies
+  count only the sessions in it, so its cost grows with the matched
+  postings, not with the corpus.
+- ``Bm25Columns`` scores a corpus that never changes for the life of a
+  snapshot, its facts or all its entries. N, the average length and every
+  df are fixed, so each posting's contribution, ``idf * tf * (K1 + 1) /
+  (tf + length norm)``, is the same float on every query: the per-posting
+  "impact" of Anh & Moffat (SIGIR 2006). It computes a term's
+  contributions as arrays the first time a query uses the term, keeps
+  them, and only adds them on every later query, giving a float64 column in
+  position order. Stage 1 takes the facts best-first from it by partial
+  selection, sorting only the top few.
+
+Both sum each document's contributions over the query terms in the same
+order, with the same length norms, so their floats are ``==``. ``Bm25Index``
+(``term -> {doc_id: tf}``), ``build_index``, ``bm25_score`` and ``rank``
+are the per-document reference that both are tested against; no engine path
+builds them.
 
 Scores are left unnormalised on purpose: downstream scoring applies its own
 normalisation variants, and the decay-bypass rule thresholds the raw value.
@@ -53,6 +49,7 @@ import string
 from collections import defaultdict
 from collections.abc import Hashable, Iterable, Iterator, MutableSequence, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -64,6 +61,8 @@ B = 0.75
 # Facts that Bm25Columns.ranked sorts first; it takes 4x more each time the
 # walk needs more. Stage 1 stops after about k1 facts.
 _FIRST_CUT = 16
+# What Bm25Columns keeps for a term that no group holds.
+_NO_POSTINGS = (np.empty(0, np.intp), np.empty(0))
 
 # Word characters minus underscore: lowercased alphanumeric runs.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -150,99 +149,94 @@ def bm25_score(index: Bm25Index, query_tokens: Iterable[str], doc_id: Hashable) 
     return score
 
 
-def pool_scores(
-    query_tokens: Iterable[str], indexes: Sequence[Bm25Index]
-) -> dict[Hashable, float]:
-    """Raw BM25 of every document sharing a query term, with ``indexes``
-    scored as one corpus: N, the total length and each df are summed over
-    them, so doc ids must be distinct across them. Each score is > 0 and
-    ``==`` to ``bm25_score`` over one ``build_index`` of all their texts,
-    as each document's sum runs over the query terms in the same order.
-
-    ``Bm25Columns``, the one scorer that keeps contributions, serves only
-    indexes that never change: the fact index and the whole snapshot. A
-    scoped pool's N and document frequencies depend on which sessions are
-    in it, so no contribution can be kept across pools, and a column over
-    the whole snapshot, masked to the pool on every query, would cost more
-    than walking the pool's few hundred postings: ``session_pool_scores``
-    walks them as this does, over the compact per-session layout.
-    """
-    n = sum(index.doc_count for index in indexes)
-    avg = sum(index.total_len for index in indexes) / n if n else 0.0
-    scores: dict[Hashable, float] = {}
-    k1, b = K1, B  # locals, as the loop below reads them once per posting
-    for term in dict.fromkeys(query_tokens):
-        matched = [(index.doc_len, p) for index in indexes if (p := index.postings.get(term))]
-        if not matched:
-            continue
-        weight = _idf(n, sum(len(postings) for _, postings in matched))
-        for doc_len, postings in matched:
-            for doc, f in postings.items():
-                length_norm = k1 * (1.0 - b + (b * doc_len[doc] / avg if avg > 0 else 0.0))
-                scores[doc] = scores.get(doc, 0.0) + weight * f * (k1 + 1.0) / (f + length_norm)
-    return scores
+def rank(index: Bm25Index, query_tokens: Iterable[str]) -> list[tuple[Hashable, float]]:
+    """Documents sharing a query term, sorted by (score desc, doc_id asc),
+    each scored by ``bm25_score``. Every returned score is > 0; a document
+    left out scores exactly 0. This full sort is the reference that
+    ``Bm25Columns.ranked`` is tested against."""
+    query = list(dict.fromkeys(query_tokens))
+    matched = {doc for term in query for doc in index.postings.get(term, ())}
+    return sorted(
+        ((doc, bm25_score(index, query, doc)) for doc in matched),
+        key=lambda pair: (-pair[1], pair[0]),
+    )
 
 
-class SessionPostings(NamedTuple):
-    """One session's BM25 postings in the compact layout: each term maps to
-    one flat tuple ``(position, tf, position, tf, ...)``, the last document
-    first, and a term's document frequency is half its length. Its
-    documents' lengths are in the snapshot's column, at their positions."""
+class Postings(NamedTuple):
+    """One group of documents' BM25 postings: each term maps to one flat
+    tuple ``(position, tf, position, tf, ...)``, the first document first,
+    and a term's document frequency is half its length. The documents'
+    lengths are in a column kept outside, at their positions."""
 
     postings: dict[str, tuple[int, ...]]
     doc_count: int
     total_len: int
 
 
-def build_session_postings(
-    docs: Sequence[tuple[int, str]], terms: dict[str, str], doc_len: MutableSequence[int]
-) -> SessionPostings:
-    """Index one session's (position, text) pairs, positions distinct. Each
-    term string is the one ``terms`` holds, added with ``setdefault`` so
-    that builds may run at once; each document's token length is written to
-    ``doc_len[position]``.
+def build_postings(
+    docs: Iterable[tuple[int, str]], terms: dict[str, str], doc_len: MutableSequence[int]
+) -> Postings:
+    """Index (position, text) pairs, positions distinct, in one pass whose
+    cost grows with the tokens. Each term string is the one ``terms`` holds,
+    added with ``setdefault`` so that builds may run at once; each
+    document's token length is written to ``doc_len[position]``.
 
-    A document's pair goes in front of its term's tuple, where the next
-    token of the same document finds it at index 0. A term met once in a
-    document gets that document's one ``(position, 1)`` tuple, so the terms
-    of one document that no other document of the session holds share one
-    tuple.
+    A term's first document gets a ``(position, tf)`` tuple: the document's
+    one ``(position, 1)`` tuple while the term is met once in it, so the
+    terms of one document that no other document holds share one tuple. A
+    second document turns the tuple into a list, which later documents
+    append to, and the lists become tuples when the group is done.
     """
-    postings: dict[str, tuple[int, ...]] = {}
+    postings: dict[str, tuple[int, ...] | list[int]] = {}
+    grown: list[str] = []  # the terms whose postings are lists
     get = postings.get
     intern = terms.setdefault
-    total = 0
+    count = total = 0
     for position, text in docs:
         tokens = tokenize(text)
         doc_len[position] = len(tokens)
+        count += 1
         total += len(tokens)
         once = (position, 1)
         for token in tokens:
             p = get(token)
             if p is None:
                 postings[intern(token, token)] = once
-            elif p[0] != position:
-                postings[token] = once + p
-            else:  # the term again in this document
-                postings[token] = (position, p[1] + 1) + p[2:]
-    return SessionPostings(postings, len(docs), total)
+            elif p[-2] != position:  # the term's first time in this document
+                if len(p) == 2:  # a tuple; a list holds two documents or more
+                    postings[token] = [*p, position, 1]
+                    grown.append(token)
+                else:
+                    p += once
+            elif len(p) == 2:  # again in its first document
+                postings[token] = (position, p[1] + 1)
+            else:
+                p[-1] += 1
+    for term in grown:
+        postings[term] = tuple(postings[term])
+    return Postings(postings, count, total)
 
 
-def session_pool_scores(
-    query_tokens: Iterable[str], sessions: Sequence[SessionPostings], doc_len: Sequence[int]
+def pool_scores(
+    query_tokens: Iterable[str], groups: Sequence[Postings], doc_len: Sequence[int]
 ) -> dict[int, float]:
-    """Raw BM25 of every position sharing a query term, with ``sessions``
-    scored as one corpus: ``pool_scores``' walk over the compact layout, so
-    each score is ``==`` to ``pool_scores`` over one ``build_index`` of the
-    same documents keyed by position. N, the total length and each df are
-    summed over the sessions, and each document's sum runs over the query
-    terms in the same order."""
-    n = sum(session.doc_count for session in sessions)
-    avg = sum(session.total_len for session in sessions) / n if n else 0.0
+    """Raw BM25 of every position sharing a query term, with ``groups``
+    scored as one corpus: N, the total length and each df are summed over
+    them, and each document's sum runs over the query terms in
+    ``dict.fromkeys`` order, so each score is > 0 and ``==`` to
+    ``bm25_score`` over one ``build_index`` of the same documents.
+
+    It keeps nothing: a scoped pool's N and document frequencies depend on
+    which sessions are in it, so no contribution holds beyond one pool, and
+    a column over the whole snapshot, masked to the pool on every query,
+    would cost more than walking the pool's few hundred postings.
+    """
+    n = sum(group.doc_count for group in groups)
+    avg = sum(group.total_len for group in groups) / n if n else 0.0
     scores: dict[int, float] = {}
     k1, b = K1, B  # locals, as the loop below reads them once per posting
     for term in dict.fromkeys(query_tokens):
-        matched = [p for session in sessions if (p := session.postings.get(term))]
+        matched = [p for group in groups if (p := group.postings.get(term))]
         if not matched:
             continue
         weight = _idf(n, sum(map(len, matched)) // 2)
@@ -254,77 +248,68 @@ def session_pool_scores(
     return scores
 
 
-def rank(index: Bm25Index, query_tokens: Iterable[str]) -> list[tuple[Hashable, float]]:
-    """Documents sharing a query term, sorted by (score desc, doc_id asc).
-
-    Every returned score is > 0; a document left out scores exactly 0. This
-    full sort is the reference that ``Bm25Columns.ranked`` is tested against.
-    """
-    return sorted(pool_scores(query_tokens, [index]).items(), key=lambda pair: (-pair[1], pair[0]))
-
-
 class Bm25Columns:
-    """BM25 of one ``Bm25Index`` as a float64 column over its documents,
-    which are kept in sorted-id order. Each score is ``==`` to
-    ``pool_scores`` over that index alone: every document's sum runs over
-    the query terms in the same order, adding the same contributions, each
-    the float ``pool_scores`` computes for that posting.
+    """BM25 of a fixed corpus, ``groups`` whose positions are 0..N-1 with
+    ``doc_len`` their lengths, as a float64 column in position order. Each
+    score is ``==`` to ``pool_scores`` over the same groups: every
+    document's sum runs over the query terms in the same order, adding the
+    same contributions, each the float ``pool_scores`` computes for that
+    posting.
 
-    N, the average length and every df are fixed for the life of the index,
-    so a term's contribution to each document of its postings is too. They
-    become (positions, contributions) arrays the first time a query uses the
-    term and are kept; each later query only adds them into a column of its
-    own. Two threads may build one term at once; both store equal arrays.
+    N, the average length and every df are fixed for the life of the
+    corpus, so a term's contribution to each document of its postings is
+    too. They become (positions, contributions) arrays the first time a
+    query uses the term and are kept, empty for a term that no group holds,
+    so a later query looks a term up in one dict however many groups there
+    are; it only adds the arrays into a column of its own. Two threads may
+    build one term at once; both store equal arrays.
     """
 
-    def __init__(self, index: Bm25Index):
-        self.index = index
-        self.doc_ids = sorted(index.doc_len)
-        self._position = {doc: i for i, doc in enumerate(self.doc_ids)}
-        # K1 * (1 - B + B * dl / avg) of each document, or K1 * (1 - B) when
-        # avg is 0: the float pool_scores computes for it over this index
-        # alone. Documents of one length share one float.
-        avg = index.avg_doc_len
-        by_len = {
-            dl: K1 * (1.0 - B + (B * dl / avg if avg > 0 else 0.0))
-            for dl in set(index.doc_len.values())
-        }
-        self._length_norm = np.array([by_len[index.doc_len[doc]] for doc in self.doc_ids])
+    def __init__(self, groups: Sequence[Postings], doc_len: Sequence[int]):
+        self.groups = groups
+        self.doc_count = sum(group.doc_count for group in groups)
+        total = sum(group.total_len for group in groups)
+        avg = total / self.doc_count if self.doc_count else 0.0
+        # K1 * (1 - B + B * dl / avg) of each position, or K1 * (1 - B) when
+        # avg is 0: the float pool_scores computes for it. Documents of one
+        # length share one float.
+        by_len = {dl: K1 * (1.0 - B + (B * dl / avg if avg > 0 else 0.0)) for dl in set(doc_len)}
+        self._length_norm = np.array([by_len[dl] for dl in doc_len])
         self._terms: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _contributions(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
+    def _contributions(self, term: str) -> tuple[np.ndarray, np.ndarray]:
         arrays = self._terms.get(term)
         if arrays is None:
-            postings = self.index.postings.get(term)
-            if postings is None:
-                return None
-            position = self._position
-            positions = np.fromiter((position[doc] for doc in postings), np.intp, len(postings))
-            tf = np.fromiter(postings.values(), float, len(postings))
-            weight = _idf(self.index.doc_count, len(postings))
-            arrays = (positions, weight * tf * (K1 + 1.0) / (tf + self._length_norm[positions]))
+            matched = [p for group in self.groups if (p := group.postings.get(term))]
+            arrays = _NO_POSTINGS
+            if matched:
+                flat = np.fromiter(chain.from_iterable(matched), np.intp, sum(map(len, matched)))
+                positions, tf = flat[0::2].copy(), flat[1::2].astype(float)
+                weight = _idf(self.doc_count, len(positions))
+                lnorm = self._length_norm[positions]
+                arrays = (positions, weight * tf * (K1 + 1.0) / (tf + lnorm))
             self._terms[term] = arrays
         return arrays
 
     def scores(self, query_tokens: Iterable[str]) -> np.ndarray:
-        """Raw BM25 of every document, in ``doc_ids`` order: a new float64
-        array on every call, so no caller shares a result with another.
-        Every contribution is > 0, so the positive scores are exactly the
-        matches."""
-        scores = np.zeros(self.index.doc_count)
+        """Raw BM25 of every position: a new float64 array on every call, so
+        no caller shares a result with another. Every contribution is > 0,
+        so the positive scores are exactly the matches."""
+        scores = np.zeros(len(self._length_norm))
         for term in dict.fromkeys(query_tokens):
-            arrays = self._contributions(term)
-            if arrays is not None:
-                positions, contributions = arrays
+            positions, contributions = self._contributions(term)
+            if len(positions):
                 scores[positions] += contributions
         return scores
 
-    def ranked(self, query_tokens: Iterable[str]) -> Iterator[tuple[Hashable, float]]:
-        """``rank``'s pairs in the same (score desc, doc_id asc) order, lazily.
+    def ranked(self, query_tokens: Iterable[str]) -> Iterator[tuple[int, float]]:
+        """The matching positions with their scores, in (score desc, position
+        asc) order, lazily.
 
-        Each step sorts only the documents scoring at least the m-th best
-        score, so ties at the cut stay in id order, and the next step takes
-        4x as many; what a step sorted is a prefix of the next one's order.
+        Each step sorts only the positions scoring at least the m-th best
+        score, so ties at the cut stay in position order, and the next step
+        takes 4x as many; what a step sorted is a prefix of the next one's
+        order.
         """
         scores = self.scores(query_tokens)
         matched = np.flatnonzero(scores > 0.0)
@@ -336,10 +321,9 @@ class Bm25Columns:
                 top = np.flatnonzero(values >= cut)
             else:
                 top = np.arange(len(matched))
-            # top ascends, as do positions and ids, so a stable sort keeps
-            # equal scores in id order.
-            top = top[np.argsort(-values[top], kind="stable")]
-            for i in top[done:].tolist():
-                yield self.doc_ids[matched[i]], float(values[i])
-            done = len(top)
+            # top ascends, as do the positions, so a stable sort keeps equal
+            # scores in position order.
+            top = top[np.argsort(-values[top], kind="stable")][done:]
+            yield from zip(matched[top].tolist(), values[top].tolist())
+            done += len(top)
             m *= 4

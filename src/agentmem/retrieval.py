@@ -4,22 +4,23 @@ Stage 1 ranks semantic facts lexically and gathers the top distinct session
 ids. Stage 2 scores episodic entries inside those sessions with the
 composite formula and returns the top k, greedily packed into a token budget.
 
-BM25 has one form for both tiers, ``lexical.Bm25Index``, and one cached
-scorer, ``lexical.Bm25Columns``: stage 1 ranks the fact index through it.
-Stage 2 has two pools, picked by what stage 1 returned. A scoped query ranks
-the entries of its sessions; a query with no scope (``k1`` None, or a query
-whose facts name no session the snapshot holds) ranks the whole snapshot. A
-snapshot keeps its stage-2 postings keyed by snapshot position. Each session
-has compact postings, ``lexical.SessionPostings``: one flat ``(position,
-tf, ...)`` tuple per term, with the term strings interned once per snapshot
-and every document length in one per-snapshot column; a scoped pool's raw
-BM25 is ``lexical.session_pool_scores`` over its sessions. The whole pool
-has one ``Bm25Index`` of every entry, scored by a second
-``lexical.Bm25Columns``, whose float64 column is then in snapshot order,
-with nothing sorted. The fact index and the whole pool never change within
-a snapshot, so each keeps every query term's per-document BM25
-contributions from the first query that uses the term on; a scoped pool's N
-and document frequencies change with its sessions, so it keeps none.
+BM25 has one layout for both tiers, ``lexical.Postings`` groups built by
+``lexical.build_postings``, and every text is tokenised once per snapshot.
+The facts are one group in id order, which stage 1 ranks through a cached
+``lexical.Bm25Columns``. Stage 2 has two pools, picked by what stage 1
+returned. A scoped query ranks the entries of its sessions; a query with no
+scope (``k1`` None, or a query whose facts name no session the snapshot
+holds) ranks the whole snapshot. Each session is one group keyed by
+snapshot position, built the first time the session enters a pool, with the
+term strings interned once per snapshot and every document length in one
+per-snapshot column. A scoped pool's raw BM25 is ``lexical.pool_scores``
+over its sessions' groups; the whole pool is a ``lexical.Bm25Columns`` over
+every session's group, so a fallback reuses the sessions already built, and
+its float64 column is in snapshot order, with nothing sorted. The facts and
+the whole pool never change within a snapshot, so their columns keep every
+query term's per-document BM25 contributions from the first query that uses
+the term on; a scoped pool's N and document frequencies change with its
+sessions, so it keeps none.
 Stage 2 scores a pool as columns (``scoring.pool_signals``). The inputs no
 query changes, exp(-lambda * age), phi_cw, the tier multiplier and the
 timestamp, are kept per snapshot position, and a pool takes them by its
@@ -45,7 +46,8 @@ from collections import Counter
 from collections.abc import Container, Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import chain
+from itertools import chain, pairwise
+from operator import attrgetter
 from typing import Protocol
 
 import numpy as np
@@ -203,19 +205,26 @@ class RetrievalResult:
 
 @dataclass(frozen=True)
 class FactIndex:
-    """Stage 1's view of a fact set: BM25 columns and the facts by id. The
+    """Stage 1's view of a fact set: the facts in id order and BM25 columns
+    over them by that position, so score ties go to the smaller id. The
     columns keep each query term's per-fact BM25 contributions from the
     first query that uses the term on, so a snapshot's later queries only
     add them."""
 
     bm25: lexical.Bm25Columns
-    by_id: dict[str, SemanticFact]
+    by_id: list[SemanticFact]
 
 
 def build_fact_index(facts: Sequence[SemanticFact]) -> FactIndex:
-    """Facts are searchable by the subject+relation+value concatenation."""
-    index = lexical.build_index([(f.id, f.search_text()) for f in facts])
-    return FactIndex(lexical.Bm25Columns(index), {f.id: f for f in facts})
+    """Facts are searchable by the subject+relation+value concatenation, one
+    postings group in id order. Two facts with one id raise ValidationError."""
+    by_id = sorted(facts, key=attrgetter("id"))
+    for fact, after in pairwise(by_id):
+        if fact.id == after.id:
+            raise ValidationError(f"duplicate doc_id: {fact.id!r}")
+    doc_len = [0] * len(by_id)
+    group = lexical.build_postings(enumerate(f.search_text() for f in by_id), {}, doc_len)
+    return FactIndex(lexical.Bm25Columns([group], doc_len), by_id)
 
 
 def stage1_scope(
@@ -242,8 +251,8 @@ def stage1_scope(
         index = build_fact_index(facts)
     scoped: list[str] = []
     seen: set[str] = set()
-    for fact_id, _ in index.bm25.ranked(query_tokens):
-        for session_id in sorted(index.by_id[fact_id].session_ids):
+    for position, _ in index.bm25.ranked(query_tokens):
+        for session_id in sorted(index.by_id[position].session_ids):
             if session_id in seen or (sessions is not None and session_id not in sessions):
                 continue
             seen.add(session_id)
@@ -323,8 +332,9 @@ def stage2_retrieve(
     if now is None:
         now = max(e.timestamp for e in entries)
     if raw_bm25 is None:
-        index = lexical.build_index([(i, e.content) for i, e in enumerate(entries)])
-        scores = lexical.pool_scores(query_tokens, [index])
+        doc_len = [0] * len(entries)
+        group = lexical.build_postings(enumerate(e.content for e in entries), {}, doc_len)
+        scores = lexical.pool_scores(query_tokens, [group], doc_len)
         raw_bm25 = [scores.get(i, 0.0) for i in range(len(entries))]
     if signals is None:
         signals = np.array([_entry_signals(e, now, decay, tiers) for e in entries])
@@ -425,12 +435,13 @@ class RetrievalPipeline:
     when a query's config first does. Stage 2 ranks the entries of the
     scoped sessions, or the whole snapshot when stage 1 scopes none (``k1``
     None, or a query whose facts name no session the snapshot holds). A
-    session is indexed the first time it enters a pool, the whole snapshot
-    as one index the first time a query needs it. A scoped pool is scored by
-    ``lexical.session_pool_scores`` over its sessions' compact postings, as
-    its N and average length change with the sessions in it; the whole
-    snapshot's are fixed, so it is scored by one ``lexical.Bm25Columns``,
-    which keeps each term's contributions for the snapshot's later queries.
+    session is indexed the first time it enters a pool, which the whole
+    snapshot's pool does with every session it does not hold yet. A scoped
+    pool is scored by ``lexical.pool_scores`` over its sessions' postings,
+    as its N and average length change with the sessions in it; the whole
+    snapshot's are fixed, so it is scored by one ``lexical.Bm25Columns``
+    over every session's postings, which keeps each term's contributions
+    for the snapshot's later queries.
     Every entry of a scoped pool is in scope and none of the whole pool is,
     so neither looks up a session per entry; the entry ids and whether they
     are distinct are taken once, at construction, and a pool passes its ids
@@ -470,16 +481,16 @@ class RetrievalPipeline:
         self._session_positions: dict[str, list[int]] = {}
         for i, entry in enumerate(self.entries):
             self._session_positions.setdefault(entry.session_id, []).append(i)
-        # Filled the first time a session enters a pool: its entries' compact
-        # BM25 postings, keyed by position as two entries may share an id,
-        # their token lengths in _doc_len, and their rows of _entry_signals,
-        # which now, decay and tiers fix. _terms interns the term strings of
-        # every session's postings.
-        self._session_postings: dict[str, lexical.SessionPostings] = {}
+        # Filled the first time a session enters a pool: its entries' BM25
+        # postings, keyed by position as two entries may share an id, their
+        # token lengths in _doc_len, and their rows of _entry_signals, which
+        # now, decay and tiers fix. _terms interns the term strings of every
+        # session's postings.
+        self._session_postings: dict[str, lexical.Postings] = {}
         self._terms: dict[str, str] = {}
         self._doc_len = [0] * len(self.entries)
         self._signals = np.empty((len(self.entries), 4))
-        # The whole snapshot's BM25 scorer, over an index keyed by position,
+        # The whole snapshot's BM25 scorer, over every session's postings,
         # once a query needs it.
         self._snapshot_bm25: lexical.Bm25Columns | None = None
 
@@ -529,7 +540,7 @@ class RetrievalPipeline:
         similarities = None if cfg.mode == MODE_BM25 else self._similarities(query, pool, cfg.mode)
         if scoped:
             sessions = self._scoped_postings(scoped)
-            scores = lexical.session_pool_scores(query_tokens, sessions, self._doc_len)
+            scores = lexical.pool_scores(query_tokens, sessions, self._doc_len)
             raw_bm25 = [scores.get(i, 0.0) for i in positions]
             signals = self._signals[positions]
             ids = [self._ids[i] for i in positions] if self._ids_distinct else None
@@ -576,39 +587,39 @@ class RetrievalPipeline:
             latency_micros=latency,
         )
 
-    def _scoped_postings(self, sessions: Sequence[str]) -> list[lexical.SessionPostings]:
-        """The compact BM25 postings of each session, built once per snapshot
-        together with its entries' signal rows. A session is published only
-        once both are complete; one whose signals raise is not stored, so it
-        raises again in the next pool. Two threads may build one session at
-        once; both write equal lengths and signal rows and store equal
-        postings, over the same interned terms."""
+    def _scoped_postings(self, sessions: Sequence[str]) -> list[lexical.Postings]:
+        """The BM25 postings of each session, built once per snapshot
+        together with its entries' signal rows. The sessions not built yet
+        get their signal rows first, in one assignment, then their postings;
+        a session is published only once both are complete, so when a signal
+        raises none of them is stored, and the next pool raises again. Two
+        threads may build one session at once; both write equal lengths and
+        signal rows and store equal postings, over the same interned terms."""
         built = self._session_postings
-        for session in sessions:
-            if session not in built:
-                positions = self._session_positions[session]
-                self._signals[positions] = [
-                    _entry_signals(self.entries[i], self.now, self.decay, self.tiers)
-                    for i in positions
-                ]
-                docs = [(i, self.entries[i].content) for i in positions]
-                built[session] = lexical.build_session_postings(docs, self._terms, self._doc_len)
+        missing = [session for session in sessions if session not in built]
+        if missing:
+            at = self._session_positions
+            positions = [i for session in missing for i in at[session]]
+            self._signals[positions] = [
+                _entry_signals(self.entries[i], self.now, self.decay, self.tiers)
+                for i in positions
+            ]
+            for session in missing:
+                docs = ((i, self.entries[i].content) for i in at[session])
+                built[session] = lexical.build_postings(docs, self._terms, self._doc_len)
         return [built[session] for session in sessions]
 
     def _whole_snapshot_bm25(self) -> lexical.Bm25Columns:
-        """``lexical.Bm25Columns`` over one BM25 index of every entry, keyed
-        by position, so its ``doc_ids`` are 0..N-1 and its column is in
-        snapshot order. Built once per snapshot together with every
-        signal row, which are stored before the index; a snapshot whose
-        signals raise stores nothing, so it raises again on the next query.
-        Two threads may build at once; both store equal values."""
+        """``lexical.Bm25Columns`` over every session's postings, whose
+        positions are 0..N-1, so its column is in snapshot order. Built once
+        per snapshot through ``_scoped_postings``, which builds only the
+        sessions that no pool has built yet, with their signal rows; a
+        session whose signals raise is not stored, so the next query raises
+        again. Two threads may build at once; both store equal values."""
         built = self._snapshot_bm25
         if built is None:
-            rows = [_entry_signals(e, self.now, self.decay, self.tiers) for e in self.entries]
-            index = lexical.build_index([(i, e.content) for i, e in enumerate(self.entries)])
-            if rows:
-                self._signals[:] = rows
-            built = self._snapshot_bm25 = lexical.Bm25Columns(index)
+            sessions = self._scoped_postings(list(self._session_positions))
+            built = self._snapshot_bm25 = lexical.Bm25Columns(sessions, self._doc_len)
         return built
 
     def _similarities(self, query: str, pool: Sequence[EpisodicEntry], mode: str) -> list[float]:

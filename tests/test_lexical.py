@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,14 +18,32 @@ from agentmem.lexical import (
     B,
     bm25_score,
     build_index,
-    build_session_postings,
+    build_postings,
     pool_scores,
     rank,
-    session_pool_scores,
     tokenize,
 )
 
 TWO_DOC_CORPUS = [("d1", "apple banana"), ("d2", "cherry date")]
+
+
+def groups_of(texts, cuts=()):
+    """``texts`` keyed by position 0..N-1, cut into consecutive postings
+    groups at ``cuts``, with one interning dict and one length column."""
+    docs = list(enumerate(texts))
+    bounds = [0, *sorted(c % (len(docs) + 1) for c in cuts), len(docs)]
+    terms: dict[str, str] = {}
+    doc_len = [0] * len(docs)
+    groups = [build_postings(docs[lo:hi], terms, doc_len) for lo, hi in zip(bounds, bounds[1:])]
+    return groups, doc_len
+
+
+def id_columns(texts):
+    """``texts`` keyed "d0", "d1", ... as the fact index keeps facts: one
+    group in id order, so position p holds the id ``ids[p]``."""
+    ids = sorted(f"d{i}" for i in range(len(texts)))
+    groups, doc_len = groups_of([texts[int(doc_id[1:])] for doc_id in ids])
+    return Bm25Columns(groups, doc_len), ids
 
 
 def brute_force_bm25(docs, query_terms, doc_id, k1=1.5, b=0.75):
@@ -270,13 +289,11 @@ def test_rank_is_the_positive_part_of_the_brute_force_ranking(texts, query):
 @given(texts=CORPUS, query=QUERY, cuts=st.lists(st.integers(0, 12), max_size=3))
 @example(*ORDER_SENSITIVE, [1, 2])
 def test_pool_scores_equal_bm25_score_over_the_pool(texts, query, cuts):
-    docs = [(f"d{i}", text) for i, text in enumerate(texts)]
-    idx = build_index(docs)
-    bounds = [0, *sorted(c % (len(docs) + 1) for c in cuts), len(docs)]
-    indexes = [build_index(docs[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    scores = pool_scores(query, indexes)
-    expected = {doc_id: bm25_score(idx, query, doc_id) for doc_id, _ in docs}
-    assert scores == {doc_id: s for doc_id, s in expected.items() if s > 0.0}
+    idx = build_index(list(enumerate(texts)))
+    groups, doc_len = groups_of(texts, cuts)
+    scores = pool_scores(query, groups, doc_len)
+    expected = {i: bm25_score(idx, query, i) for i in range(len(texts))}
+    assert scores == {i: s for i, s in expected.items() if s > 0.0}
 
 
 # Session texts with non-ASCII words, some equal after lowercasing, so that
@@ -302,11 +319,12 @@ SESSION_QUERY = st.lists(
     query=["a", "café", "q", "a", "café"],
     data=None,
 )
-def test_session_pool_scores_equal_pool_scores_over_one_index(sessions, query, data):
+def test_groups_scored_as_one_pool_equal_bm25_score_over_one_index(sessions, query, data):
     """Sessions built with one interning dict and one length column, over
     interleaved positions as a snapshot's sessions are, and scored as a pool
-    of 1 to 5 of them, give the floats of ``pool_scores`` over one
-    ``build_index`` of the pool's documents keyed by position."""
+    of 1 to 5 of them, give the floats of ``bm25_score`` over one
+    ``build_index`` of the pool's documents keyed by position, through
+    ``pool_scores`` and through ``Bm25Columns``."""
     total = sum(map(len, sessions))
     if data is None:
         order, pool = list(range(total)), list(range(len(sessions)))
@@ -322,18 +340,23 @@ def test_session_pool_scores_equal_pool_scores_over_one_index(sessions, query, d
         docs.append(list(zip(positions, texts)))
     terms: dict[str, str] = {}
     doc_len = [0] * total
-    built = [build_session_postings(d, terms, doc_len) for d in docs]
+    built = [build_postings(d, terms, doc_len) for d in docs]
     for session, session_docs in zip(built, docs):
         index = build_index(session_docs)
         assert session.doc_count == index.doc_count and session.total_len == index.total_len
-        assert session.postings == {  # the last document first
-            term: tuple(x for pair in reversed(p.items()) for x in pair)
+        assert session.postings == {  # the first document first
+            term: tuple(x for pair in p.items() for x in pair)
             for term, p in index.postings.items()
         }
+        assert all(type(p) is tuple for p in session.postings.values())
         assert all(terms[term] is term for term in session.postings)
         assert [doc_len[i] for i, _ in session_docs] == [index.doc_len[i] for i, _ in session_docs]
-    expected = pool_scores(query, [build_index([doc for i in pool for doc in docs[i]])])
-    assert session_pool_scores(query, [built[i] for i in pool], doc_len) == expected
+    index = build_index([doc for i in pool for doc in docs[i]])
+    expected = {i: s for i in index.doc_len if (s := bm25_score(index, query, i)) > 0.0}
+    assert pool_scores(query, [built[i] for i in pool], doc_len) == expected
+    if len(pool) == len(sessions):  # every position: the whole snapshot's column
+        column = Bm25Columns(built, doc_len).scores(query)
+        assert column.tolist() == [expected.get(i, 0.0) for i in range(total)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -343,17 +366,18 @@ def test_session_pool_scores_equal_pool_scores_over_one_index(sessions, query, d
 @example(["", "", ""], ["a", "z"])  # every document empty: avg 0
 @example(["a a b", "", "b c a", ""], ["a", "z", "a", "b", "z"])  # repeated and unknown terms
 def test_position_scores_equal_pool_scores_at_every_position(texts, query):
-    """Over an index keyed by the positions 0..N-1, as the whole snapshot's
-    is, the column is in position order."""
-    idx = build_index(list(enumerate(texts)))
-    columns = Bm25Columns(idx)
-    expected = pool_scores(query, [idx])
-    scores = columns.scores(query)
-    assert columns.doc_ids == list(range(len(texts)))
-    assert scores.dtype == np.float64
-    assert scores.tolist() == [expected.get(i, 0.0) for i in range(len(texts))]
-    if idx.avg_doc_len == 0:
-        assert columns._length_norm.tolist() == [K1 * (1 - B)] * len(texts)
+    """Over groups keyed by the positions 0..N-1, as the whole snapshot's
+    sessions are, the column is in position order, whether the documents
+    are one group or several."""
+    for cuts in ((), (1, 3), (2, 2, 5)):
+        groups, doc_len = groups_of(texts, cuts)
+        columns = Bm25Columns(groups, doc_len)
+        expected = pool_scores(query, groups, doc_len)
+        scores = columns.scores(query)
+        assert scores.dtype == np.float64
+        assert scores.tolist() == [expected.get(i, 0.0) for i in range(len(texts))]
+        if not any(doc_len):
+            assert columns._length_norm.tolist() == [K1 * (1 - B)] * len(texts)
 
 
 @settings(max_examples=40, deadline=None)
@@ -361,8 +385,10 @@ def test_position_scores_equal_pool_scores_at_every_position(texts, query):
 @example(*ORDER_SENSITIVE)
 def test_rank_is_pool_scores_of_its_index_sorted(texts, query):
     idx = build_index([(f"d{i}", text) for i, text in enumerate(texts)])
+    groups, doc_len = groups_of(texts)
     assert rank(idx, query) == sorted(
-        pool_scores(query, [idx]).items(), key=lambda pair: (-pair[1], pair[0])
+        ((f"d{i}", s) for i, s in pool_scores(query, groups, doc_len).items()),
+        key=lambda pair: (-pair[1], pair[0]),
     )
 
 
@@ -376,14 +402,12 @@ def test_columns_equal_pool_scores_and_rank(texts, query):
     """Up to 80 documents over seven terms: many tie, and the walk crosses
     the first selection cut."""
     idx = build_index([(f"d{i}", text) for i, text in enumerate(texts)])
-    columns = Bm25Columns(idx)
-    expected = pool_scores(query, [idx])
+    columns, ids = id_columns(texts)
     scores = columns.scores(query)
-    assert columns.doc_ids == sorted(idx.doc_len)
-    assert [(doc_id, scores[i]) for i, doc_id in enumerate(columns.doc_ids)] == [
-        (doc_id, expected.get(doc_id, 0.0)) for doc_id in columns.doc_ids
+    assert [(doc_id, scores[i]) for i, doc_id in enumerate(ids)] == [
+        (doc_id, bm25_score(idx, query, doc_id)) for doc_id in sorted(idx.doc_len)
     ]
-    assert list(columns.ranked(query)) == rank(idx, query)
+    assert [(ids[p], s) for p, s in columns.ranked(query)] == rank(idx, query)
 
 
 @settings(max_examples=60, deadline=None)
@@ -394,33 +418,37 @@ def test_columns_equal_pool_scores_and_rank(texts, query):
 @example(ORDER_SENSITIVE[0], [ORDER_SENSITIVE[1], ["b", "z"], ORDER_SENSITIVE[1], ["f", "d", "f"]])
 @example(["", "a"], [["a"], ["z", "a"], ["a", "a"]])
 def test_cached_contributions_score_each_query_of_a_sequence_as_a_fresh_index(texts, queries):
-    """One ``Bm25Columns`` keyed by id and one keyed by position answer a
-    sequence of queries with repeated, overlapping and unknown terms, so
-    later queries read back contributions that earlier ones cached. Each
-    result equals ``pool_scores`` over a fresh index, and ``ranked`` equals
-    ``rank``."""
-    columns = Bm25Columns(build_index([(f"d{i}", text) for i, text in enumerate(texts)]))
-    positions = Bm25Columns(build_index(list(enumerate(texts))))
+    """One ``Bm25Columns`` over one group in id order and one over three
+    groups in text order answer a sequence of queries with repeated,
+    overlapping and unknown terms, so later queries read back contributions
+    that earlier ones cached. Each result equals ``pool_scores`` over fresh
+    postings, and ``ranked`` equals ``rank``."""
+    columns, ids = id_columns(texts)
+    positions = Bm25Columns(*groups_of(texts, (5, 17)))
     for query in queries:
         by_id = build_index([(f"d{i}", text) for i, text in enumerate(texts)])
-        expected = pool_scores(query, [by_id])
+        fresh, doc_len = groups_of([texts[int(doc_id[1:])] for doc_id in ids])
+        expected = pool_scores(query, fresh, doc_len)
         scores = columns.scores(query)
-        assert [(doc_id, scores[i]) for i, doc_id in enumerate(columns.doc_ids)] == [
-            (doc_id, expected.get(doc_id, 0.0)) for doc_id in columns.doc_ids
-        ]
-        assert list(columns.ranked(query)) == rank(by_id, query)
-        by_position = pool_scores(query, [build_index(list(enumerate(texts)))])
+        assert scores.tolist() == [expected.get(i, 0.0) for i in range(len(texts))]
+        assert [(ids[p], s) for p, s in columns.ranked(query)] == rank(by_id, query)
+        by_position = pool_scores(query, *groups_of(texts))
         by_position_scores = positions.scores(query)
         assert by_position_scores.dtype == np.float64
         assert by_position_scores.tolist() == [by_position.get(i, 0.0) for i in range(len(texts))]
-    used = {term for query in queries for term in query if term in columns.index.postings}
-    assert columns._terms.keys() == positions._terms.keys() == used
+    # A term that no document holds is kept too, with empty arrays.
+    vocabulary = build_index(list(enumerate(texts))).postings
+    assert columns._terms.keys() == positions._terms.keys() == {t for q in queries for t in q}
+    for kept in (columns._terms, positions._terms):
+        assert {term for term, (found, _) in kept.items() if found.size} == {
+            term for term in kept if term in vocabulary
+        }
 
 
 def test_each_position_scores_result_is_a_fresh_array():
     """A later query, on this thread or another, sums into a column of its
     own, so a result already returned keeps its values."""
-    positions = Bm25Columns(build_index(list(enumerate(["a b", "b c", "a a c", ""]))))
+    positions = Bm25Columns(*groups_of(["a b", "b c", "a a c", ""]))
     first = positions.scores(["a", "b"])
     kept = first.tolist()
     second = positions.scores(["c"])
@@ -442,6 +470,39 @@ def test_columns_rank_every_match_past_each_selection_cut(size):
     rng = random.Random(size)
     texts = [" ".join(rng.choices("abcdefg", k=rng.randint(1, 40))) for _ in range(size)]
     idx = build_index([(f"d{i}", text) for i, text in enumerate(texts)])
-    columns = Bm25Columns(idx)
+    columns, ids = id_columns(texts)
     for query in (["a"], ["a", "b", "a"], ["g", "c"], ["z"]):
-        assert list(columns.ranked(query)) == rank(idx, query)
+        assert [(ids[p], s) for p, s in columns.ranked(query)] == rank(idx, query)
+
+
+def _min_build_seconds(docs):
+    """The least of three build times of one group of ``docs``."""
+    best = math.inf
+    for _ in range(3):
+        doc_len = [0] * len(docs)
+        start = time.perf_counter()
+        build_postings(docs, {}, doc_len)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_build_postings_is_linear_in_a_groups_size():
+    """Every document holds the same two terms, so their postings grow with
+    the group, as a long session's common words do: a build that copied a
+    term's postings for each new document would take about 64x as long for
+    8x the documents, a linear one about 8x. The large group's scores are
+    those of ``bm25_score`` over one ``build_index``."""
+
+    def docs(n):
+        return [(i, f"alpha beta {'alpha ' * (i % 3)}w{i % 5}") for i in range(n)]
+
+    small, large = docs(2_000), docs(16_000)
+    ratio = _min_build_seconds(large) / _min_build_seconds(small)
+    assert ratio < 24, ratio
+    doc_len = [0] * len(large)
+    group = build_postings(large, {}, doc_len)
+    index = build_index(large)
+    query = ["alpha", "w1", "beta", "nowhere"]
+    expected = [bm25_score(index, query, i) for i in range(len(large))]
+    assert Bm25Columns([group], doc_len).scores(query).tolist() == expected
+    assert pool_scores(query, [group], doc_len) == dict(enumerate(expected))

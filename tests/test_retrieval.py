@@ -5,6 +5,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -412,13 +413,14 @@ def test_scoped_query_indexes_only_its_sessions_and_only_once(monkeypatch):
     ]
     pipeline = RetrievalPipeline(RetrievalConfig(stage1_k1=5), entries=entries, facts=facts)
     built = []
-    real = lexical.build_session_postings
+    real = lexical.build_postings
 
     def recording(docs, terms, doc_len):
+        docs = list(docs)
         built.append(sorted({pipeline.entries[i].session_id for i, _ in docs}))
         return real(docs, terms, doc_len)
 
-    monkeypatch.setattr(lexical, "build_session_postings", recording)
+    monkeypatch.setattr(lexical, "build_postings", recording)
     first = pipeline.retrieve("quarterly report")
     assert first.scoped_session_ids == ["s1"]
     assert built == [["s1"]]
@@ -496,21 +498,23 @@ def _fact_pipeline(k1=5):
 
 
 def _record_builds(monkeypatch):
-    """Every ``lexical.build_index`` and ``lexical.build_session_postings``
-    call from now on, as its list of doc ids."""
+    """Every ``lexical.build_postings`` call from now on, as its list of
+    positions."""
     built = []
-    for name in ("build_index", "build_session_postings"):
-        real = getattr(lexical, name)
+    real = lexical.build_postings
 
-        def recording(docs, *args, real=real):
-            built.append([doc for doc, _ in docs])
-            return real(docs, *args)
+    def recording(docs, *args):
+        docs = list(docs)
+        built.append([doc for doc, _ in docs])
+        return real(docs, *args)
 
-        monkeypatch.setattr(lexical, name, recording)
+    monkeypatch.setattr(lexical, "build_postings", recording)
     return built
 
 
 def test_unscoped_pipeline_indexes_the_snapshot_once_on_its_first_query(monkeypatch):
+    """The first query builds every session's postings once, in snapshot
+    session order, and no later query builds any."""
     source = _fact_pipeline()
     built = _record_builds(monkeypatch)
     pipeline = RetrievalPipeline(
@@ -518,29 +522,43 @@ def test_unscoped_pipeline_indexes_the_snapshot_once_on_its_first_query(monkeypa
     )
     assert built == []
     first = pipeline.retrieve("report friday")
-    assert built == [list(range(len(pipeline.entries)))]
+    assert built == list(pipeline._session_positions.values())
     again = pipeline.retrieve("report friday")
     pipeline.retrieve("lunch soup nowhere")
-    assert len(built) == 1
-    assert pipeline._session_postings == {}
+    assert len(built) == len(pipeline._session_positions) == 7
+    assert pipeline._snapshot_bm25.groups == list(pipeline._session_postings.values())
     assert _outputs(again) == _outputs(first)
 
 
 def test_a_scoped_pipeline_indexes_the_snapshot_only_when_a_query_falls_back(monkeypatch):
+    """A fallback builds only the sessions that no scoped pool has built,
+    and its whole-snapshot column reuses the ones already built."""
     pipeline = _fact_pipeline()
     built = _record_builds(monkeypatch)
     assert pipeline.retrieve("report friday").scoped_session_ids
     assert len(built) == len(pipeline._session_postings) and pipeline._snapshot_bm25 is None
+    scoped = dict(pipeline._session_postings)
     sessions = len(built)
+    assert 0 < sessions < len(pipeline._session_positions)
     for _ in range(2):
         assert pipeline.retrieve("nowhere").fallback_unscoped
-    assert built[sessions:] == [list(range(len(pipeline.entries)))]
+    assert built[sessions:] == [
+        positions for session, positions in pipeline._session_positions.items()
+        if session not in scoped
+    ]
+    assert sorted(chain.from_iterable(built)) == list(range(len(pipeline.entries)))
+    assert pipeline._snapshot_bm25.groups == [
+        pipeline._session_postings[session] for session in pipeline._session_positions
+    ]
+    assert all(pipeline._session_postings[session] is group for session, group in scoped.items())
 
 
 def test_whole_snapshot_column_is_in_snapshot_position_order():
     """The ids e0..e13 sort as strings (e0, e1, e10, ..., e13, e2, ...) in
-    another order than their positions; the whole snapshot's column, and
-    the raw BM25 each ranked entry reports, follow the positions."""
+    another order than their positions, and the sessions interleave; the
+    whole snapshot's column, and the raw BM25 each ranked entry reports,
+    follow the positions and equal ``bm25_score`` over one index keyed by
+    position."""
     words = ["report", "lunch", "deadline", "bike", "soup", "friday", "blue"]
     entries = [
         make_entry(entry_id=f"e{i}", session_id=f"s{i % 3}",
@@ -553,39 +571,38 @@ def test_whole_snapshot_column_is_in_snapshot_position_order():
     assert sorted(pipeline._ids) != pipeline._ids
     by_position = lexical.build_index([(i, e.content) for i, e in enumerate(pipeline.entries)])
     bm25 = pipeline._whole_snapshot_bm25()
-    assert bm25.doc_ids == list(range(len(entries)))
     for query in (["report"], ["lunch", "blue", "report"], ["friday", "bike"], ["nowhere"]):
-        expected = lexical.pool_scores(query, [by_position])
-        assert bm25.scores(query).tolist() == [expected.get(i, 0.0) for i in range(len(entries))]
+        expected = [lexical.bm25_score(by_position, query, i) for i in range(len(entries))]
+        assert bm25.scores(query).tolist() == expected
         ranked = pipeline.retrieve(" ".join(query)).ranked
         assert {r.entry.id: r.breakdown.phi_bm25_raw for r in ranked} == {
-            e.id: expected.get(i, 0.0) for i, e in enumerate(pipeline.entries)
+            e.id: expected[i] for i, e in enumerate(pipeline.entries)
         }
 
 
 def test_length_norms_are_built_once_per_snapshot_with_its_index(monkeypatch):
-    """Counts the ``Bm25Columns`` built over an entry index, keyed by
-    position; the fact index, keyed by fact id, builds one too."""
-    normed = []
+    """Counts the ``Bm25Columns`` a snapshot builds, each with its length
+    norms: one over the facts when the pipeline scopes, and one over the
+    entries the first time a query needs the whole snapshot."""
+    made = []
     real = lexical.Bm25Columns
 
-    def recording(index):
-        if all(isinstance(doc, int) for doc in index.doc_len):
-            normed.append(index)
-        return real(index)
+    def recording(groups, doc_len):
+        made.append(real(groups, doc_len))
+        return made[-1]
 
     monkeypatch.setattr(lexical, "Bm25Columns", recording)
     scoped = _fact_pipeline()
     for query in ("report friday", "lunch soup blue", "deadline v1 note"):
         assert scoped.retrieve(query).scoped_session_ids
-    assert normed == []
+    assert made == [scoped._fact_index.bm25]
     unscoped = _fact_pipeline(None)
     for query in ("report friday", "nowhere", "report friday"):
         unscoped.retrieve(query)
-    assert len(normed) == 1 and normed[0] is unscoped._snapshot_bm25.index
+    assert made[1:] == [unscoped._snapshot_bm25]
     for _ in range(2):
         assert scoped.retrieve("nowhere").fallback_unscoped
-    assert len(normed) == 2 and normed[1] is scoped._snapshot_bm25.index
+    assert made[2:] == [scoped._snapshot_bm25]
 
 
 def test_stage1_builds_postings_arrays_only_for_query_terms_and_once():
@@ -593,18 +610,20 @@ def test_stage1_builds_postings_arrays_only_for_query_terms_and_once():
     columns = pipeline._fact_index.bm25
     assert columns._terms == {}  # nothing built with the snapshot
     pipeline.retrieve("report friday nowhere report")
-    assert set(columns._terms) == {"report", "friday"}  # "nowhere" indexes no fact
+    assert set(columns._terms) == {"report", "friday", "nowhere"}
+    assert columns._terms["nowhere"][0].size == 0  # "nowhere" indexes no fact
     built = dict(columns._terms)
-    pipeline.retrieve("friday report")
+    pipeline.retrieve("friday report nowhere")
     assert columns._terms.keys() == built.keys()
     assert all(columns._terms[t] is arrays for t, arrays in built.items())
     pipeline.retrieve("lunch")
-    assert set(columns._terms) == {"report", "friday", "lunch"}
+    assert set(columns._terms) == {"report", "friday", "nowhere", "lunch"}
     # The whole snapshot keeps its contributions the same way.
     unscoped = _fact_pipeline(None)
     first = unscoped.retrieve("report note nowhere report")
     bm25 = unscoped._snapshot_bm25
-    assert set(bm25._terms) == {"report", "note"}  # "nowhere" is in no entry
+    assert set(bm25._terms) == {"report", "note", "nowhere"}
+    assert bm25._terms["nowhere"][0].size == 0  # "nowhere" is in no entry
     built = dict(bm25._terms)
     again = unscoped.retrieve("report note nowhere report")
     assert bm25._terms.keys() == built.keys()
@@ -699,6 +718,25 @@ def test_threads_building_sessions_at_once_match_a_sequential_pipeline():
             )
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_facts_sharing_an_id_raise_naming_it_when_stage_1_runs():
+    """The fact index rejects a repeated fact id as ``build_index`` did,
+    whether the snapshot's config scopes or a per-call config does; an
+    unscoped query never reads the facts."""
+    entries = [make_entry(entry_id="e1", content="report due friday", session_id="s1")]
+    facts = [
+        make_fact(fact_id="f1", subject="report", value="friday", session_ids=("s1",)),
+        make_fact(fact_id="f0", subject="bike", value="blue", session_ids=("s1",)),
+        make_fact(fact_id="f1", subject="lunch", value="soup", session_ids=("s1",)),
+    ]
+    with pytest.raises(ValidationError, match="duplicate doc_id: 'f1'"):
+        RetrievalPipeline(RetrievalConfig(stage1_k1=5), entries=entries, facts=facts)
+    pipeline = RetrievalPipeline(RetrievalConfig(stage1_k1=None), entries=entries, facts=facts)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="duplicate doc_id: 'f1'"):
+            pipeline.retrieve("report", RetrievalConfig(stage1_k1=5))
+    assert [r.entry.id for r in pipeline.retrieve("report").ranked] == ["e1"]
 
 
 def test_unscoped_pipeline_builds_no_fact_index(monkeypatch):

@@ -1,10 +1,10 @@
 """The retrieval fast path against a reference built from the definitions.
 
 Stage 1 walks the facts best-first from ``lexical.Bm25Columns``, score
-columns with a partial top-k. Stage 2 scores a scoped pool with
-``lexical.session_pool_scores`` over compact per-session postings cached per
-snapshot, and the whole snapshot with a second ``Bm25Columns`` over one
-index of every entry. The stage-1
+columns with a partial top-k over one postings group of the facts. Stage 2
+scores a scoped pool with ``lexical.pool_scores`` over per-session postings
+cached per snapshot, and the whole snapshot with a second ``Bm25Columns``
+over every session's postings. The stage-1
 scope is also checked against a walk of ``lexical.rank``, the fully sorted
 list. The reference scores every fact and
 every pool entry with ``build_index`` + ``bm25_score``, then combines each
@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 from agentmem import consolidation, evaluation
 from agentmem.cli import main
 from agentmem.errors import ValidationError
-from agentmem.lexical import bm25_score, build_index, pool_scores, rank, tokenize
+from agentmem.lexical import bm25_score, build_index, rank, tokenize
 from agentmem.retrieval import (
     DENSE_WEIGHTS,
     MODE_BM25,
@@ -107,15 +107,16 @@ def rank_walk_scope(query, facts, k1):
 
 
 def check_stage1(query, facts, k1):
-    """The pipeline's stage 1 against both references, and its score column
-    against ``pool_scores``."""
+    """The pipeline's stage 1 against both references, and its score column,
+    in fact id order, against ``bm25_score``."""
     index = build_fact_index(facts)
     scoped = stage1_scope(tokenize(query), facts, k1, index)
     assert scoped == reference_scope(query, facts, k1) == rank_walk_scope(query, facts, k1)
-    expected = pool_scores(tokenize(query), [build_index([(f.id, f.search_text()) for f in facts])])
+    reference = build_index([(f.id, f.search_text()) for f in facts])
     scores = index.bm25.scores(tokenize(query))
-    assert [(fact_id, scores[i]) for i, fact_id in enumerate(index.bm25.doc_ids)] == [
-        (fact_id, expected.get(fact_id, 0.0)) for fact_id in sorted(f.id for f in facts)
+    assert [(f.id, scores[i]) for i, f in enumerate(index.by_id)] == [
+        (fact_id, bm25_score(reference, tokenize(query), fact_id))
+        for fact_id in sorted(f.id for f in facts)
     ]
     return scoped
 
@@ -511,6 +512,25 @@ def test_stage1_scope_walks_past_each_selection_cut(k1):
     ]
     for query in ("report", "friday deadline report", "the blue soup"):
         check_stage1(query, facts, k1)
+
+
+def test_a_long_session_ranks_as_the_reference():
+    """One session of 16,000 turns over eight words, as a long-running
+    agent's session is, so every word's postings span thousands of turns: a
+    scoped query over it, and a fallback over the whole snapshot, rank as
+    the stage-2 reference."""
+    rng = random.Random(16)
+    entries = [
+        make_entry(entry_id=f"t{i:05d}", session_id="long", days_ago=(i % 97) / 4,
+                   content=" ".join(rng.choices(WORDS, k=rng.randint(1, 8))))
+        for i in range(16_000)
+    ]
+    entries.append(make_entry(entry_id="x", session_id="short", content="bike lunch"))
+    facts = [make_fact(fact_id="f1", subject="report", value="friday", session_ids=("long",))]
+    pipeline = RetrievalPipeline(RetrievalConfig(stage1_k1=5), entries=entries, facts=facts)
+    for query in ("report friday", "the deadline friday the"):
+        assert check_against_reference(pipeline, query).scoped_session_ids == ["long"]
+    check_against_reference(pipeline, "nowhere soup")
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -17,7 +17,7 @@ from datetime import timedelta, timezone
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import agentmem
@@ -63,10 +63,14 @@ def _replay(store: MemoryStore, project: str = "proj") -> tuple:
     )
 
 
-def _assert_like_fresh(*stores: MemoryStore, project: str = "proj") -> None:
-    fresh = _replay(MemoryStore(stores[0].root), project)
-    for store in stores:
-        assert _replay(store, project) == fresh
+def _assert_like_fresh(
+    *stores: MemoryStore, projects: tuple[str, ...] = ("proj", "other")
+) -> None:
+    """Each store replays each project as a fresh instance does."""
+    for project in projects:
+        fresh = _replay(MemoryStore(stores[0].root), project)
+        for store in stores:
+            assert _replay(store, project) == fresh
 
 
 # -- views that went stale ---------------------------------------------------
@@ -324,6 +328,12 @@ def _foreign(store: MemoryStore, kind: str, arg) -> None:
 
 @settings(max_examples=100, deadline=None)
 @given(steps=st.lists(st.tuples(st.booleans(), _STEP), min_size=1, max_size=14))
+# The log, holding two proj lines that both instances have read, is replaced
+# by a file of the same size: only its new inode tells the views to reparse.
+@example(steps=[
+    (False, ("entries", [make_entry(entry_id="e0"), make_entry(entry_id="e1", content="b")])),
+    (True, ("replace", "log")),
+])
 def test_two_instances_replay_like_a_fresh_one(tmp_path_factory, steps):
     root = tmp_path_factory.mktemp("views")
     instances = (MemoryStore(root), MemoryStore(root))
@@ -414,7 +424,7 @@ def test_frozen_clock_writes_are_byte_identical(tmp_path, frozen_clock):
         for question in load_dataset(SYNTHETIC20) for s in question.sessions
         for i in range(len(s.turns))
     ]
-    _assert_like_fresh(store, project=BENCH_PROJECT)
+    _assert_like_fresh(store, projects=(BENCH_PROJECT,))
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
