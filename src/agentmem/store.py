@@ -32,15 +32,17 @@ first, so only the fragment is lost.
 A store instance keeps one view per file: the file's inode, the byte offset
 after the last complete line it parsed, and what those lines hold (entries
 or facts with the id of every line, folded cognitive weights, promoted ids).
-Every load and every id check stats the files first. Bytes another writer
-appended are parsed from the view's offset on that next use, and a file that
-shrank or was replaced is parsed again from its start; an unterminated last
-line is parsed on every use and never kept. The instance's own appends extend
-its views with the very objects just written, so it never parses them back; a
-timestamp whose tzinfo is not ``timezone.utc`` is kept as a parse of its line
-returns it, normalised to UTC. A file that is cut and regrown past the view's
-offset between two uses is not noticed unless the byte before the offset is
-no longer a newline: files are append-only.
+An instance parses each line once: an id check keeps the parsed line, and
+the first load builds its record from it. Every load and every id check
+stats the files first. Bytes another writer appended are parsed from the
+view's offset on that next use, a file that shrank or was replaced is
+parsed again from its start, and an unterminated last line is parsed on
+every use and never kept. Own appends extend the views with the very
+objects written; a timestamp whose tzinfo is not ``timezone.utc`` is kept
+normalised to UTC, as its line parses. A file cut and regrown past the
+view's offset is not noticed unless the byte before the offset is no longer
+a newline: files are append-only. The first line of an id wins: a load
+skips and counts in ``skipped`` each later line with that id.
 
 Entries and facts are immutable values, checked once at construction, so a
 record that exists writes a line that its parse accepts. Loads hand out the
@@ -330,18 +332,11 @@ def _clip(value: float) -> float:
 _BAD_LINE = (KeyError, TypeError, ValueError, ValidationError)
 
 
-def _record_id(record: dict) -> str:
-    record_id = record["id"]
-    if type(record_id) is not str:
-        raise ValidationError(f"mistyped id: {record_id!r}")
-    return record_id
-
-
-def _ledger_entry_id(record: dict) -> str:
-    entry_id = record["entry_id"]
-    if type(entry_id) is not str:
-        raise ValidationError(f"mistyped entry_id: {entry_id!r}")
-    return entry_id
+def _str_field(record: dict, key: str) -> str:
+    value = record[key]
+    if type(value) is not str:
+        raise ValidationError(f"mistyped {key}: {value!r}")
+    return value
 
 
 def _promoted_ids(record: dict) -> Sequence[str]:
@@ -349,7 +344,7 @@ def _promoted_ids(record: dict) -> Sequence[str]:
     or none when that is not a list of strings; an older line names one, its
     ``entry_id``."""
     if "entry_ids" not in record:
-        return (_ledger_entry_id(record),)
+        return (_str_field(record, "entry_id"),)
     entry_ids = record["entry_ids"]
     if type(entry_ids) is not list or not all(type(i) is str for i in entry_ids):
         raise ValidationError(f"mistyped entry_ids: {entry_ids!r}")
@@ -365,7 +360,7 @@ def _cw_deltas(record: dict) -> Sequence[tuple[str, float]]:
         delta = record["delta"]
         if not is_finite_number(delta):
             raise ValidationError(f"mistyped delta: {delta!r}")
-        return ((_ledger_entry_id(record), delta),)
+        return ((_str_field(record, "entry_id"), delta),)
     deltas = record["deltas"]
     if type(deltas) is not list or not all(
         type(pair) is list and len(pair) == 2 and type(pair[0]) is str
@@ -384,8 +379,6 @@ class _View:
     ``extend`` folds values equal to what a parse of lines returns. Callers
     hold the store's lock.
     """
-
-    full = True  # a view that parses each line completely
 
     def __init__(self, path: Path, parse: Callable[[dict], object]):
         self.path = path
@@ -460,59 +453,75 @@ class _View:
 
 class _RecordView(_View):
     """Entries or facts in file order, and the id of every line whose ``id``
-    parses, also of a line that fails the full parse. ``seen`` counts the ids
-    of this view and of every view sharing it. A view that only id checks
-    have read holds no ``values`` (``full`` false) until a load needs them."""
+    parses, also if the full parse fails, counted in ``seen`` with the ids of
+    every view sharing it. ``pending`` keeps parsed lines for ``records()``."""
 
     def __init__(self, path: Path, parse: Callable[[dict], object], seen: dict[str, int]):
         self.seen = seen
         self.ids: list[str] = []
-        self.full = False
         super().__init__(path, parse)
 
     def clear(self) -> None:
         seen = self.seen
         for record_id in self.ids:
-            if seen[record_id] == 1:
+            seen[record_id] -= 1
+            if not seen[record_id]:
                 del seen[record_id]
-            else:
-                seen[record_id] -= 1
         self.ids = []
         self.values: list = []
+        self.pending: list = []  # after ``values`` in file order: dicts and own appends
 
     def add(self, line: bytes) -> None:
         try:
             record = json.loads(line.decode("utf-8"))
-            record_id = _record_id(record)
+            record_id = _str_field(record, "id")
         except _BAD_LINE:
             self.skipped += 1
             return
         self.ids.append(record_id)
         self.seen[record_id] = self.seen.get(record_id, 0) + 1
-        if self.full:
-            try:
-                self.values.append(self.parse(record))
-            except _BAD_LINE:
-                self.skipped += 1
+        self.pending.append(record)
 
     def extend(self, values: Sequence) -> None:
         seen = self.seen
         for value in values:
             self.ids.append(value.id)
             seen[value.id] = seen.get(value.id, 0) + 1
-        if self.full:
-            self.values.extend(values)
+        (self.pending or self.values).extend(values)
 
-    def sync(self, full: bool = False) -> bytes:
-        if full and not self.full:
-            self.full = True
-            self.reset()
-        return super().sync()
+    def records(self) -> list:
+        """``values``, the pending lines built first; a failed build counts in ``skipped``."""
+        for record in self.pending:
+            try:
+                self.values.append(self.parse(record) if type(record) is dict else record)
+            except _BAD_LINE:
+                self.skipped += 1
+        self.pending = []
+        return self.values
+
+    def tail_ids(self, tail: bytes) -> list[str]:
+        """The id of the unterminated ``tail`` line, if it parses; a torn tail builds records."""
+        return self.with_tail(tail).ids[len(self.ids):]
 
     def _detached(self) -> "_RecordView":
+        values = list(self.records())
         view = copy.copy(self)
-        view.ids, view.values, view.seen = list(self.ids), list(self.values), {}
+        view.ids, view.values, view.pending, view.seen = list(self.ids), values, [], {}
         return view
+
+
+def _first_by_id(views: Sequence[_RecordView], seen: dict[str, int]) -> tuple[list, int]:
+    """The records of ``views`` in order, less each whose id an earlier one
+    has, and how many lines were skipped. ``seen`` counts the ids of complete
+    lines: if it holds as many as ``views``, no id repeats and no tail is read."""
+    records = [record for view in views for record in view.records()]
+    skipped = sum(view.skipped for view in views)
+    if len(seen) == sum(len(view.ids) for view in views):
+        return records, skipped
+    first: dict = {}
+    for record in records:
+        first.setdefault(record.id, record)
+    return list(first.values()), skipped + len(records) - len(first)
 
 
 class _WeightView(_View):
@@ -575,7 +584,7 @@ class MemoryStore:
             )
         return view
 
-    def _sync_episodic_views(self, full: bool = False) -> list[tuple[_RecordView, bytes]]:
+    def _sync_episodic_views(self) -> list[tuple[_RecordView, bytes]]:
         """Sync the view of every episodic file, in file-name order (day files,
         then the log), and return each with its file's unterminated tail. The
         views of files that are gone are dropped."""
@@ -588,15 +597,11 @@ class MemoryStore:
         listed = set(names)
         for name in [n for n in self._episodic_views if n not in listed]:
             self._episodic_views.pop(name).reset()
-        return [(view, view.sync(full)) for view in map(self._episodic_view, names)]
+        return [(view, view.sync()) for view in map(self._episodic_view, names)]
 
     def _known_entry_ids(self):
         """Every episodic line's id, the episodic views synced first."""
-        tail_ids = [
-            record_id
-            for view, tail in self._sync_episodic_views()
-            for record_id in view.with_tail(tail).ids[len(view.ids):]
-        ]
+        tail_ids = [i for view, tail in self._sync_episodic_views() for i in view.tail_ids(tail)]
         return self._entry_ids.keys() | tail_ids if tail_ids else self._entry_ids
 
     def _require_entries(self, entry_ids: Iterable[str]) -> None:
@@ -620,7 +625,6 @@ class MemoryStore:
         inode, start, stop = written
         if start == 0:
             view.reset(inode)
-            view.full = True
         elif start != view.offset or inode != view.inode:
             return
         view.extend(values)
@@ -723,36 +727,34 @@ class MemoryStore:
 
         ``agent_view=None`` is the orchestrator view (all agents); passing an
         agent id restricts the result to that agent's own entries. Corrupt
-        lines are skipped and counted, never fatal. ``sessions`` is a
-        collection of session ids; a ``str`` raises ValidationError, as it
-        would otherwise be taken as a set of its characters.
+        lines and later lines of an id (of any project) are skipped and
+        counted, never fatal. ``sessions`` is a collection of session ids; a
+        ``str`` raises ValidationError, as it would be taken as its characters.
         """
         if isinstance(sessions, str):
             raise ValidationError(f"sessions must be a collection of ids, not a str: {sessions!r}")
         session_filter = frozenset(sessions) if sessions is not None else None
         entries = []
-        skipped = 0
         with self._lock:
             weights = self._weights.read().state
             promoted = self._promoted.read().state
-            for view, tail in self._sync_episodic_views(full=True):
-                view = view.with_tail(tail)
-                skipped += view.skipped
-                for entry in view.values:
-                    if (
-                        entry.project == project
-                        and (session_filter is None or entry.session_id in session_filter)
-                        and (agent_view is None or entry.agent_id == agent_view)
-                    ):
-                        entry_id = entry.id
-                        if entry_id in weights or (entry_id in promoted and not entry.promoted):
-                            # The ledgers' values are valid: no check is re-run.
-                            entry = EpisodicEntry._make((
-                                *entry[:7],
-                                entry.promoted or entry_id in promoted,
-                                weights.get(entry_id, entry.cognitive_weight),
-                            ))
-                        entries.append(entry)
+            views = [view.with_tail(tail) for view, tail in self._sync_episodic_views()]
+            records, skipped = _first_by_id(views, self._entry_ids)
+            for entry in records:
+                if (
+                    entry.project == project
+                    and (session_filter is None or entry.session_id in session_filter)
+                    and (agent_view is None or entry.agent_id == agent_view)
+                ):
+                    entry_id = entry.id
+                    if entry_id in weights or (entry_id in promoted and not entry.promoted):
+                        # The ledgers' values are valid: no check is re-run.
+                        entry = EpisodicEntry._make((
+                            *entry[:7],
+                            entry.promoted or entry_id in promoted,
+                            weights.get(entry_id, entry.cognitive_weight),
+                        ))
+                    entries.append(entry)
         return LoadedEntries(entries=entries, skipped=skipped)
 
     # -- semantic tier ----------------------------------------------------
@@ -766,10 +768,8 @@ class MemoryStore:
         A fact whose id is stored or earlier in the batch is an idempotent no-op."""
         with self._lock:
             view = self._facts
-            tail = view.sync()
-            known = view.seen
-            if tail.strip():
-                known = known.keys() | view.with_tail(tail).ids[len(view.ids):]
+            tail_ids = view.tail_ids(view.sync())
+            known = view.seen.keys() | tail_ids if tail_ids else view.seen
             fresh: dict[str, SemanticFact] = {}
             for fact in facts:
                 if fact.id not in known:
@@ -789,9 +789,8 @@ class MemoryStore:
 
     def load_facts(self) -> LoadedFacts:
         with self._lock:
-            view = self._facts.with_tail(self._facts.sync(full=True))
-            facts = list(view.values)
-        return LoadedFacts(facts=facts, skipped=view.skipped)
+            facts, skipped = _first_by_id([self._facts.read()], self._facts.seen)
+        return LoadedFacts(facts=facts, skipped=skipped)
 
     # -- sidecar ledgers ----------------------------------------------------
 

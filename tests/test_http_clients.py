@@ -73,6 +73,8 @@ def server_url():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
+    thread.join()
 
 
 def test_embedder_contract(server_url):

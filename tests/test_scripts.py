@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -44,3 +45,13 @@ def test_train_demo_is_reproducible_for_a_seed():
     assert uniform == "+0.000, +0.000, +0.000, +0.000, +0.000"  # zero-variance stasis
     assert float(landscape.split(", ")[1]) > 0.0  # the live gradient raises w_bm25
     assert run_script("train_demo.py", "3").stdout == done.stdout
+
+
+def test_synthetic_dataset_script_regenerates_the_fixture(tmp_path, monkeypatch):
+    path = ROOT / "scripts" / "make_synthetic_dataset.py"
+    spec = importlib.util.spec_from_file_location("make_synthetic_dataset", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "OUT", tmp_path / "synthetic20.jsonl")
+    script.main()
+    assert script.OUT.read_bytes() == SYNTHETIC20.read_bytes()

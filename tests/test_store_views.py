@@ -137,6 +137,70 @@ def test_own_appends_are_never_parsed_back(store, monkeypatch):
     )
 
 
+def test_each_line_is_parsed_once(tmp_path, monkeypatch):
+    seed = MemoryStore(tmp_path)
+    seed.append_entries([make_entry(entry_id=f"e{i}") for i in range(10)])
+    seed.append_facts([make_fact(fact_id=f"f{i}") for i in range(10)])
+    parses = []
+    real = agentmem.store.json.loads
+    monkeypatch.setattr(agentmem.store.json, "loads",
+                        lambda text, **kw: parses.append(text) or real(text, **kw))
+    store = MemoryStore(tmp_path)
+    store.append_entry(make_entry(entry_id="e10"))  # the id check parses the log
+    assert len(store.load_entries("proj")) == 11
+    assert len(parses) == 10
+    parses.clear()
+    assert store.append_facts([make_fact(fact_id="f10")]) == 1
+    assert len(store.load_facts()) == 11
+    assert len(parses) == 10
+
+
+def test_an_id_check_builds_no_record_and_a_load_builds_each_once(tmp_path, monkeypatch):
+    seed = MemoryStore(tmp_path)
+    seed.append_entries([make_entry(entry_id=f"e{i}") for i in range(10)])
+    seed.append_facts([make_fact(fact_id=f"f{i}") for i in range(10)])
+    built = Counter()
+    for cls in (EpisodicEntry, SemanticFact):
+        real = cls.from_dict
+        monkeypatch.setattr(cls, "from_dict",
+                            lambda record, real=real: built.update([record["id"]]) or real(record))
+    store = MemoryStore(tmp_path)
+    store.append_entry(make_entry(entry_id="e10"))  # the one-shot `agentmem append` path
+    store.append_facts([make_fact(fact_id="f10")])  # a consolidation pass's fact write
+    store.promote_many(["e0"])
+    assert not built
+    assert len(store.load_entries("proj")) == 11 and len(store.load_facts()) == 11
+    assert len(store.load_entries("proj")) == 11 and len(store.load_facts()) == 11
+    assert built == Counter([f"e{i}" for i in range(10)] + [f"f{i}" for i in range(10)])
+
+
+def test_a_later_line_of_a_loaded_id_is_skipped_and_every_query_runs(store):
+    store.append_entries([
+        make_entry(entry_id="e1", content="user: alpha deadline is friday"),
+        make_entry(entry_id="e2", content="user: beta lunch", session_id="s2"),
+    ])
+    store.append_fact(make_fact(fact_id="f1", subject="alpha", value="deadline"))
+    other = MemoryStore(store.root)  # its views hold the lines before the copies
+    other.load_entries("proj")
+    other.load_facts()
+    for path in (store.episodic_log_path, store.facts_path):
+        first = path.read_text().splitlines()[0]
+        with path.open("a") as handle:  # the first line again, its text changed
+            handle.write(first.replace("alpha", "gamma") + "\n")
+    for instance in (store, other, MemoryStore(store.root)):
+        entries, facts = instance.load_entries("proj"), instance.load_facts()
+        assert ([e.content for e in entries], entries.skipped) == (
+            ["user: alpha deadline is friday", "user: beta lunch"], 1
+        )
+        assert ([f.subject for f in facts], facts.skipped) == (["alpha"], 1)
+        for k1 in (None, 5):
+            pipeline = RetrievalPipeline.from_store(
+                instance, RetrievalConfig(stage1_k1=k1), project="proj"
+            )
+            assert pipeline.retrieve("alpha deadline").ranked[0].entry.id == "e1"
+    _assert_like_fresh(store, other)
+
+
 def test_an_entry_whose_line_would_be_skipped_cannot_be_constructed(store):
     with pytest.raises(ValidationError):
         make_entry(entry_id="w1", tokens=True)  # would be written as true, which a parse skips
